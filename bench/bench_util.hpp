@@ -104,8 +104,6 @@ struct ExperimentConfig {
   /// unaffected and window count drops sharply; the scale bench emits an
   /// explicit adaptive-off row for comparison.
   bool adaptive_lookahead = true;
-  /// Sharded runs only: boundary drain staging batch (0 = unstaged).
-  std::size_t drain_batch = 64;
 };
 
 /// Default per-procedure SLO targets for bench telemetry, loose enough
@@ -201,7 +199,6 @@ inline ExperimentResult run_sharded_experiment(
   scfg.shards = shards;
   scfg.threads = threads;
   scfg.adaptive_lookahead = cfg.adaptive_lookahead;
-  scfg.drain_batch = cfg.drain_batch;
   scfg.streaming_pct = cfg.streaming_pct;
   core::ShardedSystem sys(scfg, measured_costs());
   sys.set_profiler(profiler);
@@ -309,8 +306,6 @@ struct BenchOptions {
   /// --adaptive-lookahead=0|1: per-destination adaptive windows for the
   /// sharded rows (default on; see ExperimentConfig::adaptive_lookahead).
   bool adaptive_lookahead = true;
-  /// --drain-batch=N: boundary drain staging batch (0 = unstaged).
-  std::size_t drain_batch = 64;
   /// --scenario=NAME: drive the bench with a named traffic-engine
   /// scenario (src/traffic/scenario.hpp) instead of its built-in
   /// workload. Empty (default) keeps the built-in workload byte-for-byte.
@@ -358,9 +353,6 @@ struct BenchOptions {
         o.adaptive_lookahead =
             std::strtoul(std::string{arg.substr(21)}.c_str(), nullptr, 10) !=
             0;
-      } else if (arg.rfind("--drain-batch=", 0) == 0) {
-        o.drain_batch = static_cast<std::size_t>(
-            std::strtoul(std::string{arg.substr(14)}.c_str(), nullptr, 10));
       } else if (arg.rfind("--scenario=", 0) == 0) {
         o.scenario = arg.substr(11);
       } else if (arg.rfind("--ues=", 0) == 0) {

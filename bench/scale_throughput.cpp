@@ -180,7 +180,6 @@ int main(int argc, char** argv) {
     cfg.streaming_pct = true;
     cfg.telemetry_window = opts.telemetry_window();
     cfg.adaptive_lookahead = opts.adaptive_lookahead;
-    cfg.drain_batch = opts.drain_batch;
     // Scenario mode regenerates the trace for the partitioned topology
     // (UE homes are ue % regions, so the shard count changes the homing);
     // the generator itself is single-threaded and deterministic, so every
@@ -196,8 +195,6 @@ int main(int argc, char** argv) {
     report.config()["shards"] = shards;
     report.config()["sharded_regions"] = cfg.topo.total_regions();
     report.config()["adaptive_lookahead"] = opts.adaptive_lookahead;
-    report.config()["drain_batch"] =
-        static_cast<std::uint64_t>(opts.drain_batch);
 
     // Legacy single-threaded System over the *same partitioned topology*:
     // the honest denominator for shard-sync overhead. Comparing sharded
@@ -300,7 +297,6 @@ int main(int argc, char** argv) {
       row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
           core::ProcedureType::kServiceRequest));
       row["adaptive_lookahead"] = opts.adaptive_lookahead;
-      row["drain_batch"] = static_cast<std::uint64_t>(opts.drain_batch);
       if (scen != nullptr) {
         row["scenario"] = opts.scenario;
         bench::attach_arrivals(row, *sharded_traffic, screq.duration);
@@ -348,7 +344,6 @@ int main(int argc, char** argv) {
       row["peak_rss_bytes"] = obs::peak_rss_bytes();
       row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
       row["adaptive_lookahead"] = flipped.adaptive_lookahead;
-      row["drain_batch"] = static_cast<std::uint64_t>(flipped.drain_batch);
       bench::Report::attach_result(row, result);
       if (result.metrics.procedures_completed !=
           result.metrics.procedures_started) {

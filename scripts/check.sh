@@ -60,17 +60,20 @@ out="$BUILD/bench/chaos_campaign.smoke-report.json"
 python3 scripts/validate_report.py "$out"
 
 # ThreadSanitizer pass over the multi-threaded sharded runtime (and the
-# event-loop/determinism suites it builds on). TSan and ASan cannot share
-# a build; this is a separate configuration so both always run.
+# event-loop/determinism suites it builds on): lanes hand shards' channels
+# to each other at every barrier, including uneven shard-to-lane splits
+# (parallel_stress_test). TSan and ASan cannot share a build; this is a
+# separate configuration so both always run.
 if [[ "${FAST:-0}" != "1" ]]; then
   echo "== build-tsan + parallel runtime tests"
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
-  cmake --build build-tsan -j \
-    --target sim_core_test parallel_runtime_test parallel_determinism_test
-  for t in sim_core_test parallel_runtime_test parallel_determinism_test; do
+  TSAN_TESTS=(sim_core_test parallel_runtime_test parallel_adaptive_test
+              parallel_stress_test parallel_determinism_test)
+  cmake --build build-tsan -j --target "${TSAN_TESTS[@]}"
+  for t in "${TSAN_TESTS[@]}"; do
     echo "-- tsan: $t"
     "build-tsan/tests/$t"
   done
@@ -84,7 +87,12 @@ fi
 echo "== release build + scale smoke (build-release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
-cmake --build build-release -j --target scale_throughput sim_core_gbench
+cmake --build build-release -j --target scale_throughput sim_core_gbench \
+  parallel_runtime_test
+# The window-causality check must survive -DNDEBUG: a message landing
+# inside its destination's window aborts the run in Release too.
+build-release/tests/parallel_runtime_test \
+  --gtest_filter='ShardedRuntime.CausalityViolationAbortsInEveryBuild'
 out=build-release/bench/scale_throughput.smoke-report.json
 build-release/bench/scale_throughput --smoke --threads=1,2 --shards=2 \
   --report="$out"
@@ -203,6 +211,49 @@ PY
   [[ "$batch" == 3 ]] || echo "-- batch $batch over the gate; pooling another batch"
 done
 [[ "$sync_ok" == 1 ]] || { echo "shard-sync overhead gate failed"; exit 1; }
+
+# Parallel speedup floor (ROADMAP item 1): the storm over 4 shards must
+# run at least 1.5x faster on 4 worker threads than on 1. Same estimator
+# as the shard-sync gate: both rows execute identical events, so the best
+# events/s per side over up to 3 batches of 3 runs compares each side's
+# least-contended sample. Four threads need four cores to mean anything.
+echo "== parallel speedup floor (build-release)"
+if [[ "$(nproc)" -lt 4 ]]; then
+  echo "-- skipped: nproc=$(nproc) < 4, so threads=4 cannot run in parallel"
+else
+  SPEED_OUTS=()
+  speed_ok=0
+  for batch in 1 2 3; do
+    for attempt in 1 2 3; do
+      out="build-release/bench/scale-speedup$batch$attempt.json"
+      build-release/bench/scale_throughput --smoke --shards=4 --threads=1,4 \
+        --report="$out" >/dev/null
+      SPEED_OUTS+=("$out")
+    done
+    if python3 - "${SPEED_OUTS[@]}" <<'PY'
+import json, sys
+eps = {1: [], 4: []}
+for path in sys.argv[1:]:
+    text = open(path).read()
+    doc = json.loads(text[text.find("{"):])
+    for r in doc["rows"]:
+        if (r.get("mode") == "sharded" and r.get("threads") in eps
+                and r.get("adaptive_lookahead")):
+            eps[r["threads"]].append(r["events_per_sec"])
+assert eps[1] and eps[4], "speedup rows missing from the reports"
+speedup = max(eps[4]) / max(eps[1])
+print(f"parallel speedup, shards=4 threads=4 vs 1: {speedup:.2f}x "
+      f"(best of {len(eps[1])} runs per side; floor: 1.50x)")
+sys.exit(0 if speedup >= 1.5 else 1)
+PY
+    then
+      speed_ok=1
+      break
+    fi
+    [[ "$batch" == 3 ]] || echo "-- batch $batch under the floor; pooling another batch"
+  done
+  [[ "$speed_ok" == 1 ]] || { echo "parallel speedup floor failed"; exit 1; }
+fi
 
 # Saturation sweep at release optimization: the full offered-load knee
 # sweep with overload control armed; validate_report.py enforces the

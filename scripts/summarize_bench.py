@@ -17,8 +17,10 @@ When a committed BENCH_scale.json exists (or --baseline=PATH names any
 other bench-report), every sharded row additionally gets a "vs previous"
 delta pair — events/s change and barrier_wait-share change against the
 baseline row with the same (system, shards, threads, window policy) — so
-a perf regression shows up in the table, not in a diff of raw JSON.
-No third-party dependencies.
+a perf regression shows up in the table, not in a diff of raw JSON. A
+baseline run at a different UE count, smoke setting or host core count
+is refused: the table prints "baseline mismatch: ..." and no delta
+column. No third-party dependencies.
 """
 import json
 import os
@@ -344,15 +346,31 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_scale.json")
 
 
-def load_baseline_rows(path):
-    """Index a baseline report's rows by comparison key, or None."""
+def run_settings(doc):
+    """What a baseline must share before any of its rows is comparable:
+    row_key() matches the runtime geometry, these the workload and host."""
+    config = doc.get("config", {})
+    return {"ues": config.get("ues"), "smoke": doc.get("smoke"),
+            "hardware_threads": config.get("hardware_threads")}
+
+
+def load_baseline_rows(doc, path):
+    """Index a baseline report's rows by comparison key, or None when it
+    is missing, unreadable, or was run with different settings."""
     try:
-        doc = load_json_report(open(path).read())
+        base = load_json_report(open(path).read())
     except (OSError, json.JSONDecodeError):
         return None
-    if doc is None:
+    if base is None:
         return None
-    return {row_key(r): r for r in doc.get("rows", [])}
+    mine, theirs = run_settings(doc), run_settings(base)
+    diffs = [f"{k} {mine[k]!r} vs {theirs[k]!r}"
+             for k in mine if mine[k] != theirs[k]]
+    if diffs:
+        print(f"  baseline mismatch: {', '.join(diffs)} in {path}; "
+              f"no delta column")
+        return None
+    return {row_key(r): r for r in base.get("rows", [])}
 
 
 def main():
@@ -373,11 +391,6 @@ def main():
         except (OSError, json.JSONDecodeError):
             doc = None
         if doc is not None:
-            # Don't diff the committed baseline against itself.
-            prev_rows = None
-            if baseline_path and \
-                    os.path.realpath(path) != os.path.realpath(baseline_path):
-                prev_rows = load_baseline_rows(baseline_path)
             if doc.get("figure") == "fig_scenarios":
                 print(f"\n== fig_scenarios: per-scenario saturation "
                       f"({path}) ==")
@@ -398,6 +411,11 @@ def main():
                 continue
             print(f"\n== {doc.get('figure', path)}: sharded-runtime "
                   f"scaling ({path}) ==")
+            # Don't diff the committed baseline against itself.
+            prev_rows = None
+            if baseline_path and \
+                    os.path.realpath(path) != os.path.realpath(baseline_path):
+                prev_rows = load_baseline_rows(doc, baseline_path)
             if prev_rows:
                 print(f"  (vs previous: {baseline_path})")
             scenario = doc.get("config", {}).get("scenario")

@@ -19,9 +19,9 @@ neutrino.bench-report:
     shards/threads/windows/cross_shard_messages and a shard_events list
     with one non-negative entry per shard summing to events_executed;
     window-policy keys, when present (DESIGN.md §16): row
-    adaptive_lookahead / sharded_baseline are booleans, drain_batch /
+    adaptive_lookahead / sharded_baseline are booleans,
     adaptive_extensions / dispatches_skipped are non-negative integers,
-    and config adaptive_lookahead / drain_batch are typed the same way;
+    and config adaptive_lookahead is typed the same way;
     config sync_overhead_threads1 (the threads=1 shard-sync overhead
     ratio the perf gate reads) is a number > -1 — negative when the
     sharded sample happened to beat the legacy baseline;
@@ -162,12 +162,12 @@ def check_sharded(path, where, row, errors):
         errors.append(
             f"{path}: {where}: shard_events sum to {sum(per_shard)} but "
             f"events_executed is {row['events_executed']}")
-    # Window-policy keys (adaptive lookahead / batched drains) are
-    # optional but strictly typed when present.
+    # Window-policy keys (adaptive lookahead) are optional but strictly
+    # typed when present.
     for k in ("adaptive_lookahead", "sharded_baseline"):
         if k in row and not isinstance(row[k], bool):
             errors.append(f"{path}: {where}: {k} = {row[k]!r}, want bool")
-    for k in ("drain_batch", "adaptive_extensions", "dispatches_skipped"):
+    for k in ("adaptive_extensions", "dispatches_skipped"):
         if k in row and not nonneg_int(row[k]):
             errors.append(f"{path}: {where}: {k} = {row[k]!r}")
 
@@ -867,9 +867,6 @@ def validate(path):
                 not isinstance(config["adaptive_lookahead"], bool):
             errors.append(f"{path}: config.adaptive_lookahead = "
                           f"{config['adaptive_lookahead']!r}, want bool")
-        if "drain_batch" in config and not nonneg_int(config["drain_batch"]):
-            errors.append(f"{path}: config.drain_batch = "
-                          f"{config['drain_batch']!r}")
         # Ratio minus one: negative is legal (the sharded run beat the
         # legacy baseline on that sample); only <= -1 is impossible.
         overhead = config.get("sync_overhead_threads1")

@@ -12,9 +12,10 @@
 // The lookahead window is derived from the topology: the minimum
 // cpf_link() latency over region pairs owned by different shards, minus
 // 1ns so cross-shard arrivals land strictly after the window end (the
-// runtime asserts this). Block partitioning is what keeps this large:
-// contiguous regions share a shard, so the 5µs intra-region links never
-// cross, and the window is bounded by the ≥400µs inter-region links.
+// runtime checks this in every build). Block partitioning is what keeps
+// this large: contiguous regions share a shard, so the 5µs intra-region
+// links never cross, and the window is bounded by the ≥400µs inter-region
+// links.
 //
 // Determinism: fixed shard count ⇒ bit-identical counters, PCT
 // distributions and traces across runs and worker-thread counts; one
@@ -63,9 +64,6 @@ class ShardedSystem {
     /// deterministic) order than the legacy single-loop run. The repro
     /// corpus pins legacy ≡ sharded equality, hence opt-in.
     bool adaptive_lookahead = false;
-    /// Cross-shard entries staged per arena batch at window boundaries
-    /// (0 = deliver straight from the ring). Perf knob only.
-    std::size_t drain_batch = 64;
     sim::EventLoop::Config loop;
     std::uint64_t rng_seed = 1;
     bool streaming_pct = false;
@@ -155,7 +153,7 @@ class ShardedSystem {
 
   /// Arm windowed telemetry on every shard (DESIGN.md §15). Each shard
   /// samples its own loop at the same sim-time cadence, so the merged
-  /// series are independent of shard claiming order and thread count.
+  /// series are independent of lane assignment and thread count.
   void arm_telemetry(SimTime window, SimTime until) {
     for (Shard& shard : shards_) shard.system->arm_telemetry(window, until);
   }
@@ -168,7 +166,7 @@ class ShardedSystem {
     for (Shard& shard : shards_) shard.metrics->arm_slo(window, targets);
   }
 
-  /// Wall-clock phase profiler for the runtime's coordinator/worker loops
+  /// Wall-clock phase profiler for the runtime's lanes
   /// (never mixed into deterministic outputs; see obs/profiler.hpp).
   void set_profiler(obs::PhaseProfiler* profiler) {
     runtime_.set_profiler(profiler);
@@ -182,8 +180,8 @@ class ShardedSystem {
     return runtime_.window_log();
   }
 
-  /// Drive all shards to the horizon (spawns threads−1 workers; the
-  /// calling thread participates).
+  /// Drive all shards to the horizon (spawns min(threads, shards) − 1
+  /// workers; the calling thread participates).
   void run_until(SimTime horizon);
 
   /// Fold every shard's metrics into one aggregate (merge-on-join).

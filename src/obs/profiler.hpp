@@ -3,8 +3,9 @@
 // Attributes *wall-clock* time to runtime phases — window scheduling,
 // per-shard event dispatch, barrier waits, cross-shard channel drain,
 // codec/export work — answering "where does the sharded sync overhead
-// go?" (ROADMAP item 3). Lanes are shards for dispatch/drain and threads
-// for barrier waits; lane 0 is the coordinating thread.
+// go?" (ROADMAP item 3). Lanes are shards for dispatch and threads for
+// barrier waits, channel drains and window planning; lane 0 is the thread
+// that called run_until().
 //
 // DETERMINISM RULE: everything here is wall-clock and therefore
 // nondeterministic by nature. Profiler output must only ever appear in
@@ -29,10 +30,10 @@
 namespace neutrino::obs {
 
 enum class Phase : std::uint8_t {
-  kSchedule = 0,     ///< window-start scan + trace replay scheduling
+  kSchedule = 0,     ///< window planning + trace replay scheduling
   kDispatch = 1,     ///< per-shard EventLoop::run_until inside a window
   kBarrierWait = 2,  ///< start/done barrier arrive_and_wait
-  kChannelDrain = 3, ///< coordinator draining cross-shard channels
+  kChannelDrain = 3, ///< a lane draining its own shards' inbound channels
   kCodec = 4,        ///< encode/export work (trace JSON, golden vectors)
   kOther = 5,
 };
@@ -58,8 +59,8 @@ inline const char* phase_name(Phase p) {
 
 class PhaseProfiler {
  public:
-  /// `lanes` ≥ max(shards, threads): dispatch/drain index by shard,
-  /// barrier waits by thread id.
+  /// `lanes` ≥ max(shards, threads): dispatch indexes by shard; barrier
+  /// waits, drains and planning by thread lane.
   explicit PhaseProfiler(std::size_t lanes) : lanes_(lanes == 0 ? 1 : lanes) {
     slots_ = std::vector<Lane>(lanes_);
   }
@@ -72,6 +73,8 @@ class PhaseProfiler {
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
+    /// Charge the whole scope to `phase` instead (decided mid-scope).
+    void set_phase(Phase phase) { phase_ = phase; }
     ~Scope() {
       if (p_ == nullptr) return;
       const auto end = std::chrono::steady_clock::now();

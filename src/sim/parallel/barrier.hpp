@@ -5,15 +5,17 @@
 // window, and we want explicit control over spinning: on a machine with
 // fewer cores than worker threads (CI containers are often 1-core),
 // spinning burns the very timeslice the other thread needs, so the spin
-// budget is a constructor knob the runtime sets from
-// hardware_concurrency(). Waiters spin briefly, then park on a condvar.
+// budget follows hardware_concurrency(). Waiters spin briefly, then park
+// on a condvar.
 //
 // The generation handshake also carries the memory-ordering obligation of
-// the whole design: every write a worker made during a window (events
-// executed, channel pushes, spill vectors) happens-before the main
-// thread's post-barrier drain, because each arrival is an acq_rel RMW on
-// count_ and departure requires an acquire load of gen_ that observes the
-// leader's release store.
+// the whole design: every write a lane made before arriving (events,
+// channel pushes, spill vectors, next times) happens-before the
+// completion step and everything any lane does after leaving — each
+// lane's drain of its own shards' channels, and the next window. Each
+// arrival is an acq_rel RMW on count_, so the last arriver has acquired
+// every earlier one before it runs the completion step; departure needs an
+// acquire load of gen_ that observes the release store made after it.
 #pragma once
 
 #include <atomic>
@@ -27,44 +29,51 @@ namespace neutrino::sim::parallel {
 
 class PhaseBarrier {
  public:
-  PhaseBarrier(std::size_t participants, int spin_budget)
-      : n_(participants), spins_(spin_budget) {}
+  explicit PhaseBarrier(std::size_t participants)
+      : n_(participants), spins_(spin_budget(participants)) {}
 
   /// Block until all `participants` threads have arrived, then release
   /// everyone. Reusable: the generation counter disambiguates phases.
-  void arrive_and_wait() {
+  void arrive_and_wait() { arrive_and_wait([] {}); }
+
+  /// As above, but the last thread to arrive runs `completion()` alone,
+  /// before anyone is released. Returns true on that thread.
+  template <class Completion>
+  bool arrive_and_wait(Completion&& completion) {
     const std::uint64_t gen = gen_.load(std::memory_order_acquire);
     if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      // Last arriver: reset the count *before* bumping the generation, so
-      // a thread released by the bump can immediately arrive at the next
-      // phase without racing the reset.
+      completion();
+      // Reset the count *before* bumping the generation, so a thread
+      // released by the bump can immediately arrive at the next phase
+      // without racing the reset.
       count_.store(0, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         gen_.store(gen + 1, std::memory_order_release);
       }
       cv_.notify_all();
-      return;
+      return true;
     }
     for (int i = 0; i < spins_; ++i) {
-      if (gen_.load(std::memory_order_acquire) != gen) return;
+      if (gen_.load(std::memory_order_acquire) != gen) return false;
       cpu_relax();
     }
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [&] {
       return gen_.load(std::memory_order_acquire) != gen;
     });
+    return false;
   }
 
-  /// Spin budget that parks immediately when the machine cannot actually
-  /// run all participants concurrently (oversubscribed: spinning would
-  /// steal the peer's timeslice).
-  static int default_spin_budget(std::size_t participants) {
+ private:
+  /// Parks immediately when the machine cannot actually run all
+  /// participants concurrently (oversubscribed: spinning would steal the
+  /// peer's timeslice).
+  static int spin_budget(std::size_t participants) {
     const unsigned hw = std::thread::hardware_concurrency();
     return (hw != 0 && participants > hw) ? 0 : 4096;
   }
 
- private:
   static void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();

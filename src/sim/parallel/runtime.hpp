@@ -9,57 +9,59 @@
 // with `lookahead` strictly smaller than the minimum latency of any
 // cross-shard link. An event executing at time t during the window sends
 // across shards with arrival = t + link; t ≥ W and link > lookahead give
-// arrival > W + lookahead, i.e. strictly after the window end (asserted
-// in post()). No shard can receive a message for a time it has already
-// executed past, so intra-window execution needs no
+// arrival > W + lookahead, i.e. strictly after the window end (checked in
+// post() in every build). No shard can receive a message for a time it has
+// already executed past, so intra-window execution needs no
 // synchronization at all: plain single-threaded EventLoop runs, lock-free
 // SPSC pushes for cross-shard sends, and two barriers per window.
 //
 // Adaptive lookahead (Config::adaptive_lookahead, DESIGN.md §16) keeps
-// that invariant but sizes each shard's horizon individually from the
-// earliest *possible* cross-shard arrival instead of the worst case:
+// that invariant but sizes each shard's horizon from the earliest
+// *possible* cross-shard arrival instead of the worst case:
 //
 //     end(dst) = min over src≠dst of (next_time(src) + link_floor(src,dst))
 //                − 1ns
 //
-// A message from src reaches dst no earlier than src's first pending
-// event plus the cheapest src→dst link, so dst executing to end(dst)
-// can never be overtaken. Because next_time(src) ≥ W and link_floor ≥
-// lookahead + 1ns, end(dst) is never narrower than the static window —
-// and when the other shards are quiet (their next events far away), dst's
-// horizon widens to match, collapsing entire idle stretches into one
-// window. The bound is computed by the coordinator from sim state alone
-// (no wall clock, no thread identity), so schedules — and therefore all
-// results — remain bit-identical across runs and worker-thread counts.
+// never narrower than the static window, and wide enough to collapse idle
+// stretches into one window when the other shards are quiet.
+//
+// Thread model (owner computes): run_until() runs L = min(threads, shards)
+// lanes. The calling thread is lane 0 and spawns the other L − 1, so
+// threads=1 spawns nothing and never touches a barrier. Shard i belongs to
+// lane i mod L for the whole run, so its loop, pool and channels stay in
+// one core's cache. Per window each lane runs its shards to their window
+// ends, waits at the done barrier, drains its own shards' inbound channels
+// (each destination in ascending source order, FIFO within a channel) and
+// records their next event times; the last lane to reach the start
+// barrier then plans the next window from those times — an O(shards²)
+// scan, the only serial step.
 //
 // Determinism (the hard requirement, see DESIGN.md §11): for a fixed
 // shard count the results are bit-identical across runs *and across
 // worker-thread counts* because (a) each shard's intra-window execution
-// is sequential on one thread with the same (when, seq) order regardless
-// of which thread claimed it, (b) cross-shard messages are drained only
-// at barriers, by the coordinating thread alone, in fixed
-// (dst shard, src shard, FIFO) order — so the destination loop assigns
-// them the same seq numbers no matter how threads interleaved, and (c)
-// per-shard RNG streams are fixed 2^128-jumps of one seed. With one
-// shard there are no windows to split on (lookahead = ∞ ⇒ one window to
-// the horizon), so the run is the legacy single-threaded loop, exactly.
-//
-// Thread model: run_until() spawns (threads − 1) workers; the calling
-// thread participates, so threads=1 spawns nothing and never touches a
-// barrier. Shards are claimed from an atomic counter (work-stealing over
-// uneven shards) — claiming order affects wall-clock only, never results.
+// is sequential on one lane with the same (when, seq) order whichever
+// lane owns it, (b) each destination loop receives its cross-shard
+// messages only between windows, in fixed (src shard, FIFO) order — the
+// order one thread draining every channel in (dst, src, FIFO) order would
+// give it — so it assigns them the same seq numbers however lanes
+// interleave, and (c) per-shard RNG streams are fixed 2^128-jumps of one
+// seed. Window plans and Stats read only sim state, never thread identity.
+// With one shard there are no windows to split on (lookahead = ∞ ⇒ one
+// window to the horizon), so the run is the legacy single-threaded loop.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <cinttypes>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "obs/profiler.hpp"
@@ -89,14 +91,9 @@ class ShardedRuntime {
     /// lookahead + 1ns, which is the tightest bound consistent with the
     /// static-lookahead contract. Only read when adaptive_lookahead.
     std::vector<SimTime> link_floor;
-    /// Entries gathered per arena batch at window boundaries before the
-    /// delivery pass runs over them (cache-friendly split of ring reads
-    /// from destination-loop pushes). 0 = deliver straight from the ring.
-    std::size_t drain_batch = 64;
     EventLoop::Config loop;
     std::uint64_t rng_seed = 1;
     std::size_t channel_capacity = 1024;
-    int spin_budget = -1;  ///< −1: auto (parks immediately if oversubscribed)
   };
 
   struct Stats {
@@ -108,11 +105,11 @@ class ShardedRuntime {
     std::uint64_t dispatches_skipped = 0;
   };
 
-  /// One conservative window as seen by the coordinator (sim-time bounds,
-  /// cross-shard traffic, and per-shard events executed). Deterministic —
-  /// derived purely from sim state — so it is safe to export (the Perfetto
-  /// shard tracks in obs/trace_export.hpp) and to compare across thread
-  /// counts. Collected only after enable_window_log().
+  /// One conservative window (sim-time bounds, cross-shard traffic, and
+  /// per-shard events executed). Deterministic — derived purely from sim
+  /// state — so it is safe to export (the Perfetto shard tracks in
+  /// obs/trace_export.hpp) and to compare across thread counts. Collected
+  /// only after enable_window_log().
   struct WindowRecord {
     SimTime start;
     SimTime end;
@@ -122,22 +119,18 @@ class ShardedRuntime {
 
   explicit ShardedRuntime(const Config& config)
       : n_(config.shards),
-        threads_(config.threads == 0 ? 1 : config.threads),
+        lanes_(std::clamp<std::size_t>(config.threads, 1, n_)),
         lookahead_(config.lookahead),
         adaptive_(config.adaptive_lookahead),
-        drain_batch_(config.drain_batch),
         link_floor_(config.link_floor),
-        start_(threads_, config.spin_budget >= 0
-                             ? config.spin_budget
-                             : PhaseBarrier::default_spin_budget(threads_)),
-        done_(threads_, config.spin_budget >= 0
-                            ? config.spin_budget
-                            : PhaseBarrier::default_spin_budget(threads_)) {
+        start_(lanes_),
+        done_(lanes_) {
     assert(n_ >= 1);
     assert(lookahead_.ns() > 0);
     assert(link_floor_.empty() || link_floor_.size() == n_ * n_);
     next_times_.assign(n_, SimTime{});
-    shard_ends_.assign(n_, SimTime{});
+    shard_ends_.assign(n_, kNoWindow);
+    drained_.assign(n_, 0);
     loops_.reserve(n_);
     rngs_.reserve(n_);
     channels_.reserve(n_ * n_);
@@ -150,22 +143,17 @@ class ShardedRuntime {
     for (std::size_t i = 0; i < n_ * n_; ++i) {
       channels_.emplace_back(config.channel_capacity);
     }
-    // One cache line (8 words = up to 512 dst bits) per source shard, so
-    // concurrent producers never false-share a dirty row.
-    dirty_stride_ = ((n_ + 63) / 64 + 7) / 8 * 8;
-    dirty_.assign(n_ * dirty_stride_, 0);
   }
 
   [[nodiscard]] std::size_t shards() const { return n_; }
-  [[nodiscard]] std::size_t threads() const { return threads_; }
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
   EventLoop& loop(std::size_t shard) { return loops_[shard]; }
   Rng& rng(std::size_t shard) { return rngs_[shard]; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Attach a wall-clock phase profiler (null detaches). Lanes: dispatch
-  /// and drain are attributed per shard / to lane 0; barrier waits per
-  /// thread (coordinator = 0, workers = 1..threads−1). The profiler must
+  /// is attributed per shard; barrier waits, channel drains and window
+  /// planning per thread lane (the calling thread = 0). The profiler must
   /// have ≥ max(shards, threads) lanes and outlive run_until(). Wall-clock
   /// only — never feeds any deterministic output (DESIGN.md §15).
   void set_profiler(obs::PhaseProfiler* profiler) { profiler_ = profiler; }
@@ -178,7 +166,6 @@ class ShardedRuntime {
     window_log_.reserve(max_windows < 256 ? max_windows : 256);
     prev_executed_.assign(n_, 0);
     for (std::size_t i = 0; i < n_; ++i) prev_executed_[i] = loops_[i].executed();
-    prev_cross_ = stats_.cross_messages;
   }
   [[nodiscard]] const std::vector<WindowRecord>& window_log() const {
     return window_log_;
@@ -195,162 +182,51 @@ class ShardedRuntime {
   }
 
   /// Producer-side cross-shard send; called from shard `from`'s events
-  /// during a window. `arrival` must land strictly after the current
-  /// window (guaranteed when the link latency exceeds the lookahead).
+  /// during a window. `arrival` must land strictly after the destination's
+  /// window end (guaranteed when the link latency exceeds the lookahead);
+  /// a violation aborts the run in every build type.
   void post(std::size_t from, std::size_t to, SimTime arrival,
             Payload payload) {
     assert(from < n_ && to < n_ && from != to);
     // The destination's own horizon is the safety line: with adaptive
     // windows a shard may run far past other shards' ends, but nothing may
     // arrive at `to` at or before the point `to` executes to this window.
-    assert(!in_window_ || arrival > shard_ends_[to]);
+    if (arrival <= shard_ends_[to]) [[unlikely]] {
+      causality_violation(from, to, arrival, shard_ends_[to]);
+    }
     channels_[from * n_ + to].push(Entry{arrival, std::move(payload)});
-    // Mark the channel non-empty for the boundary drain. Plain store: the
-    // row has a single writer (whichever thread claimed shard `from`) and
-    // the done-barrier publishes it to the coordinator.
-    dirty_[from * dirty_stride_ + (to >> 6)] |= std::uint64_t{1} << (to & 63);
   }
 
   /// Run all shards to `horizon` (events at exactly `horizon` still run).
-  /// `deliver(dst_shard, arrival, Payload&&)` is invoked on the calling
-  /// thread at window boundaries for every cross-shard message, in
-  /// deterministic order; it must schedule the payload onto
-  /// loop(dst_shard) at `arrival`.
+  /// `deliver(dst_shard, arrival, Payload&&)` is invoked between windows
+  /// for every cross-shard message, on the lane that owns `dst_shard` and
+  /// concurrently with other destinations' deliveries: it must schedule
+  /// the payload onto loop(dst_shard) at `arrival` and touch no other
+  /// shard's state. Each destination sees its messages in (src, FIFO)
+  /// order.
   template <class Deliver>
   void run_until(SimTime horizon, Deliver&& deliver) {
-    const std::size_t n_workers = threads_ - 1;
-    std::vector<std::thread> workers;
-    workers.reserve(n_workers);
-    for (std::size_t i = 0; i < n_workers; ++i) {
-      workers.emplace_back([this, i] { worker_loop(i + 1); });
+    horizon_ = horizon;
+    {
+      auto plan = obs::PhaseProfiler::scoped(profiler_, 0,
+                                             obs::Phase::kSchedule);
+      for (std::size_t i = 0; i < n_; ++i) {
+        next_times_[i] = loops_[i].next_time();
+      }
+      plan_window(/*after_window=*/false);
     }
-
-    for (;;) {
-      SimTime window_start = SimTime::max();
-      {
-        auto sched = obs::PhaseProfiler::scoped(profiler_, 0,
-                                                obs::Phase::kSchedule);
-        for (std::size_t i = 0; i < n_; ++i) {
-          next_times_[i] = loops_[i].next_time();
-          window_start = std::min(window_start, next_times_[i]);
-        }
+    if (!finished_) {
+      std::vector<std::thread> workers;
+      workers.reserve(lanes_ - 1);
+      for (std::size_t lane = 1; lane < lanes_; ++lane) {
+        workers.emplace_back(
+            [this, lane, &deliver] { lane_loop(lane, deliver); });
       }
-      if (window_start == SimTime::max() || window_start > horizon) break;
-      const SimTime static_end = window_end_for(window_start, horizon);
-      window_end_ = static_end;
-      if (adaptive_ && lookahead_ != SimTime::max()) {
-        for (std::size_t dst = 0; dst < n_; ++dst) {
-          // Earliest instant a cross-shard message could reach dst: some
-          // other shard's first pending event plus the cheapest link in.
-          SimTime bound = SimTime::max();
-          for (std::size_t src = 0; src < n_; ++src) {
-            if (src == dst) continue;
-            bound = std::min(bound, arrival_floor(src, dst));
-          }
-          SimTime end =
-              bound == SimTime::max()
-                  ? horizon
-                  : std::min(horizon, bound - SimTime::nanoseconds(1));
-          // Provably ≥ static_end (next_time ≥ W, floor ≥ lookahead+1ns);
-          // the max() guards against a caller-supplied floor below the
-          // static lookahead contract.
-          end = std::max(end, static_end);
-          shard_ends_[dst] = end;
-          if (end > static_end) ++stats_.adaptive_extensions;
-          if (next_times_[dst] > end) ++stats_.dispatches_skipped;
-          window_end_ = std::max(window_end_, end);
-        }
-      } else {
-        for (std::size_t dst = 0; dst < n_; ++dst) {
-          shard_ends_[dst] = static_end;
-          if (next_times_[dst] > static_end) ++stats_.dispatches_skipped;
-        }
-      }
-      in_window_ = true;
-      ++stats_.windows;
-      claim_.store(0, std::memory_order_relaxed);
-      if (n_workers > 0) {
-        auto wait = obs::PhaseProfiler::scoped(profiler_, 0,
-                                               obs::Phase::kBarrierWait);
-        start_.arrive_and_wait();
-      }
-      work();
-      if (n_workers > 0) {
-        auto wait = obs::PhaseProfiler::scoped(profiler_, 0,
-                                               obs::Phase::kBarrierWait);
-        done_.arrive_and_wait();
-      }
-      in_window_ = false;
-      // Workers are parked between barriers: the coordinating thread owns
-      // every channel and destination loop here. Fixed (dst, src, FIFO)
-      // drain order ⇒ thread-count-independent seq assignment. Entries are
-      // gathered into arena-backed batches first (tight ring reads), then
-      // delivered (destination-heap pushes) — splitting the two access
-      // patterns instead of interleaving them per message. Batching is
-      // pure staging: delivery order is identical to the direct path.
-      {
-        auto drain = obs::PhaseProfiler::scoped(profiler_, 0,
-                                                obs::Phase::kChannelDrain);
-        static_assert(alignof(Entry) <= alignof(std::max_align_t));
-        const std::size_t batch = drain_batch_;
-        Entry* scratch =
-            batch > 0 ? arena_.template alloc_uninit<Entry>(batch) : nullptr;
-        for (std::size_t dst = 0; dst < n_; ++dst) {
-          const std::size_t word = dst >> 6;
-          const std::uint64_t bit = std::uint64_t{1} << (dst & 63);
-          std::size_t fill = 0;
-          const auto flush = [&] {
-            for (std::size_t k = 0; k < fill; ++k) {
-              deliver(dst, scratch[k].arrival, std::move(scratch[k].payload));
-              scratch[k].~Entry();
-            }
-            fill = 0;
-          };
-          for (std::size_t src = 0; src < n_; ++src) {
-            if (src == dst) continue;
-            // Skip channels nobody pushed into this window: most window
-            // boundaries cross few (often zero) messages, and touching
-            // all n² head/tail cache-line pairs dominated the drain.
-            if ((dirty_[src * dirty_stride_ + word] & bit) == 0) continue;
-            auto& chan = channels_[src * n_ + dst];
-            if (batch == 0) {
-              stats_.cross_messages += chan.drain([&](Entry&& e) {
-                deliver(dst, e.arrival, std::move(e.payload));
-              });
-              continue;
-            }
-            stats_.cross_messages += chan.drain([&](Entry&& e) {
-              ::new (static_cast<void*>(scratch + fill)) Entry(std::move(e));
-              if (++fill == batch) flush();
-            });
-          }
-          if (batch > 0) flush();
-        }
-        std::fill(dirty_.begin(), dirty_.end(), 0);
-        arena_.reset();
-      }
-      if (window_log_max_ > 0 && window_log_.size() < window_log_max_) {
-        WindowRecord rec;
-        rec.start = window_start;
-        rec.end = window_end_;
-        rec.cross_messages = stats_.cross_messages - prev_cross_;
-        prev_cross_ = stats_.cross_messages;
-        rec.executed.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          const std::uint64_t now_exec = loops_[i].executed();
-          rec.executed[i] = now_exec - prev_executed_[i];
-          prev_executed_[i] = now_exec;
-        }
-        window_log_.push_back(std::move(rec));
-      }
-    }
-
-    if (n_workers > 0) {
-      stop_.store(true, std::memory_order_relaxed);
-      start_.arrive_and_wait();
+      lane_loop(0, deliver);
       for (std::thread& w : workers) w.join();
-      stop_.store(false, std::memory_order_relaxed);
     }
+    std::fill(shard_ends_.begin(), shard_ends_.end(), kNoWindow);
+    finished_ = false;
     // Clock parity with a plain run_until on a single loop: every shard's
     // now() advances to the horizon (events beyond it stay pending).
     for (EventLoop& l : loops_) l.run_until(horizon);
@@ -362,10 +238,23 @@ class ShardedRuntime {
     Payload payload;
   };
 
-  [[nodiscard]] SimTime window_end_for(SimTime start, SimTime horizon) const {
-    if (lookahead_ == SimTime::max()) return horizon;
-    if (start.ns() > SimTime::max().ns() - lookahead_.ns()) return horizon;
-    return std::min(start + lookahead_, horizon);
+  /// Every shard's end outside run_until(): posts there are unchecked.
+  static constexpr SimTime kNoWindow{
+      std::numeric_limits<std::int64_t>::min()};
+
+  [[gnu::cold, gnu::noinline]] [[noreturn]] static void causality_violation(
+      std::size_t from, std::size_t to, SimTime arrival, SimTime end) {
+    std::fprintf(stderr,
+                 "ShardedRuntime: window causality violated: shard %zu -> "
+                 "%zu arrival=%" PRId64 "ns <= window end=%" PRId64 "ns\n",
+                 from, to, arrival.ns(), end.ns());
+    std::abort();
+  }
+
+  [[nodiscard]] SimTime window_end_for(SimTime start) const {
+    if (lookahead_ == SimTime::max()) return horizon_;
+    if (start.ns() > SimTime::max().ns() - lookahead_.ns()) return horizon_;
+    return std::min(start + lookahead_, horizon_);
   }
 
   /// Earliest sim time a message from `src` could arrive at `dst` given
@@ -380,70 +269,150 @@ class ShardedRuntime {
     return t + floor;
   }
 
-  void work() {
-    for (std::size_t i = claim_.fetch_add(1, std::memory_order_relaxed);
-         i < n_; i = claim_.fetch_add(1, std::memory_order_relaxed)) {
-      // Idle skip: nothing to run before this shard's horizon (counted by
-      // the coordinator pre-barrier, so the claim loop stays write-free).
-      if (next_times_[i] > shard_ends_[i]) continue;
-      auto dispatch = obs::PhaseProfiler::scoped(profiler_, i,
-                                                 obs::Phase::kDispatch);
-      loops_[i].run_until(shard_ends_[i]);
-    }
-  }
-
-  void worker_loop(std::size_t lane) {
-    for (;;) {
-      {
-        auto wait = obs::PhaseProfiler::scoped(profiler_, lane,
-                                               obs::Phase::kBarrierWait);
-        start_.arrive_and_wait();
+  /// One lane's share of the run: its own shards, every window, until the
+  /// planner ends the run.
+  template <class Deliver>
+  void lane_loop(std::size_t lane, Deliver& deliver) {
+    while (!finished_) {
+      for (std::size_t i = lane; i < n_; i += lanes_) {
+        // Idle skip: nothing to run before this shard's horizon (counted
+        // by the planner, so the dispatch loop stays write-free).
+        if (next_times_[i] > shard_ends_[i]) continue;
+        auto dispatch = obs::PhaseProfiler::scoped(profiler_, i,
+                                                   obs::Phase::kDispatch);
+        loops_[i].run_until(shard_ends_[i]);
       }
-      if (stop_.load(std::memory_order_relaxed)) return;
-      work();
-      {
+      if (lanes_ > 1) {
         auto wait = obs::PhaseProfiler::scoped(profiler_, lane,
                                                obs::Phase::kBarrierWait);
         done_.arrive_and_wait();
       }
+      {
+        auto drain = obs::PhaseProfiler::scoped(profiler_, lane,
+                                                obs::Phase::kChannelDrain);
+        for (std::size_t dst = lane; dst < n_; dst += lanes_) {
+          std::uint64_t drained = 0;
+          for (std::size_t src = 0; src < n_; ++src) {
+            if (src == dst) continue;
+            drained += channels_[src * n_ + dst].drain([&](Entry&& e) {
+              deliver(dst, e.arrival, std::move(e.payload));
+            });
+          }
+          drained_[dst] = drained;
+          next_times_[dst] = loops_[dst].next_time();
+        }
+      }
+      if (lanes_ > 1) {
+        // The last lane to arrive plans the next window; its barrier time
+        // is planning, everyone else's is waiting.
+        auto wait = obs::PhaseProfiler::scoped(profiler_, lane,
+                                               obs::Phase::kBarrierWait);
+        if (start_.arrive_and_wait([this] { plan_window(true); })) {
+          wait.set_phase(obs::Phase::kSchedule);
+        }
+      } else {
+        auto plan = obs::PhaseProfiler::scoped(profiler_, lane,
+                                               obs::Phase::kSchedule);
+        plan_window(true);
+      }
     }
   }
 
+  /// Serial step between windows (one thread, every lane parked or absent):
+  /// account the window just drained, if any, then size the next one from
+  /// next_times_, or end the run.
+  void plan_window(bool after_window) {
+    std::uint64_t crossed = 0;
+    for (std::uint64_t& d : drained_) crossed += std::exchange(d, 0);
+    stats_.cross_messages += crossed;
+    if (after_window) log_window(crossed);
+    SimTime window_start = SimTime::max();
+    for (std::size_t i = 0; i < n_; ++i) {
+      window_start = std::min(window_start, next_times_[i]);
+    }
+    if (window_start == SimTime::max() || window_start > horizon_) {
+      finished_ = true;
+      return;
+    }
+    const SimTime static_end = window_end_for(window_start);
+    window_start_ = window_start;
+    window_end_ = static_end;
+    if (adaptive_ && lookahead_ != SimTime::max()) {
+      for (std::size_t dst = 0; dst < n_; ++dst) {
+        // Earliest instant a cross-shard message could reach dst: some
+        // other shard's first pending event plus the cheapest link in.
+        SimTime bound = SimTime::max();
+        for (std::size_t src = 0; src < n_; ++src) {
+          if (src == dst) continue;
+          bound = std::min(bound, arrival_floor(src, dst));
+        }
+        SimTime end =
+            bound == SimTime::max()
+                ? horizon_
+                : std::min(horizon_, bound - SimTime::nanoseconds(1));
+        // Provably ≥ static_end (next_time ≥ W, floor ≥ lookahead+1ns);
+        // the max() guards against a caller-supplied floor below the
+        // static lookahead contract.
+        end = std::max(end, static_end);
+        shard_ends_[dst] = end;
+        if (end > static_end) ++stats_.adaptive_extensions;
+        if (next_times_[dst] > end) ++stats_.dispatches_skipped;
+        window_end_ = std::max(window_end_, end);
+      }
+    } else {
+      for (std::size_t dst = 0; dst < n_; ++dst) {
+        shard_ends_[dst] = static_end;
+        if (next_times_[dst] > static_end) ++stats_.dispatches_skipped;
+      }
+    }
+    ++stats_.windows;
+  }
+
+  void log_window(std::uint64_t crossed) {
+    if (window_log_max_ == 0 || window_log_.size() >= window_log_max_) return;
+    WindowRecord rec;
+    rec.start = window_start_;
+    rec.end = window_end_;
+    rec.cross_messages = crossed;
+    rec.executed.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::uint64_t now_exec = loops_[i].executed();
+      rec.executed[i] = now_exec - prev_executed_[i];
+      prev_executed_[i] = now_exec;
+    }
+    window_log_.push_back(std::move(rec));
+  }
+
   const std::size_t n_;
-  const std::size_t threads_;
+  const std::size_t lanes_;  // min(threads, shards); shard i → lane i % lanes_
   const SimTime lookahead_;
   const bool adaptive_;
-  const std::size_t drain_batch_;
   const std::vector<SimTime> link_floor_;  // [src * n_ + dst], may be empty
   std::vector<EventLoop> loops_;
   std::vector<Rng> rngs_;
   std::vector<SpscChannel<Entry>> channels_;  // [src * n_ + dst]
-  Arena arena_;  // window-boundary scratch (coordinator-only)
-  // Per-source bitmask of destinations pushed to since the last boundary;
-  // row stride is a whole cache line (single writer per row mid-window).
-  std::vector<std::uint64_t> dirty_;
-  std::size_t dirty_stride_ = 0;
 
   PhaseBarrier start_;
   PhaseBarrier done_;
-  std::atomic<std::size_t> claim_{0};
-  std::atomic<bool> stop_{false};
-  // Written by the coordinator strictly between barriers; the start
-  // barrier's release/acquire edge publishes them to workers.
-  SimTime window_end_;             // max over shard_ends_ (window log bound)
-  std::vector<SimTime> next_times_;   // per-shard next event, from the scan
-  std::vector<SimTime> shard_ends_;   // per-shard inclusive run horizon
-  bool in_window_ = false;
+  // Per shard, written by the owning lane after its drain and read by the
+  // planner; the start barrier publishes both.
+  std::vector<SimTime> next_times_;     // next pending event
+  std::vector<std::uint64_t> drained_;  // messages delivered this boundary
+  // Written only by the planner; the start barrier publishes them to lanes.
+  std::vector<SimTime> shard_ends_;  // per-shard inclusive run horizon
+  SimTime window_start_;
+  SimTime window_end_;  // max over shard_ends_ (window log bound)
+  SimTime horizon_;
+  bool finished_ = false;  // the planner found nothing left to run
 
   Stats stats_;
 
-  // Observability (coordinator-only state; workers touch only profiler_,
-  // whose cells are atomic).
+  // Observability (planner-only state; lanes touch only profiler_, whose
+  // cells are atomic).
   obs::PhaseProfiler* profiler_ = nullptr;
   std::size_t window_log_max_ = 0;
   std::vector<WindowRecord> window_log_;
   std::vector<std::uint64_t> prev_executed_;
-  std::uint64_t prev_cross_ = 0;
 };
 
 }  // namespace neutrino::sim::parallel

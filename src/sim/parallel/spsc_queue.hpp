@@ -1,12 +1,15 @@
 // Bounded single-producer/single-consumer channel for cross-shard messages.
 //
 // One channel exists per ordered shard pair (src → dst). During a
-// conservative time window only the producer shard touches it (lock-free,
-// allocation-free pushes into a fixed ring); the consumer drains it only at
-// window barriers, when the producer is quiesced. The barrier's
-// acquire/release handshake is the synchronization edge that makes the
-// spill vector and ring contents visible to the drainer — the channel
-// itself only needs acquire/release on head/tail for the ring fast path.
+// conservative time window only the lane that owns shard src touches it
+// (lock-free, allocation-free pushes into a fixed ring); the lane that owns
+// dst drains it between the window's done barrier and the next start
+// barrier, while src's lane is busy draining its own inbound channels and
+// pushes nothing. The done barrier's acquire/release handshake is the
+// synchronization edge that makes the spill vector and ring contents
+// visible to the drainer, and the start barrier orders the drain before the
+// next window's pushes — the channel itself only needs acquire/release on
+// head/tail for the ring fast path.
 //
 // Overflow policy: once the ring fills mid-window, subsequent pushes go to
 // a producer-local spill vector (amortized allocation). drain() replays
@@ -61,7 +64,8 @@ class SpscChannel {
     spill_.push_back(std::move(value));
   }
 
-  /// Consumer-only, and only while the producer is quiesced at a barrier.
+  /// Consumer-only, and only while the producer is quiesced between
+  /// barriers.
   /// Invokes `fn(T&&)` for every queued entry in push order and leaves the
   /// channel empty. Returns the number drained.
   template <class Fn>
@@ -73,7 +77,7 @@ class SpscChannel {
       fn(std::move(slots_[static_cast<std::size_t>(head) & mask_]));
     }
     head_.store(head, std::memory_order_release);
-    // The producer is parked: spill_ is safe to touch (barrier edge).
+    // The producer is quiesced: spill_ is safe to touch (barrier edge).
     for (T& v : spill_) {
       fn(std::move(v));
       ++n;

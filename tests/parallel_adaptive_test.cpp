@@ -95,7 +95,7 @@ TEST(AdaptiveLookahead, SaturatesNearMaxSimTime) {
 
 // ---------------------------------------------------------------------------
 // A caller-supplied link_floor below lookahead + 1ns must not narrow the
-// window below the static contract (the max() guard in run_until).
+// window below the static contract (the max() guard in the planner).
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveLookahead, FloorNeverNarrowsBelowStatic) {
@@ -175,7 +175,7 @@ TEST(AdaptiveLookahead, RingIdenticalAcrossThreadCounts) {
   const auto [one, w1] = run_adaptive_ring(1);
   const auto [two, w2] = run_adaptive_ring(2);
   const auto [four, w4] = run_adaptive_ring(4);
-  const auto [eight, w8] = run_adaptive_ring(8);  // oversubscribed
+  const auto [eight, w8] = run_adaptive_ring(8);  // clamped to 4 lanes
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
   EXPECT_EQ(one, eight);
@@ -187,39 +187,40 @@ TEST(AdaptiveLookahead, RingIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched drains are pure staging: batch sizes 0 (direct deliver), 1
-// (flush per entry) and the default produce identical delivery order.
+// Delivery order with adaptation on: two sources each burst far past a
+// 4-slot ring into one destination. The destination's lane delivers all
+// of source 0's burst, then all of source 2's, each one ring prefix then
+// spill, FIFO.
 // ---------------------------------------------------------------------------
 
-TEST(AdaptiveLookahead, DrainBatchSizeInvisibleToDeliveryOrder) {
-  auto run = [](std::size_t drain_batch) {
-    Runtime::Config config;
-    config.shards = 2;
-    config.threads = 2;
-    config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
-    config.drain_batch = drain_batch;
-    config.channel_capacity = 4;  // force ring + spill traversal
-    Runtime rt(config);
-    rt.loop(0).schedule_at(SimTime::nanoseconds(0), [&] {
+TEST(AdaptiveLookahead, DeliveryKeepsSourceThenRingSpillFifoOrder) {
+  Runtime::Config config;
+  config.shards = 3;
+  config.threads = 3;
+  config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+  config.adaptive_lookahead = true;
+  config.channel_capacity = 4;  // force ring + spill traversal
+  Runtime rt(config);
+  for (const std::size_t src : {std::size_t{2}, std::size_t{0}}) {
+    rt.loop(src).schedule_at(SimTime::nanoseconds(0), [&rt, src] {
       for (int i = 0; i < 300; ++i) {
-        rt.post(0, 1, rt.loop(0).now() + SimTime::milliseconds(1), int{i});
+        rt.post(src, 1, rt.loop(src).now() + SimTime::milliseconds(1),
+                static_cast<int>(src) * 1000 + i);
       }
     });
-    std::vector<int> delivered;
-    rt.run_until(SimTime::seconds(1),
-                 [&](std::size_t dst, SimTime arrival, int&& v) {
-                   delivered.push_back(v);
-                   rt.loop(dst).schedule_at(arrival, [] {});
-                 });
-    return delivered;
-  };
-  const std::vector<int> direct = run(0);
-  const std::vector<int> tiny = run(1);
-  const std::vector<int> deflt = run(64);
-  ASSERT_EQ(direct.size(), 300u);
-  EXPECT_EQ(direct, tiny);
-  EXPECT_EQ(direct, deflt);
-  for (int i = 0; i < 300; ++i) EXPECT_EQ(direct[i], i);
+  }
+  std::vector<int> delivered;
+  rt.run_until(SimTime::seconds(1),
+               [&](std::size_t dst, SimTime arrival, int&& v) {
+                 EXPECT_EQ(dst, 1u);
+                 delivered.push_back(v);
+                 rt.loop(dst).schedule_at(arrival, [] {});
+               });
+  ASSERT_EQ(delivered.size(), 600u);
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(delivered[i], i);
+    EXPECT_EQ(delivered[300 + i], 2000 + i);
+  }
 }
 
 }  // namespace

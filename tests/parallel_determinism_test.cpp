@@ -3,9 +3,9 @@
 //  1. one shard ≡ the legacy single-threaded System, bit for bit —
 //     counters, PCT sample order, and every traced hop timeline;
 //  2. for a fixed shard count, results are bit-identical across worker
-//     thread counts (1, 2, N, and oversubscribed) and across runs,
-//     including a crash + replay recovery scenario with genuine
-//     cross-shard checkpoint traffic;
+//     thread counts (1, 2, N, uneven lane ownership, and more threads
+//     than shards) and across runs, including a crash + replay recovery
+//     scenario with genuine cross-shard checkpoint traffic;
 //  3. the consistency guarantee survives sharding: 0 RYW violations.
 #include <gtest/gtest.h>
 
@@ -116,7 +116,6 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
                 bool with_crash, std::uint64_t preattached,
                 const core::ProtocolConfig& proto = test_proto(),
                 bool storm = false, bool adaptive = false,
-                std::size_t drain_batch = 64,
                 const std::vector<trace::TraceRecord>* custom_trace =
                     nullptr) {
   const core::FixedCostModel costs{SimTime::microseconds(10)};
@@ -127,7 +126,6 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   cfg.shards = shards;
   cfg.threads = threads;
   cfg.adaptive_lookahead = adaptive;
-  cfg.drain_batch = drain_batch;
   core::ShardedSystem sys(cfg, costs);
 
   obs::TracerConfig tc;
@@ -310,7 +308,7 @@ TEST(ParallelDeterminism, FourShardsIdenticalAcrossThreadCounts) {
 
   const ShardRun t2 = run_sharded(4, 2, true, 0);
   const ShardRun t4 = run_sharded(4, 4, true, 0);
-  const ShardRun t8 = run_sharded(4, 8, true, 0);  // oversubscribed
+  const ShardRun t8 = run_sharded(4, 8, true, 0);  // clamped to 4 lanes
   const ShardRun t2_again = run_sharded(4, 2, true, 0);
   expect_identical(t1, t2, "threads 1 vs 2");
   expect_identical(t1, t4, "threads 1 vs 4");
@@ -378,7 +376,7 @@ TEST(ParallelDeterminism, AdaptiveLookaheadIdenticalAcrossThreadCounts) {
   const ShardRun t4 = run_sharded(4, 4, true, 0, overload_test_proto(),
                                   true, true);
   const ShardRun t8 = run_sharded(4, 8, true, 0, overload_test_proto(),
-                                  true, true);  // oversubscribed
+                                  true, true);  // clamped to 4 lanes
   const ShardRun t4_again = run_sharded(4, 4, true, 0,
                                         overload_test_proto(), true, true);
   expect_identical(t1, t2, "adaptive threads 1 vs 2");
@@ -388,21 +386,18 @@ TEST(ParallelDeterminism, AdaptiveLookaheadIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched boundary drains are pure staging at the system layer too:
-// direct delivery (batch 0), a degenerate batch of 1 and the default all
-// produce the same outcomes and telemetry bytes.
+// Uneven lane ownership: 4 shards on 3 threads puts shards 0 and 3 on the
+// calling thread's lane and one shard on each worker, so lanes finish
+// windows and drains at different moments. Outcomes and telemetry bytes
+// must still match one thread owning everything.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelDeterminism, DrainBatchSizeInvisibleToOutcomes) {
-  const ShardRun direct = run_sharded(4, 2, /*with_crash=*/true, 0,
-                                      overload_test_proto(), /*storm=*/true,
-                                      /*adaptive=*/false, /*drain_batch=*/0);
-  const ShardRun tiny = run_sharded(4, 2, true, 0, overload_test_proto(),
-                                    true, false, 1);
-  const ShardRun deflt = run_sharded(4, 2, true, 0, overload_test_proto(),
-                                     true, false, 64);
-  expect_identical(direct, tiny, "drain batch 0 vs 1");
-  expect_identical(direct, deflt, "drain batch 0 vs 64");
+TEST(ParallelDeterminism, UnevenLaneOwnershipIdenticalToOneThread) {
+  const ShardRun t1 = run_sharded(4, 1, /*with_crash=*/true, 0,
+                                  overload_test_proto(), /*storm=*/true);
+  const ShardRun t3 = run_sharded(4, 3, true, 0, overload_test_proto(), true);
+  EXPECT_GT(t1.cross_messages, 0u);
+  expect_identical(t1, t3, "uneven lanes threads 1 vs 3");
 }
 
 // ---------------------------------------------------------------------------
@@ -477,19 +472,19 @@ TEST(ParallelDeterminism, ScenarioTrafficIdenticalAcrossThreadCounts) {
   const ShardRun t1 =
       run_sharded(4, 1, /*with_crash=*/false, /*preattached=*/200,
                   test_proto(), /*storm=*/false, /*adaptive=*/false,
-                  /*drain_batch=*/64, &gen->records);
+                  &gen->records);
   EXPECT_EQ(t1.metrics.ryw_violations, 0u);
   EXPECT_GT(t1.metrics.procedures_completed, 100u);
   EXPECT_EQ(t1.metrics.procedures_completed, t1.metrics.procedures_started);
 
   const ShardRun t2 = run_sharded(4, 2, false, 200, test_proto(), false,
-                                  false, 64, &gen->records);
+                                  false, &gen->records);
   const ShardRun t4 = run_sharded(4, 4, false, 200, test_proto(), false,
-                                  false, 64, &gen->records);
+                                  false, &gen->records);
   const ShardRun t8 = run_sharded(4, 8, false, 200, test_proto(), false,
-                                  false, 64, &gen->records);  // oversubscribed
+                                  false, &gen->records);  // clamped to 4 lanes
   const ShardRun t2_again = run_sharded(4, 2, false, 200, test_proto(),
-                                        false, false, 64, &gen->records);
+                                        false, false, &gen->records);
   expect_identical(t1, t2, "scenario threads 1 vs 2");
   expect_identical(t1, t4, "scenario threads 1 vs 4");
   expect_identical(t1, t8, "scenario threads 1 vs 8");

@@ -113,7 +113,7 @@ TEST(ShardedRuntime, BitIdenticalAcrossThreadCounts) {
   const RingRun one = run_ring(4, 1, 32);
   const RingRun two = run_ring(4, 2, 32);
   const RingRun four = run_ring(4, 4, 32);
-  const RingRun eight = run_ring(4, 8, 32);  // oversubscribed on purpose
+  const RingRun eight = run_ring(4, 8, 32);  // clamped to 4 lanes
   EXPECT_EQ(one.logs, two.logs);
   EXPECT_EQ(one.logs, four.logs);
   EXPECT_EQ(one.logs, eight.logs);
@@ -184,6 +184,33 @@ TEST(ShardedRuntime, ChannelOverflowBurstStaysOrdered) {
                });
   ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kBurst));
   for (int i = 0; i < kBurst; ++i) EXPECT_EQ(delivered[i], i);
+}
+
+// Window causality is checked in every build type, not only by assert():
+// a message landing at or before its destination's window end aborts the
+// run. At threads=2 shard 1 runs on a worker lane, off the calling thread.
+TEST(ShardedRuntime, CausalityViolationAbortsInEveryBuild) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto violate = [](std::size_t threads, std::size_t from) {
+    using Runtime = ShardedRuntime<int>;
+    Runtime::Config config;
+    config.shards = 2;
+    config.threads = threads;
+    config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+    Runtime rt(config);
+    const std::size_t to = 1 - from;
+    rt.loop(from).schedule_at(SimTime::nanoseconds(0), [&rt, from, to] {
+      // 500us link: below the 1ms lookahead, inside the window.
+      rt.post(from, to, rt.loop(from).now() + SimTime::microseconds(500), 0);
+    });
+    rt.run_until(SimTime::seconds(1), [](std::size_t, SimTime, int&&) {});
+  };
+  EXPECT_DEATH(violate(1, 0),
+               "window causality violated: shard 0 -> 1 arrival=500000ns "
+               "<= window end=999999ns");
+  EXPECT_DEATH(violate(2, 1),
+               "window causality violated: shard 1 -> 0 arrival=500000ns "
+               "<= window end=999999ns");
 }
 
 TEST(ShardedRuntime, PerShardRngStreamsAreJumps) {
