@@ -42,12 +42,11 @@ int main(int argc, char** argv) {
     // Under failures: crash one CPF per region mid-run.
     const SimTime crash_at = SimTime::milliseconds(report.smoke() ? 100 : 500);
     const auto failed = bench::run_experiment(
-        cfg, t, [&](core::System& system, sim::EventLoop& loop) {
+        cfg, t, [&](core::ShardedSystem& sys) {
           for (int region = 0; region < cfg.topo.total_regions(); ++region) {
-            const CpfId victim =
-                cfg.topo.cpf_at(static_cast<std::uint32_t>(region), 0);
-            loop.schedule_at(crash_at,
-                             [&system, victim] { system.crash_cpf(victim); });
+            sys.schedule_crash(
+                crash_at,
+                cfg.topo.cpf_at(static_cast<std::uint32_t>(region), 0));
           }
         });
 

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
     const auto t = workload.generate(population, cfg.topo.total_regions());
     const int waves = report.smoke() ? 2 : 8;
     const auto result = bench::run_experiment(
-        cfg, t, [&](core::System& system, sim::EventLoop& loop) {
+        cfg, t, [&](core::ShardedSystem& sys) {
+          core::System& system = sys.system(0);
           for (int region = 0; region < cfg.topo.total_regions(); ++region) {
             system.cta(static_cast<std::uint32_t>(region))
                 .start_failure_detector(SimTime::milliseconds(probe_ms));
@@ -41,13 +42,10 @@ int main(int argc, char** argv) {
           for (int wave = 0; wave < waves; ++wave) {
             const SimTime at = SimTime::milliseconds(150 + 100 * wave);
             const CpfId victim{static_cast<std::uint32_t>(wave % 5)};
-            loop.schedule_at(at, [&system, victim] {
+            system.loop().schedule_at(at, [&system, victim] {
               system.crash_cpf_silently(victim);
             });
-            loop.schedule_at(at + SimTime::milliseconds(70),
-                             [&system, victim] {
-                               system.restore_cpf(victim);
-                             });
+            sys.schedule_restore(at + SimTime::milliseconds(70), victim);
           }
         });
     const auto& pf = result.metrics.pct_under_failure[static_cast<std::size_t>(

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,23 +55,19 @@ struct ExperimentResult {
   /// events/sec throughput figure for scale benches.
   std::uint64_t events_executed = 0;
   double wall_seconds = 0;
-  /// Sharded-runtime runs only (run_sharded_experiment): partitioning,
-  /// conservative-window and cross-shard traffic figures. shard_events is
-  /// empty for legacy single-threaded runs — report rows key off that.
+  /// Partitioning, conservative-window and cross-shard traffic figures.
+  /// Report rows show them only for multi-shard runs (attach_result).
   std::uint32_t shards = 1;
   std::uint32_t threads = 1;
   std::uint64_t windows = 0;
   std::uint64_t cross_shard_messages = 0;
-  /// Adaptive-window accounting (deterministic; zero with the static
-  /// schedule): shard-windows widened past the static bound, and
-  /// shard-windows skipped because nothing preceded their horizon.
-  std::uint64_t adaptive_extensions = 0;
+  /// Shard-windows skipped because the shard had nothing due in them.
   std::uint64_t dispatches_skipped = 0;
   std::vector<std::uint64_t> shard_events;
   /// Retained for --trace-out export when the run traced (null otherwise).
   std::unique_ptr<obs::ProcTracer> tracer;
-  /// Per-window shard activity (sharded runs with record_trace_events):
-  /// the Perfetto shard tracks.
+  /// Per-window shard activity (runs with record_trace_events): the
+  /// Perfetto shard tracks.
   std::vector<obs::ShardWindowRecord> window_log;
 };
 
@@ -78,6 +75,12 @@ struct ExperimentConfig {
   core::CorePolicy policy;
   core::TopologyConfig topo;
   core::ProtocolConfig proto;
+  /// Partition the topology across this many conservatively-synchronized
+  /// shards, executed by `threads` workers (DESIGN.md §11). Outcomes are
+  /// deterministic for a fixed shard count whatever the thread count; one
+  /// shard is the single-loop reference run.
+  std::uint32_t shards = 1;
+  std::uint32_t threads = 1;
   /// Pre-attach this many UEs (ids [0, n)) round-robin across regions.
   std::uint64_t preattached_ues = 0;
   /// Run this long past the last scheduled arrival.
@@ -86,7 +89,8 @@ struct ExperimentConfig {
   /// procedure's latency is split by hop class into the result registry's
   /// "core.pct_decomp_ms{component=..,proc=..}" histograms (components
   /// tile the PCT exactly; "total" is recorded alongside). Off by
-  /// default — tracing then costs one null test per hop site.
+  /// default — tracing then costs one null test per hop site. A tracer
+  /// is single-threaded, so it attaches to one-shard runs only.
   bool trace_decomposition = false;
   /// Constant-memory PCT accounting (streaming mean/max, no retained
   /// samples) for storm-scale runs; percentile queries are then invalid.
@@ -96,14 +100,9 @@ struct ExperimentConfig {
   /// exported as the row's "timeseries"/"slo" sections. Zero (default) =
   /// fully off — the run does not even schedule sampling ticks.
   SimTime telemetry_window;
-  /// Retain hop-event timelines (slowest + failed spans) for Perfetto
-  /// export; in sharded runs also log per-window shard activity.
+  /// Log per-window shard activity for Perfetto export; one-shard runs
+  /// also retain hop-event timelines (slowest + failed spans).
   bool record_trace_events = false;
-  /// Sharded runs only: per-destination adaptive windows (DESIGN.md §16).
-  /// Benches default on — outcome determinism across thread counts is
-  /// unaffected and window count drops sharply; the scale bench emits an
-  /// explicit adaptive-off row for comparison.
-  bool adaptive_lookahead = true;
 };
 
 /// Default per-procedure SLO targets for bench telemetry, loose enough
@@ -123,90 +122,40 @@ default_slo_targets() {
   };
 }
 
-/// Build a system, replay a trace, run to completion, return the metrics.
-/// `extra_setup(system, loop)` runs before the replay (failure injection);
-/// `post(system)` runs after the loop drains (outage queries etc.).
+/// Build a ShardedSystem, replay a trace, run to completion, return the
+/// merged metrics. `setup(sys)` runs before the replay (failure injection,
+/// samplers, profiler); `post(sys)` runs after the loops drain and before
+/// the shards' metrics merge (outage queries, final samples). One-shard
+/// hooks reach System-only calls through sys.system(0).
 template <typename SetupFn, typename PostFn>
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 const std::vector<trace::TraceRecord>& t,
-                                SetupFn&& extra_setup, PostFn&& post) {
-  sim::EventLoop loop;
-  core::Metrics metrics;
-  if (cfg.streaming_pct) metrics.use_streaming_pct();
-  core::System system(loop, cfg.policy, cfg.topo, cfg.proto,
-                      measured_costs(), metrics);
+                                SetupFn&& setup, PostFn&& post) {
+  core::ShardedSystem::Config scfg;
+  scfg.policy = cfg.policy;
+  scfg.topo = cfg.topo;
+  scfg.proto = cfg.proto;
+  scfg.shards = cfg.shards;
+  scfg.threads = cfg.threads;
+  scfg.streaming_pct = cfg.streaming_pct;
+  core::ShardedSystem sys(scfg, measured_costs());
   std::unique_ptr<obs::ProcTracer> tracer;
-  if (cfg.trace_decomposition || cfg.record_trace_events) {
+  if (cfg.shards == 1 &&
+      (cfg.trace_decomposition || cfg.record_trace_events)) {
     obs::TracerConfig tc;
     tc.record_events = cfg.record_trace_events;
     tc.keep_slowest = cfg.record_trace_events ? 16 : 8;
     tc.keep_failed = cfg.record_trace_events ? 16 : 0;
     tracer = std::make_unique<obs::ProcTracer>(
-        tc, cfg.trace_decomposition ? &metrics.registry : nullptr);
-    system.attach_tracer(*tracer);
+        tc, cfg.trace_decomposition ? &sys.metrics(0).registry : nullptr);
+    sys.attach_tracer(0, *tracer);
   }
-  const auto regions =
-      static_cast<std::uint32_t>(cfg.topo.total_regions());
-  for (std::uint64_t ue = 0; ue < cfg.preattached_ues; ++ue) {
-    system.frontend().preattach(UeId(ue),
-                                static_cast<std::uint32_t>(ue % regions));
-  }
-  extra_setup(system, loop);
-  trace::replay(system, t);
-  SimTime horizon = cfg.drain;
-  if (!t.empty()) horizon += t.back().at;
-  if (cfg.telemetry_window.ns() > 0) {
-    system.arm_telemetry(cfg.telemetry_window, horizon);
-    metrics.arm_slo(cfg.telemetry_window, default_slo_targets());
-  }
-  obs::WallTimer wall;
-  loop.run_until(horizon);
-  const double wall_seconds = wall.seconds();
-  post(system);
-  ExperimentResult result{std::move(metrics), horizon.sec(), loop.executed(),
-                          wall_seconds};
-  result.tracer = std::move(tracer);
-  return result;
-}
-
-template <typename SetupFn>
-ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const std::vector<trace::TraceRecord>& t,
-                                SetupFn&& extra_setup) {
-  return run_experiment(cfg, t, std::forward<SetupFn>(extra_setup),
-                        [](core::System&) {});
-}
-
-inline ExperimentResult run_experiment(
-    const ExperimentConfig& cfg, const std::vector<trace::TraceRecord>& t) {
-  return run_experiment(cfg, t, [](core::System&, sim::EventLoop&) {},
-                        [](core::System&) {});
-}
-
-/// Sharded-runtime counterpart of run_experiment: the topology is
-/// partitioned across `shards` conservatively-synchronized event loops
-/// executed by `threads` workers (DESIGN.md §11). Results are
-/// deterministic for a fixed shard count regardless of thread count; the
-/// merged metrics are comparable with a legacy run of the same topology.
-inline ExperimentResult run_sharded_experiment(
-    const ExperimentConfig& cfg, const std::vector<trace::TraceRecord>& t,
-    std::uint32_t shards, std::uint32_t threads,
-    obs::PhaseProfiler* profiler = nullptr) {
-  core::ShardedSystem::Config scfg;
-  scfg.policy = cfg.policy;
-  scfg.topo = cfg.topo;
-  scfg.proto = cfg.proto;
-  scfg.shards = shards;
-  scfg.threads = threads;
-  scfg.adaptive_lookahead = cfg.adaptive_lookahead;
-  scfg.streaming_pct = cfg.streaming_pct;
-  core::ShardedSystem sys(scfg, measured_costs());
-  sys.set_profiler(profiler);
   if (cfg.record_trace_events) sys.enable_window_log();
   const auto regions = static_cast<std::uint32_t>(cfg.topo.total_regions());
   for (std::uint64_t ue = 0; ue < cfg.preattached_ues; ++ue) {
     sys.preattach(UeId(ue), static_cast<std::uint32_t>(ue % regions));
   }
+  setup(sys);
   sys.replay(t);
   SimTime horizon = cfg.drain;
   if (!t.empty()) horizon += t.back().at;
@@ -217,21 +166,33 @@ inline ExperimentResult run_sharded_experiment(
   obs::WallTimer wall;
   sys.run_until(horizon);
   const double wall_seconds = wall.seconds();
+  post(sys);
   ExperimentResult result{sys.merged_metrics(), horizon.sec(),
-                          sys.events_executed(), wall_seconds, shards,
-                          threads};
+                          sys.events_executed(), wall_seconds, cfg.shards,
+                          cfg.threads};
   result.windows = sys.stats().windows;
   result.cross_shard_messages = sys.stats().cross_messages;
-  result.adaptive_extensions = sys.stats().adaptive_extensions;
   result.dispatches_skipped = sys.stats().dispatches_skipped;
   result.shard_events = sys.shard_events();
-  if (cfg.record_trace_events) {
-    for (const auto& w : sys.window_log()) {
-      result.window_log.push_back(
-          obs::ShardWindowRecord{w.start, w.end, w.cross_messages, w.executed});
-    }
+  result.tracer = std::move(tracer);
+  for (const auto& w : sys.window_log()) {
+    result.window_log.push_back(
+        obs::ShardWindowRecord{w.start, w.end, w.cross_messages, w.executed});
   }
   return result;
+}
+
+template <typename SetupFn>
+ExperimentResult run_experiment(const ExperimentConfig& cfg,
+                                const std::vector<trace::TraceRecord>& t,
+                                SetupFn&& setup) {
+  return run_experiment(cfg, t, std::forward<SetupFn>(setup),
+                        [](core::ShardedSystem&) {});
+}
+
+inline ExperimentResult run_experiment(
+    const ExperimentConfig& cfg, const std::vector<trace::TraceRecord>& t) {
+  return run_experiment(cfg, t, [](core::ShardedSystem&) {});
 }
 
 /// Print one box-plot row: label, x, then the PCT distribution in ms.
@@ -287,9 +248,9 @@ struct BenchOptions {
   /// Benches that support PCT decomposition run it by default;
   /// --no-decompose measures the tracing-disabled baseline.
   bool decompose = true;
-  /// --threads=1,2,8: worker-thread counts for the sharded-runtime rows
-  /// of benches that support them (scale_throughput). Empty = legacy
-  /// single-threaded rows only.
+  /// --threads=1,2,8: worker-thread counts for the multi-shard rows of
+  /// benches that support them (scale_throughput). Empty = one-shard rows
+  /// only.
   std::vector<std::uint32_t> threads;
   /// --shards=N: shard count for the sharded rows. 0 = max of --threads,
   /// so the default sweep measures thread scaling at a fixed partition.
@@ -303,9 +264,6 @@ struct BenchOptions {
   /// --trace-out=PATH: write a Chrome/Perfetto trace-event JSON of the
   /// run (procedure hop spans + shard window tracks) to PATH.
   std::string trace_out;
-  /// --adaptive-lookahead=0|1: per-destination adaptive windows for the
-  /// sharded rows (default on; see ExperimentConfig::adaptive_lookahead).
-  bool adaptive_lookahead = true;
   /// --scenario=NAME: drive the bench with a named traffic-engine
   /// scenario (src/traffic/scenario.hpp) instead of its built-in
   /// workload. Empty (default) keeps the built-in workload byte-for-byte.
@@ -315,7 +273,13 @@ struct BenchOptions {
   /// Lets the CI scenario stage run every scenario at small scale.
   std::uint64_t ues = 0;
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// Parse the shared flags. Any other argument exits 2 naming it, so a
+  /// typo never silently runs the default configuration; a bench with
+  /// flags of its own passes their prefixes (e.g. "--seeds=") as
+  /// `own_flags` and parses them itself.
+  static BenchOptions parse(
+      int argc, char** argv,
+      std::initializer_list<std::string_view> own_flags = {}) {
     BenchOptions o;
     if (const char* env = std::getenv("NEUTRINO_REPORT")) o.report_path = env;
     for (int i = 1; i < argc; ++i) {
@@ -349,14 +313,16 @@ struct BenchOptions {
             std::strtod(std::string{arg.substr(22)}.c_str(), nullptr);
       } else if (arg.rfind("--trace-out=", 0) == 0) {
         o.trace_out = arg.substr(12);
-      } else if (arg.rfind("--adaptive-lookahead=", 0) == 0) {
-        o.adaptive_lookahead =
-            std::strtoul(std::string{arg.substr(21)}.c_str(), nullptr, 10) !=
-            0;
       } else if (arg.rfind("--scenario=", 0) == 0) {
         o.scenario = arg.substr(11);
       } else if (arg.rfind("--ues=", 0) == 0) {
         o.ues = std::strtoull(std::string{arg.substr(6)}.c_str(), nullptr, 10);
+      } else if (std::none_of(own_flags.begin(), own_flags.end(),
+                              [arg](std::string_view flag) {
+                                return arg.rfind(flag, 0) == 0;
+                              })) {
+        std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+        std::exit(2);
       }
     }
     return o;
@@ -502,7 +468,7 @@ class Report {
     obs::Json& row = doc_["rows"].push_back(obs::Json{});
     row["system"] = system_name;
     // Schema v2: every row declares its execution mode. attach_result
-    // overwrites this for sharded-runtime results.
+    // overwrites this for multi-shard results.
     row["mode"] = "single-thread";
     return row;
   }
@@ -511,14 +477,13 @@ class Report {
   static void attach_result(obs::Json& row, const ExperimentResult& result) {
     const obs::Registry& reg = result.metrics.registry;
     row["sim_seconds"] = result.sim_seconds;
-    const bool sharded = !result.shard_events.empty();
+    const bool sharded = result.shards > 1;
     row["mode"] = sharded ? "sharded" : "single-thread";
     if (sharded) {
       row["shards"] = result.shards;
       row["threads"] = result.threads;
       row["windows"] = result.windows;
       row["cross_shard_messages"] = result.cross_shard_messages;
-      row["adaptive_extensions"] = result.adaptive_extensions;
       row["dispatches_skipped"] = result.dispatches_skipped;
       obs::Json& per_shard = row["shard_events"];
       per_shard.make_array();

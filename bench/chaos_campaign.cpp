@@ -1,12 +1,13 @@
 // Chaos campaign driver: randomized failure schedules with an online
-// invariant checker, run differentially across the legacy System, the
-// 1-shard runtime and a multi-shard multithreaded runtime.
+// invariant checker, run differentially on the 1-shard runtime (the
+// single-loop reference) and a multi-shard multithreaded runtime.
 //
 // Per seed: generate a Schedule (workload + CPF crash bursts + targeted
-// replica-set wipes + CTA crashes), run it on every runtime, assert zero
-// invariant violations, and assert the legacy and 1-shard runs agree
-// exactly (started/completed/lost/recovery histogram). A failing seed is
-// shrunk to a minimal reproducer and dumped as a replayable JSON
+// replica-set wipes + CTA crashes), run it on both runtimes, assert zero
+// invariant violations, and assert the two runs agree exactly
+// (started/completed/lost/recovery histogram/overload counters):
+// partitioning may change where work ran, never what happened. A failing
+// seed is shrunk to a minimal reproducer and dumped as a replayable JSON
 // artifact whose path is printed in the error message.
 //
 // Modes:
@@ -279,7 +280,9 @@ int run_teeth(const CampaignArgs& args, const core::CostModel& costs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+  const bench::BenchOptions opts = bench::BenchOptions::parse(
+      argc, argv, {"--seeds=", "--overload=", "--churn=", "--inject=",
+                   "--replay=", "--repro-dir="});
   const CampaignArgs args = parse_campaign(argc, argv, opts.smoke);
   const core::FixedCostModel costs;
 
@@ -322,7 +325,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "# %llu seeds, %u regions x %u CPFs, %u UEs, %u overload storms, "
-      "%u churn events; runtimes: legacy, sharded-1x1, sharded-%ux%u\n",
+      "%u churn events; runtimes: sharded-1x1, sharded-%ux%u\n",
       static_cast<unsigned long long>(args.seeds), gen.regions,
       gen.cpfs_per_region, gen.ues, gen.overload_bursts, gen.churn_events,
       shards, threads);
@@ -339,16 +342,11 @@ int main(int argc, char** argv) {
 
   std::vector<RuntimeAgg> runtimes;
   {
-    RuntimeAgg legacy;
-    legacy.name = "legacy";
-    runtimes.push_back(std::move(legacy));
     RuntimeAgg one;
     one.name = "sharded-1";
-    one.rc.use_sharded = true;
     runtimes.push_back(std::move(one));
     RuntimeAgg multi;
     multi.name = "sharded-" + std::to_string(shards);
-    multi.rc.use_sharded = true;
     multi.rc.shards = shards;
     multi.rc.threads = threads;
     runtimes.push_back(std::move(multi));
@@ -407,13 +405,15 @@ int main(int argc, char** argv) {
       }
       failures.push_back(std::move(f));
     }
-    // Differential check: the 1-shard runtime is documented to be exactly
-    // the legacy loop — any outcome drift is a runtime-layer bug.
+    // Differential check: static windows make the outcome independent of
+    // the partition, so any drift between one shard and N is a
+    // runtime-layer bug.
     if (!same_outcome(outs[0], outs[1])) {
       ++mismatches;
       std::fprintf(stderr,
-                   "chaos: seed %llu: legacy and sharded-1 outcomes differ\n",
-                   static_cast<unsigned long long>(seed));
+                   "chaos: seed %llu: sharded-1 and %s outcomes differ\n",
+                   static_cast<unsigned long long>(seed),
+                   runtimes[1].name.c_str());
     }
   }
 

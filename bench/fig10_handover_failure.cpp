@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       // in-flight procedures go through the recovery path.
       const int waves = report.smoke() ? 1 : 8;
       const auto result = bench::run_experiment(
-          cfg, t, [&](core::System& system, sim::EventLoop& loop) {
+          cfg, t, [&](core::ShardedSystem& sys) {
             for (int wave = 0; wave < waves; ++wave) {
               const SimTime at = SimTime::milliseconds(250 + 140 * wave);
               for (int region = 0; region < cfg.topo.total_regions();
@@ -45,13 +45,8 @@ int main(int argc, char** argv) {
                 const CpfId victim = cfg.topo.cpf_at(
                     static_cast<std::uint32_t>(region),
                     wave % cfg.topo.cpfs_per_region);
-                loop.schedule_at(at, [&system, victim] {
-                  system.crash_cpf(victim);
-                });
-                loop.schedule_at(at + SimTime::milliseconds(70),
-                                 [&system, victim] {
-                                   system.restore_cpf(victim);
-                                 });
+                sys.schedule_crash(at, victim);
+                sys.schedule_restore(at + SimTime::milliseconds(70), victim);
               }
             }
           });

@@ -45,17 +45,19 @@ LogSizeRun peak_log_bytes(const core::CorePolicy& policy,
   std::size_t peak = 0;
   auto result = bench::run_experiment(
       cfg, t,
-      [&](core::System& system, sim::EventLoop& loop) {
+      [&](core::ShardedSystem& sys) {
         // Sample log footprint + pool occupancy every 5 ms; the registry
         // keeps the cta.log_bytes series the report exports.
+        core::System& system = sys.system(0);
         obs::PeriodicSampler::schedule(
-            loop, SimTime::milliseconds(5), SimTime::seconds(20),
+            system.loop(), SimTime::milliseconds(5), SimTime::seconds(20),
             [&system] {
               system.sample_log_sizes();
               system.sample_occupancy();
             });
       },
-      [&](core::System& system) {
+      [&](core::ShardedSystem& sys) {
+        core::System& system = sys.system(0);
         system.sample_log_sizes();
         peak = system.metrics().cta_log_peak_bytes;
       });

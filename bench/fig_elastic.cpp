@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/throughput.hpp"
 
 using namespace neutrino;
 
@@ -93,51 +92,42 @@ RunOut run_scenario(const core::TopologyConfig& topo,
                     std::uint64_t population, std::uint32_t shards,
                     std::uint32_t threads, const ElasticPlan& plan,
                     SimTime telemetry_window) {
-  core::ShardedSystem::Config cfg;
+  bench::ExperimentConfig cfg;
   cfg.policy = core::neutrino_policy();
   cfg.topo = topo;
   cfg.shards = shards;
   cfg.threads = threads;
-  core::ShardedSystem sys(cfg, bench::measured_costs());
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint64_t ue = 0; ue < population; ++ue) {
-    sys.preattach(UeId(ue), static_cast<std::uint32_t>(ue % regions));
-  }
-  sys.replay(records);
-  for (const auto& [at, cpf] : plan.drains) sys.schedule_drain(at, cpf);
-  for (const auto& [at, cpf] : plan.scale_outs) {
-    sys.schedule_scale_out(at, cpf);
-  }
-  for (const auto& [at, cpf] : plan.crashes) sys.schedule_crash(at, cpf);
-  if (plan.cta_crash_region >= 0) {
-    sys.schedule_cta_crash(plan.cta_crash_at,
-                           static_cast<std::uint32_t>(plan.cta_crash_region));
-  }
-  SimTime horizon = SimTime::seconds(10);
-  if (!records.empty()) horizon += records.back().at;
-  if (telemetry_window.ns() > 0) {
-    sys.arm_telemetry(telemetry_window, horizon);
-    sys.arm_slo(telemetry_window, bench::default_slo_targets());
-  }
-  obs::WallTimer wall;
-  sys.run_until(horizon);
-  const double wall_seconds = wall.seconds();
-  RunOut out{bench::ExperimentResult{sys.merged_metrics(), horizon.sec(),
-                                     sys.events_executed(), wall_seconds,
-                                     shards, threads},
-             LatencyRecorder{}, sys.system(0).ring_epoch(), 1.0, 0};
-  if (plan.cta_crash_region >= 0) {
-    const auto lost = static_cast<std::uint32_t>(plan.cta_crash_region);
-    core::System& home = sys.system(sys.shard_of_region(lost));
-    for (std::uint64_t ue = lost; ue < population; ue += regions) {
-      if (home.frontend().region_of(UeId(ue)) != lost) ++out.rehomed_ues;
-    }
-  }
-  out.result.windows = sys.stats().windows;
-  out.result.cross_shard_messages = sys.stats().cross_messages;
-  out.result.adaptive_extensions = sys.stats().adaptive_extensions;
-  out.result.dispatches_skipped = sys.stats().dispatches_skipped;
-  out.result.shard_events = sys.shard_events();
+  cfg.preattached_ues = population;
+  cfg.drain = SimTime::seconds(10);
+  cfg.telemetry_window = telemetry_window;
+  std::uint64_t ring_epoch = 0;
+  std::uint64_t rehomed_ues = 0;
+  bench::ExperimentResult result = bench::run_experiment(
+      cfg, records,
+      [&plan](core::ShardedSystem& sys) {
+        for (const auto& [at, cpf] : plan.drains) sys.schedule_drain(at, cpf);
+        for (const auto& [at, cpf] : plan.scale_outs) {
+          sys.schedule_scale_out(at, cpf);
+        }
+        for (const auto& [at, cpf] : plan.crashes) sys.schedule_crash(at, cpf);
+        if (plan.cta_crash_region >= 0) {
+          sys.schedule_cta_crash(
+              plan.cta_crash_at,
+              static_cast<std::uint32_t>(plan.cta_crash_region));
+        }
+      },
+      [&](core::ShardedSystem& sys) {
+        ring_epoch = sys.system(0).ring_epoch();
+        if (plan.cta_crash_region < 0) return;
+        const auto lost = static_cast<std::uint32_t>(plan.cta_crash_region);
+        const auto regions = static_cast<std::uint64_t>(topo.total_regions());
+        core::System& home = sys.system(sys.shard_of_region(lost));
+        for (std::uint64_t ue = lost; ue < population; ue += regions) {
+          if (home.frontend().region_of(UeId(ue)) != lost) ++rehomed_ues;
+        }
+      });
+  RunOut out{std::move(result), LatencyRecorder{}, ring_epoch, 1.0,
+             rehomed_ues};
   out.handoff_pct.merge(out.result.metrics.handoff_pct);
   const auto& m = out.result.metrics;
   out.completion =

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/throughput.hpp"
 
 using namespace neutrino;
 
@@ -74,43 +73,28 @@ RunOut run_replay(const core::TopologyConfig& topo,
                   std::uint64_t population, std::uint32_t shards,
                   std::uint32_t threads, SimTime duration, bool with_chaos,
                   SimTime telemetry_window) {
-  core::ShardedSystem::Config cfg;
+  bench::ExperimentConfig cfg;
   cfg.policy = core::neutrino_policy();
   cfg.topo = topo;
   cfg.shards = shards;
   cfg.threads = threads;
-  core::ShardedSystem sys(cfg, bench::measured_costs());
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint64_t ue = 0; ue < population; ++ue) {
-    sys.preattach(UeId(ue), static_cast<std::uint32_t>(ue % regions));
-  }
-  sys.replay(records);
-  if (with_chaos) {
-    const ChaosPlan plan = plan_chaos(sys, regions, duration);
-    for (const auto& [region, cpf] : plan.doomed) {
-      (void)region;
-      sys.schedule_crash(plan.crash_at, cpf);
-      sys.schedule_restore(plan.restore_at, cpf);
-    }
-  }
-  SimTime horizon = SimTime::seconds(10);
-  if (!records.empty()) horizon += records.back().at;
-  if (telemetry_window.ns() > 0) {
-    sys.arm_telemetry(telemetry_window, horizon);
-    sys.arm_slo(telemetry_window, bench::default_slo_targets());
-  }
-  obs::WallTimer wall;
-  sys.run_until(horizon);
-  const double wall_seconds = wall.seconds();
-  RunOut out{bench::ExperimentResult{sys.merged_metrics(), horizon.sec(),
-                                     sys.events_executed(), wall_seconds,
-                                     shards, threads},
+  cfg.preattached_ues = population;
+  cfg.drain = SimTime::seconds(10);
+  cfg.telemetry_window = telemetry_window;
+  RunOut out{bench::run_experiment(
+                 cfg, records,
+                 [&](core::ShardedSystem& sys) {
+                   if (!with_chaos) return;
+                   const ChaosPlan plan = plan_chaos(
+                       sys, static_cast<std::uint32_t>(topo.total_regions()),
+                       duration);
+                   for (const auto& [region, cpf] : plan.doomed) {
+                     (void)region;
+                     sys.schedule_crash(plan.crash_at, cpf);
+                     sys.schedule_restore(plan.restore_at, cpf);
+                   }
+                 }),
              LatencyRecorder{}};
-  out.result.windows = sys.stats().windows;
-  out.result.cross_shard_messages = sys.stats().cross_messages;
-  out.result.adaptive_extensions = sys.stats().adaptive_extensions;
-  out.result.dispatches_skipped = sys.stats().dispatches_skipped;
-  out.result.shard_events = sys.shard_events();
   out.handover_pct.merge(
       out.result.metrics.pct_for(core::ProcedureType::kHandover));
   return out;

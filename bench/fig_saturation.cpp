@@ -128,8 +128,9 @@ int main(int argc, char** argv) {
         (scen == nullptr || scen->preattach) ? population : 0;
     const auto t = offered(/*rate_pps=*/500);
     const auto result = bench::run_experiment(
-        cfg, t, [](core::System&, sim::EventLoop&) {},
-        [&](core::System& system) { probe_load = scan_pools(system, topo); });
+        cfg, t, [](core::ShardedSystem&) {}, [&](core::ShardedSystem& sys) {
+          probe_load = scan_pools(sys.system(0), topo);
+        });
     const auto completed =
         static_cast<double>(result.metrics.procedures_completed);
     const double d_cta = probe_load.cta_busy_sec / completed;
@@ -178,8 +179,9 @@ int main(int argc, char** argv) {
     PoolLoad load;
     rss_meter.begin_run();
     const auto result = bench::run_experiment(
-        cfg, t, [](core::System&, sim::EventLoop&) {},
-        [&](core::System& system) { load = scan_pools(system, topo); });
+        cfg, t, [](core::ShardedSystem&) {}, [&](core::ShardedSystem& sys) {
+          load = scan_pools(sys.system(0), topo);
+        });
     const std::size_t rss_delta = rss_meter.run_delta_bytes();
     if (trace_this_run) {
       bench::write_trace_file(report.options().trace_out,

@@ -147,8 +147,10 @@ int main(int argc, char** argv) {
       cfg.preattached_ues = info->preattach ? population : 0;
       PoolLoad load;
       const auto result = bench::run_experiment(
-          cfg, probe->records, [](core::System&, sim::EventLoop&) {},
-          [&](core::System& system) { load = scan_pools(system, topo); });
+          cfg, probe->records, [](core::ShardedSystem&) {},
+          [&](core::ShardedSystem& sys) {
+            load = scan_pools(sys.system(0), topo);
+          });
       const auto completed =
           static_cast<double>(result.metrics.procedures_completed);
       if (completed <= 0) {
@@ -178,8 +180,10 @@ int main(int argc, char** argv) {
       cfg.telemetry_window = opts.telemetry_window();
       PoolLoad load;
       auto result = bench::run_experiment(
-          cfg, traffic_gen->records, [](core::System&, sim::EventLoop&) {},
-          [&](core::System& system) { load = scan_pools(system, topo); });
+          cfg, traffic_gen->records, [](core::ShardedSystem&) {},
+          [&](core::ShardedSystem& sys) {
+            load = scan_pools(sys.system(0), topo);
+          });
       auto& m = result.metrics;
       const double completion =
           m.procedures_started == 0u

@@ -51,7 +51,9 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
       std::uint64_t missed = 0;
       const auto result = run_experiment(
           cfg, t,
-          [&](core::System& system, sim::EventLoop& loop) {
+          [&](core::ShardedSystem& sys) {
+            core::System& system = sys.system(0);
+            sim::EventLoop& loop = system.loop();
             // Driver: issue the next handover as soon as the previous one
             // finished, up to the scenario's count.
             auto driver = std::make_shared<std::function<void(int)>>();
@@ -83,8 +85,9 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
             loop.schedule_at(SimTime::milliseconds(200),
                              [driver] { (*driver)(0); });
           },
-          [&](core::System& system) {
-            missed = app.missed_deadlines(system.frontend().outages(observed));
+          [&](core::ShardedSystem& sys) {
+            missed = app.missed_deadlines(
+                sys.system(0).frontend().outages(observed));
           });
       std::printf("%s\t%s\t%s\t%llu\tmissed=%llu\n", figure, scenario,
                   std::string(policy.name).c_str(),

@@ -165,10 +165,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sharded-runtime rows (--threads=1,2,..., optional --shards=N): the
-  // same two-wave storm over a topology partitioned one region per shard
-  // (UE homes are ue % regions, so load spreads evenly). Cross-shard
-  // traffic comes from Neutrino's level-2 remote backups. Results are
+  // Multi-shard rows (--threads=1,2,..., optional --shards=N): the same
+  // two-wave storm over a topology partitioned one region per shard (UE
+  // homes are ue % regions, so load spreads evenly). Cross-shard traffic
+  // comes from Neutrino's level-2 remote backups. Results are
   // deterministic per shard count; only wall-clock varies with threads.
   if (!opts.threads.empty()) {
     const std::uint32_t shards = opts.effective_shards();
@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
     cfg.proto = core::ProtocolConfig{};
     cfg.streaming_pct = true;
     cfg.telemetry_window = opts.telemetry_window();
-    cfg.adaptive_lookahead = opts.adaptive_lookahead;
     // Scenario mode regenerates the trace for the partitioned topology
     // (UE homes are ue % regions, so the shard count changes the homing);
     // the generator itself is single-threaded and deterministic, so every
@@ -194,14 +193,13 @@ int main(int argc, char** argv) {
         sharded_traffic ? sharded_traffic->records : t;
     report.config()["shards"] = shards;
     report.config()["sharded_regions"] = cfg.topo.total_regions();
-    report.config()["adaptive_lookahead"] = opts.adaptive_lookahead;
 
-    // Legacy single-threaded System over the *same partitioned topology*:
-    // the honest denominator for shard-sync overhead. Comparing sharded
-    // rows against the 1-region row above would conflate the topology
-    // change (more regions, remote backups) with the runtime's window/
-    // barrier/channel machinery; this row isolates the latter. check.sh's
-    // perf gate reads it via "sharded_baseline": true.
+    // One shard over the *same partitioned topology*: the honest
+    // denominator for shard-sync overhead. Comparing sharded rows against
+    // the 1-region row above would conflate the topology change (more
+    // regions, remote backups) with the runtime's window/barrier/channel
+    // machinery; this row isolates the latter. check.sh's perf gate reads
+    // it via "sharded_baseline": true.
     double baseline_wall = 0.0;
     {
       rss_meter.begin_run();
@@ -236,9 +234,11 @@ int main(int argc, char** argv) {
       }
     }
 
+    cfg.shards = shards;
     double threads1_wall = 0.0;
     for (std::size_t ti = 0; ti < opts.threads.size(); ++ti) {
       const std::uint32_t threads = opts.threads[ti];
+      cfg.threads = threads;
       // --trace-out: the last (widest) sharded row logs its conservative
       // windows and exports them as Perfetto shard tracks.
       cfg.record_trace_events =
@@ -248,8 +248,10 @@ int main(int argc, char** argv) {
       // "profiler" section — never in determinism-compared output.
       obs::PhaseProfiler profiler(std::max<std::size_t>(shards, threads));
       rss_meter.begin_run();
-      auto result =
-          bench::run_sharded_experiment(cfg, ts, shards, threads, &profiler);
+      auto result = bench::run_experiment(
+          cfg, ts, [&profiler](core::ShardedSystem& sys) {
+            sys.set_profiler(&profiler);
+          });
       const std::size_t rss_delta = rss_meter.run_delta_bytes();
       if (cfg.record_trace_events) {
         bench::write_trace_file(
@@ -296,7 +298,6 @@ int main(int argc, char** argv) {
           core::ProcedureType::kAttach));
       row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
           core::ProcedureType::kServiceRequest));
-      row["adaptive_lookahead"] = opts.adaptive_lookahead;
       if (scen != nullptr) {
         row["scenario"] = opts.scenario;
         bench::attach_arrivals(row, *sharded_traffic, screq.duration);
@@ -311,44 +312,6 @@ int main(int argc, char** argv) {
                      ": completed %" PRIu64 " of %" PRIu64
                      " procedures, ryw_violations=%" PRIu64 "\n",
                      shards, threads, completed, started, ryw);
-        ok = false;
-      }
-    }
-    // Window-policy A/B at threads=1: one extra row with the adaptive
-    // setting flipped, so BENCH_scale.json always carries both the
-    // adaptive-on and adaptive-off numbers for this shard count.
-    if (shards > 1) {
-      bench::ExperimentConfig flipped = cfg;
-      flipped.record_trace_events = false;
-      flipped.adaptive_lookahead = !opts.adaptive_lookahead;
-      rss_meter.begin_run();
-      auto result = bench::run_sharded_experiment(flipped, ts, shards, 1);
-      const std::size_t rss_delta = rss_meter.run_delta_bytes();
-      const double events_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(result.events_executed) /
-                    result.wall_seconds
-              : 0.0;
-      std::printf("scale\t%s\tshards=%u\tthreads=1\tadaptive=%d\tues=%" PRIu64
-                  "\tevents=%" PRIu64 "\twindows=%" PRIu64
-                  "\twall_s=%.3f\tevents_per_sec=%.0f\n",
-                  std::string(flipped.policy.name).c_str(), shards,
-                  flipped.adaptive_lookahead ? 1 : 0, n_ues,
-                  result.events_executed, result.windows, result.wall_seconds,
-                  events_per_sec);
-      obs::Json& row = report.new_row(flipped.policy.name);
-      row["ues"] = n_ues;
-      row["events_executed"] = result.events_executed;
-      row["wall_seconds"] = result.wall_seconds;
-      row["events_per_sec"] = events_per_sec;
-      row["peak_rss_bytes"] = obs::peak_rss_bytes();
-      row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      row["adaptive_lookahead"] = flipped.adaptive_lookahead;
-      bench::Report::attach_result(row, result);
-      if (result.metrics.procedures_completed !=
-          result.metrics.procedures_started) {
-        std::fprintf(stderr,
-                     "scale_throughput: FAILED adaptive-flip row\n");
         ok = false;
       }
     }

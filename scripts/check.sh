@@ -37,6 +37,11 @@ for bench in fig07_service_request_pct fig08_attach_pct_uniform \
   REPORTS+=("$out")
 done
 python3 scripts/validate_report.py "${REPORTS[@]}"
+# A typo'd or removed flag must fail loudly, never run the default config.
+rc=0
+"$BUILD/bench/fig07_service_request_pct" --smoke --thread=4 \
+  >/dev/null 2>&1 || rc=$?
+[[ "$rc" == 2 ]] || { echo "unknown bench flag exited $rc, want 2"; exit 1; }
 
 # Extended structure-aware codec fuzz under the sanitized build: ctest
 # already ran the suite at its default iteration count; this pass widens
@@ -70,8 +75,8 @@ if [[ "${FAST:-0}" != "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
-  TSAN_TESTS=(sim_core_test parallel_runtime_test parallel_adaptive_test
-              parallel_stress_test parallel_determinism_test)
+  TSAN_TESTS=(sim_core_test parallel_runtime_test parallel_stress_test
+              parallel_determinism_test)
   cmake --build build-tsan -j --target "${TSAN_TESTS[@]}"
   for t in "${TSAN_TESTS[@]}"; do
     echo "-- tsan: $t"
@@ -88,11 +93,14 @@ echo "== release build + scale smoke (build-release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
 cmake --build build-release -j --target scale_throughput sim_core_gbench \
-  parallel_runtime_test
-# The window-causality check must survive -DNDEBUG: a message landing
-# inside its destination's window aborts the run in Release too.
+  parallel_runtime_test parallel_determinism_test
+# The window-causality check and the cross-shard UE<->CTA guard must
+# survive -DNDEBUG: a message landing inside its destination's window, or
+# an inter-shard handover, aborts the run in Release too.
 build-release/tests/parallel_runtime_test \
   --gtest_filter='ShardedRuntime.CausalityViolationAbortsInEveryBuild'
+build-release/tests/parallel_determinism_test \
+  --gtest_filter='ParallelDeterminism.CrossShardHandoverAbortsInEveryBuild'
 out=build-release/bench/scale_throughput.smoke-report.json
 build-release/bench/scale_throughput --smoke --threads=1,2 --shards=2 \
   --report="$out"
@@ -164,7 +172,7 @@ done
 
 # Shard-sync overhead gate (DESIGN.md §16): the storm partitioned over 8
 # shards on ONE worker thread must cost <=15% over the same-topology
-# legacy single-thread run — this prices the window machinery itself
+# one-shard run — this prices the window machinery itself
 # (scheduling scans, barriers skipped at threads=1, boundary drains),
 # not parallel speedup. Each report carries its in-process ratio
 # (config.sync_overhead_threads1, from the "sharded_baseline": true row);
@@ -183,20 +191,19 @@ for batch in 1 2 3; do
   done
   if python3 - "${SYNC_OUTS[@]}" <<'PY'
 import json, sys
-legacy, sharded = [], []
+one_shard, sharded = [], []
 for path in sys.argv[1:]:
     text = open(path).read()
     doc = json.loads(text[text.find("{"):])
     for r in doc["rows"]:
         if r.get("sharded_baseline"):
-            legacy.append(r["wall_seconds"])
-        elif (r.get("mode") == "sharded" and r.get("threads") == 1
-              and r.get("adaptive_lookahead")):
+            one_shard.append(r["wall_seconds"])
+        elif r.get("mode") == "sharded" and r.get("threads") == 1:
             sharded.append(r["wall_seconds"])
     print(f"  {path}: in-process ratio "
           f"{doc['config']['sync_overhead_threads1']:+.1%}")
-assert legacy and sharded, "gate rows missing from the reports"
-overhead = min(sharded) / min(legacy) - 1
+assert one_shard and sharded, "gate rows missing from the reports"
+overhead = min(sharded) / min(one_shard) - 1
 print(f"shard-sync overhead at threads=1: {overhead:+.1%} "
       f"(min over {len(sharded)} runs per side; gate: 15%)")
 sys.exit(0 if overhead <= 0.15 else 1)
@@ -237,8 +244,7 @@ for path in sys.argv[1:]:
     text = open(path).read()
     doc = json.loads(text[text.find("{"):])
     for r in doc["rows"]:
-        if (r.get("mode") == "sharded" and r.get("threads") in eps
-                and r.get("adaptive_lookahead")):
+        if r.get("mode") == "sharded" and r.get("threads") in eps:
             eps[r["threads"]].append(r["events_per_sec"])
 assert eps[1] and eps[4], "speedup rows missing from the reports"
 speedup = max(eps[4]) / max(eps[1])
@@ -269,7 +275,7 @@ python3 scripts/validate_report.py "$out" "$trace"
 # Traffic scenarios (DESIGN.md §17): the per-scenario saturation sweep
 # with its calibrated acceptance gate (fig_scenarios exits non-zero when
 # any scenario misses zero-RYW / >=99%-completion at its knee), then every
-# named scenario through scale_throughput's legacy AND sharded runtimes
+# named scenario through scale_throughput's one-shard AND two-shard rows
 # with a bit-identical cross-thread-count comparison, and finally a chaos
 # campaign with a scenario overlaid on the generated failure schedules.
 echo "== traffic scenarios (build-release)"
@@ -296,11 +302,10 @@ for path in sys.argv[1:]:
     text = open(path).read()
     doc = json.loads(text[text.find("{"):])
     sharded = {r["threads"]: r for r in doc["rows"]
-               if r.get("mode") == "sharded"
-               and r.get("adaptive_lookahead", True)}
+               if r.get("mode") == "sharded"}
     a, b = sharded[1], sharded[2]
     for k in ("counters", "windows", "cross_shard_messages", "shard_events",
-              "adaptive_extensions", "dispatches_skipped", "arrivals"):
+              "dispatches_skipped", "arrivals"):
         assert a[k] == b[k], f"{path}: {k} differs across thread counts"
     print(f"  deterministic across threads: {path}")
 PY
@@ -338,9 +343,12 @@ build-release/bench/fig_elastic --smoke --report="$out" >/dev/null
 python3 scripts/validate_report.py "$out"
 python3 scripts/summarize_bench.py "$out"
 
-# Release chaos campaign: 50 seeds across legacy / 1-shard / multi-shard
-# runtimes, with elastic churn in the schedule grammar; any invariant
-# violation shrinks to a replayable reproducer and fails the gate.
+# Release chaos campaign: 50 seeds on the 1-shard and the 4-shard runtime,
+# with elastic churn in the schedule grammar; any invariant violation
+# shrinks to a replayable reproducer and fails the gate, and so does any
+# seed whose 1-shard and 4-shard outcomes differ (the report's
+# "mismatches": partitioning may change where work ran, never what
+# happened).
 echo "== chaos campaign (build-release)"
 cmake --build build-release -j --target chaos_campaign
 out=build-release/bench/chaos_campaign.smoke-report.json

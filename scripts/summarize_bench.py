@@ -16,7 +16,7 @@ sparkline over sim-time.
 When a committed BENCH_scale.json exists (or --baseline=PATH names any
 other bench-report), every sharded row additionally gets a "vs previous"
 delta pair — events/s change and barrier_wait-share change against the
-baseline row with the same (system, shards, threads, window policy) — so
+baseline row with the same (system, shards, threads) — so
 a perf regression shows up in the table, not in a diff of raw JSON. A
 baseline run at a different UE count, smoke setting or host core count
 is refused: the table prints "baseline mismatch: ..." and no delta
@@ -93,11 +93,10 @@ def load_json_report(text):
 
 
 def row_key(row):
-    """Identity of a row for cross-report comparison: same system, shard
-    geometry and window policy."""
+    """Identity of a row for cross-report comparison: same system and
+    shard geometry."""
     return (row.get("system"), row.get("mode"), row.get("shards"),
-            row.get("threads"), row.get("adaptive_lookahead"),
-            bool(row.get("sharded_baseline", False)))
+            row.get("threads"), bool(row.get("sharded_baseline", False)))
 
 
 def barrier_share(row):
@@ -115,13 +114,6 @@ def delta_cells(row, prev_rows):
     """'vs previous' cells: events/s delta and barrier_wait-share delta
     against the matching row of the baseline report."""
     prev = prev_rows.get(row_key(row)) if prev_rows else None
-    if prev is None and prev_rows and row.get("adaptive_lookahead"):
-        # Baselines predating the window-policy keys carry no
-        # adaptive_lookahead: compare the current default-policy row
-        # against the old unlabeled one rather than printing nothing.
-        key = list(row_key(row))
-        key[4] = None
-        prev = prev_rows.get(tuple(key))
     if prev is None:
         return f"{'--':>8} {'--':>8}"
     eps, prev_eps = row.get("events_per_sec"), prev.get("events_per_sec")

@@ -18,10 +18,8 @@ neutrino.bench-report:
   * version >= 2: every row carries "mode"; "sharded" rows carry
     shards/threads/windows/cross_shard_messages and a shard_events list
     with one non-negative entry per shard summing to events_executed;
-    window-policy keys, when present (DESIGN.md §16): row
-    adaptive_lookahead / sharded_baseline are booleans,
-    adaptive_extensions / dispatches_skipped are non-negative integers,
-    and config adaptive_lookahead is typed the same way;
+    optional keys, when present: sharded_baseline is a boolean and
+    dispatches_skipped a non-negative integer;
     config sync_overhead_threads1 (the threads=1 shard-sync overhead
     ratio the perf gate reads) is a number > -1 — negative when the
     sharded sample happened to beat the legacy baseline;
@@ -162,14 +160,15 @@ def check_sharded(path, where, row, errors):
         errors.append(
             f"{path}: {where}: shard_events sum to {sum(per_shard)} but "
             f"events_executed is {row['events_executed']}")
-    # Window-policy keys (adaptive lookahead) are optional but strictly
-    # typed when present.
-    for k in ("adaptive_lookahead", "sharded_baseline"):
-        if k in row and not isinstance(row[k], bool):
-            errors.append(f"{path}: {where}: {k} = {row[k]!r}, want bool")
-    for k in ("adaptive_extensions", "dispatches_skipped"):
-        if k in row and not nonneg_int(row[k]):
-            errors.append(f"{path}: {where}: {k} = {row[k]!r}")
+    # Optional keys, strictly typed when present.
+    if "sharded_baseline" in row and \
+            not isinstance(row["sharded_baseline"], bool):
+        errors.append(f"{path}: {where}: sharded_baseline = "
+                      f"{row['sharded_baseline']!r}, want bool")
+    if ("dispatches_skipped" in row and
+            not nonneg_int(row["dispatches_skipped"])):
+        errors.append(f"{path}: {where}: dispatches_skipped = "
+                      f"{row['dispatches_skipped']!r}")
 
 
 # Mirrors obs::windowed_series_json's max_points: the exporter derives one
@@ -863,10 +862,6 @@ def validate(path):
     version = doc.get("version") if isinstance(doc.get("version"), int) else 1
     config = doc.get("config", {})
     if isinstance(config, dict):
-        if "adaptive_lookahead" in config and \
-                not isinstance(config["adaptive_lookahead"], bool):
-            errors.append(f"{path}: config.adaptive_lookahead = "
-                          f"{config['adaptive_lookahead']!r}, want bool")
         # Ratio minus one: negative is legal (the sharded run beat the
         # legacy baseline on that sample); only <= -1 is impossible.
         overhead = config.get("sync_overhead_threads1")

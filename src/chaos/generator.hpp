@@ -12,8 +12,8 @@
 //    path because the *replica set* dies even though the region doesn't.
 //  * Shard blocks: mobility targets and CTA-crash reroutes stay inside
 //    the UE's home shard block (regions are block-partitioned across
-//    `shards`), so the identical schedule is valid on the legacy System
-//    and on any ShardedRuntime configuration up to that shard count.
+//    `shards`), so the identical schedule is valid on one shard and on
+//    any ShardedSystem configuration up to that shard count.
 //
 // Generation is a pure function of (config, seed): the same pair always
 // yields byte-identical schedules, which the shrinker and the replay
@@ -35,7 +35,7 @@ struct GeneratorConfig {
   std::uint32_t cpfs_per_region = 5;
   std::uint32_t ues = 24;
   /// Shard-count the schedule must stay valid for (1 = no constraint
-  /// beyond the legacy System). Mobility and CTA crashes are confined to
+  /// beyond a single shard). Mobility and CTA crashes are confined to
   /// per-shard region blocks of ceil(regions/shards).
   std::uint32_t shards = 1;
   std::uint32_t actions = 120;

@@ -1,11 +1,12 @@
-// Chaos schedule runner: executes one Schedule against either the legacy
-// single-threaded System or a ShardedSystem, with an InvariantChecker
-// riding along, and folds the run into a RunOutcome (violations,
-// recovery-outcome histogram, lost UEs, quiescence).
+// Chaos schedule runner: executes one Schedule on a ShardedSystem (static
+// conservative windows, DESIGN.md §11) with one InvariantChecker per
+// shard riding along, and folds the run into a RunOutcome (violations,
+// recovery-outcome histogram, lost UEs, quiescence). One shard is the
+// single-loop reference: a plain System run, bit for bit.
 //
-// The same Schedule must produce the same protocol behavior on every
-// runtime configuration; the campaign exploits that by running each seed
-// on legacy, 1-shard and multi-shard runtimes and comparing outcomes.
+// The same Schedule must produce the same protocol behavior at every
+// shard count; the campaign exploits that by running each seed on one
+// shard and on several and comparing outcomes.
 #pragma once
 
 #include <algorithm>
@@ -25,23 +26,14 @@
 #include "core/system.hpp"
 #include "core/topology.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/event_loop.hpp"
 
 namespace neutrino::chaos {
 
 struct RunConfig {
-  /// false → legacy System (no runtime layer at all); true → ShardedSystem
-  /// with `shards` × `threads` (1×1 is the runtime-layer determinism
+  /// ShardedSystem partition and worker threads (1×1 is the single-loop
   /// reference).
-  bool use_sharded = false;
   std::uint32_t shards = 1;
   std::uint32_t threads = 1;
-  /// Per-destination adaptive windows (core::ShardedSystem::Config).
-  /// Deterministic for a fixed shard count, but the schedule change can
-  /// reorder exact-nanosecond ties vs the legacy loop — only the
-  /// adaptive-determinism tests (thread-count sweeps) enable it; the
-  /// legacy-equivalence corpus replays stay on static windows.
-  bool adaptive_lookahead = false;
   core::FaultInjection faults;
   SimTime audit_interval = SimTime::milliseconds(50);
   /// Ride a flight recorder along (one per shard) and put the merged dump
@@ -213,64 +205,15 @@ inline void harvest_checker(const InvariantChecker& checker, RunOutcome& out) {
 
 inline RunOutcome run_schedule(const Schedule& s, const RunConfig& rc,
                                const core::CostModel& costs) {
-  const core::CorePolicy policy = core::neutrino_policy();
-  const core::TopologyConfig topo = make_topology(s);
-  const core::ProtocolConfig proto =
-      schedule_has_overload(s) ? overload_proto() : chaos_proto();
-  const SimTime until = detail::audit_until(s, proto);
-  RunOutcome out;
-
-  if (!rc.use_sharded) {
-    sim::EventLoop loop;
-    core::Metrics metrics;
-    core::System system(loop, policy, topo, proto, costs, metrics);
-    system.faults() = rc.faults;
-    obs::FlightRecorder flight(rc.flight_capacity);
-    if (rc.record_flight) system.attach_flight_recorder(flight);
-    InvariantChecker checker(system, rc.audit_interval, until);
-    checker.arm();
-    for (std::uint32_t u = 0; u < s.ues; ++u) {
-      const UeId ue{u};
-      system.frontend().preattach(ue, u % s.regions);
-      checker.note_preattach(ue);
-    }
-    for (const Event& e : s.events) {
-      loop.schedule_at(e.at, [&system, e, ues = s.ues, regions = s.regions] {
-        switch (e.kind) {
-          case EventKind::kCrashCpf: system.crash_cpf(CpfId(e.cpf)); break;
-          case EventKind::kRestoreCpf: system.restore_cpf(CpfId(e.cpf)); break;
-          case EventKind::kCrashCta: system.crash_cta(e.region); break;
-          case EventKind::kScaleOut:
-            system.scale_out_cpf(CpfId(e.cpf));
-            break;
-          case EventKind::kDrain: system.drain_cpf(CpfId(e.cpf)); break;
-          default: detail::apply_ue_event(system, e, ues, regions); break;
-        }
-      });
-    }
-    loop.run_until(s.horizon);
-    checker.final_check();
-    detail::harvest_checker(checker, out);
-    detail::harvest(metrics, out);
-    for (std::uint32_t u = 0; u < s.ues; ++u) {
-      if (system.frontend().in_flight(UeId{u})) ++out.lost;
-    }
-    system.detach_invariant_observer();
-    if (rc.record_flight) {
-      out.flight_events = flight.size();
-      out.flight_json = obs::FlightRecorder::merge_flight({&flight}).dump(2);
-    }
-    return out;
-  }
-
   core::ShardedSystem::Config scfg;
-  scfg.policy = policy;
-  scfg.topo = topo;
-  scfg.proto = proto;
+  scfg.policy = core::neutrino_policy();
+  scfg.topo = make_topology(s);
+  scfg.proto = schedule_has_overload(s) ? overload_proto() : chaos_proto();
   scfg.shards = rc.shards;
   scfg.threads = rc.threads;
-  scfg.adaptive_lookahead = rc.adaptive_lookahead;
   core::ShardedSystem sys(scfg, costs);
+  const SimTime until = detail::audit_until(s, scfg.proto);
+  RunOutcome out;
   std::vector<obs::FlightRecorder> flights;
   if (rc.record_flight) {
     flights.reserve(rc.shards);

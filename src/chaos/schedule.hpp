@@ -4,8 +4,8 @@
 // slice (regions × cpfs_per_region, a preattached UE population): UE
 // workload (procedures, idle moves, downlink triggers) interleaved with
 // failure injections (CPF crash/restore, CTA crash). The same Schedule
-// drives the legacy System and any ShardedRuntime configuration, which is
-// what makes cross-runtime differential checks and shrinking possible.
+// drives a ShardedSystem at any shard count, which is what makes
+// cross-partition differential checks and shrinking possible.
 //
 // Serialization: schema "neutrino.chaos-repro" v1, dumped via obs::Json
 // and read back with the chaos JsonValue parser, so a failing seed's

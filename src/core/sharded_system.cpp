@@ -27,38 +27,12 @@ SimTime ShardedSystem::lookahead_for(const TopologyConfig& topo,
   return min_link - SimTime::nanoseconds(1);
 }
 
-std::vector<SimTime> ShardedSystem::link_floor_for(const TopologyConfig& topo,
-                                                   std::uint32_t shards) {
-  if (shards <= 1) return {};
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  const std::uint32_t per_shard = (regions + shards - 1) / shards;
-  std::vector<SimTime> floor(static_cast<std::size_t>(shards) * shards,
-                             SimTime::max());
-  // Every cross-shard transport (the five post_remote sites in System)
-  // uses cpf_link latency between the endpoint regions, so the cheapest
-  // cpf_link between the shards' region blocks is an exact floor.
-  for (std::uint32_t a = 0; a < regions; ++a) {
-    const std::uint32_t s = a / per_shard;
-    for (std::uint32_t b = 0; b < regions; ++b) {
-      const std::uint32_t d = b / per_shard;
-      if (s == d) continue;
-      SimTime& cell = floor[static_cast<std::size_t>(s) * shards + d];
-      cell = std::min(cell, topo.cpf_link(a, b));
-    }
-  }
-  return floor;
-}
-
 ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
     const Config& config) {
   Runtime::Config rc;
   rc.shards = config.shards;
   rc.threads = config.threads;
   rc.lookahead = lookahead_for(config.topo, config.shards);
-  rc.adaptive_lookahead = config.adaptive_lookahead && config.shards > 1;
-  if (rc.adaptive_lookahead) {
-    rc.link_floor = link_floor_for(config.topo, config.shards);
-  }
   rc.loop = config.loop;
   // Sharding splits the event stream N ways, so each shard's wheel sees
   // ~1/N the event density of the legacy loop. Shrink the SLOT COUNT

@@ -17,15 +17,23 @@
 // links never cross, and the window is bounded by the ≥400µs inter-region
 // links.
 //
+// Windows are static: every shard runs to the same window end. Wider
+// per-shard horizons would reorder same-nanosecond ties, so a chaos
+// schedule would no longer have the same outcome at every shard count
+// (DESIGN.md §16).
+//
 // Determinism: fixed shard count ⇒ bit-identical counters, PCT
 // distributions and traces across runs and worker-thread counts; one
-// shard ⇒ no sink, no windows — exactly the legacy single-threaded loop
-// (tests/parallel_determinism_test.cpp proves both differentially).
+// shard ⇒ no sink, one window to the horizon — exactly a single System on
+// one loop (tests/parallel_determinism_test.cpp proves both
+// differentially). This class is the only way benches and chaos runs
+// drive the simulator; shards=1 is their single-loop reference.
 //
 // Unsupported under >1 shard (UE↔CTA links sit below any cross-shard
 // lookahead, so UEs cannot re-home across a shard boundary): inter-shard
 // kHandover targets and CTA crashes whose reroute would cross shards.
-// System::ue_to_cta asserts on violations; see DESIGN.md §11.
+// System::ue_to_cta and cta_to_ue abort the run on either, in every
+// build; see DESIGN.md §11.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +62,6 @@ class ShardedSystem {
     ProtocolConfig proto;
     std::uint32_t shards = 1;
     std::uint32_t threads = 1;
-    /// Per-destination adaptive windows (DESIGN.md §16): each shard runs
-    /// to the earliest possible cross-shard arrival instead of the static
-    /// min-link bound, collapsing thousands of quiet-phase windows into
-    /// one. Fully deterministic for a fixed shard count — identical
-    /// outcomes across runs and worker-thread counts — but the *window
-    /// schedule* differs from the static one, so events that share an
-    /// exact nanosecond may tie-break in a different (still
-    /// deterministic) order than the legacy single-loop run. The repro
-    /// corpus pins legacy ≡ sharded equality, hence opt-in.
-    bool adaptive_lookahead = false;
     sim::EventLoop::Config loop;
     std::uint64_t rng_seed = 1;
     bool streaming_pct = false;
@@ -99,13 +97,6 @@ class ShardedSystem {
   [[nodiscard]] static SimTime lookahead_for(const TopologyConfig& topo,
                                              std::uint32_t shards);
 
-  /// Per-ordered-pair minimum cross-shard link latency, [src*shards+dst]
-  /// (diagonal = max(), unused): the adaptive-lookahead floor matrix.
-  /// Empty for one shard. Uses the same block partition as
-  /// System::shard_of_region, so every entry is exact, not conservative.
-  [[nodiscard]] static std::vector<SimTime> link_floor_for(
-      const TopologyConfig& topo, std::uint32_t shards);
-
   /// Sharded preattach: UE context on the home shard, replica state on
   /// each replica's owning shard (same placement as Frontend::preattach).
   void preattach(UeId ue, std::uint32_t region);
@@ -130,7 +121,7 @@ class ShardedSystem {
   /// CTA crash, mirrored like the CPF injections (each shard's Frontend
   /// only holds its own UEs, so the shadow crashes just flip liveness).
   /// Callers must keep the reroute region — (region+1) % regions — on the
-  /// same shard; System::ue_to_cta asserts if a reroute crosses shards.
+  /// same shard; System::ue_to_cta aborts if a reroute crosses shards.
   void schedule_cta_crash(SimTime at, std::uint32_t region);
   /// Elastic churn (DESIGN.md §19), mirrored like the failure injections:
   /// every shard re-rings at the same simulated time, so shadow CTAs keep

@@ -1,6 +1,8 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "obs/sampler.hpp"
@@ -117,12 +119,25 @@ std::vector<CpfId> System::backups_for(UeId ue, std::uint32_t region) const {
   return ctas_[region]->backups(ue);
 }
 
+void System::cross_shard_ue_link(const char* link,
+                                 std::uint32_t region) const {
+  std::fprintf(stderr,
+               "System: cross-shard %s link: region %u is owned by shard %u, "
+               "called on shard %u (inter-shard handover or CTA-crash "
+               "reroute; unsupported under sharding)\n",
+               link, region, shard_of_region(region), shard_.shard);
+  std::abort();
+}
+
 void System::ue_to_cta(std::uint32_t region, Msg msg) {
   // UE↔CTA links (10µs) sit *below* the cross-shard lookahead, so UEs are
   // pinned to the shard owning their home region; scenarios that would
   // re-home a UE across a shard boundary (inter-shard handover, CTA-crash
-  // reroute) are unsupported under sharding — see DESIGN.md §11.
-  assert(owns_region(region) && "cross-shard UE->CTA is unsupported");
+  // reroute) are unsupported under sharding — see DESIGN.md §11. Checked
+  // in every build: a shadow CTA must never run the procedure.
+  if (!owns_region(region)) [[unlikely]] {
+    cross_shard_ue_link("UE->CTA", region);
+  }
   trace_prop(msg, "ue->cta", region, topo_.latency.ue_to_cta);
   // All transports park the message in the pool so the event captures a
   // handle (inline-schedulable) instead of a full Msg. take() runs first,
@@ -138,7 +153,9 @@ void System::ue_to_cta(std::uint32_t region, Msg msg) {
 }
 
 void System::cta_to_ue(Msg msg) {
-  assert(owns_region(msg.region) && "cross-shard CTA->UE is unsupported");
+  if (!owns_region(msg.region)) [[unlikely]] {
+    cross_shard_ue_link("CTA->UE", msg.region);
+  }
   trace_prop(msg, "cta->ue", msg.region, topo_.latency.ue_to_cta);
   loop_->schedule_after(topo_.latency.ue_to_cta,
                         [this, h = msg_pool_.acquire(std::move(msg))]() mutable {

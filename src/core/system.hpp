@@ -615,6 +615,11 @@ class System {
   /// elastic_skip_rering fault knob on owned, alive CTAs.
   void rering_all(CpfId id, bool add);
 
+  /// A UE↔CTA hop for a region another shard owns: print the region, its
+  /// owner and this shard, then abort (every build type).
+  [[gnu::cold, gnu::noinline]] [[noreturn]] void cross_shard_ue_link(
+      const char* link, std::uint32_t region) const;
+
   /// Hand a message bound for a non-owned region to the cross-shard sink
   /// (arrival = now + latency, already past the current window's end).
   void post_remote(ShardEnvelope::Dest dest, std::uint32_t dest_id,

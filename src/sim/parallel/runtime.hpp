@@ -13,27 +13,21 @@
 // post() in every build). No shard can receive a message for a time it has
 // already executed past, so intra-window execution needs no
 // synchronization at all: plain single-threaded EventLoop runs, lock-free
-// SPSC pushes for cross-shard sends, and two barriers per window.
-//
-// Adaptive lookahead (Config::adaptive_lookahead, DESIGN.md §16) keeps
-// that invariant but sizes each shard's horizon from the earliest
-// *possible* cross-shard arrival instead of the worst case:
-//
-//     end(dst) = min over src≠dst of (next_time(src) + link_floor(src,dst))
-//                − 1ns
-//
-// never narrower than the static window, and wide enough to collapse idle
-// stretches into one window when the other shards are quiet.
+// SPSC pushes for cross-shard sends, and two barriers per window. Every
+// shard runs to the same window end; a shard with nothing due before it
+// skips the window (Stats::dispatches_skipped), and W fast-forwards over
+// idle gaps. The window is static on purpose (DESIGN.md §16): wider
+// per-shard horizons reorder same-nanosecond ties between shard counts.
 //
 // Thread model (owner computes): run_until() runs L = min(threads, shards)
 // lanes. The calling thread is lane 0 and spawns the other L − 1, so
 // threads=1 spawns nothing and never touches a barrier. Shard i belongs to
 // lane i mod L for the whole run, so its loop, pool and channels stay in
-// one core's cache. Per window each lane runs its shards to their window
-// ends, waits at the done barrier, drains its own shards' inbound channels
+// one core's cache. Per window each lane runs its shards to the window
+// end, waits at the done barrier, drains its own shards' inbound channels
 // (each destination in ascending source order, FIFO within a channel) and
 // records their next event times; the last lane to reach the start
-// barrier then plans the next window from those times — an O(shards²)
+// barrier then plans the next window from those times — an O(shards)
 // scan, the only serial step.
 //
 // Determinism (the hard requirement, see DESIGN.md §11): for a fixed
@@ -47,7 +41,7 @@
 // interleave, and (c) per-shard RNG streams are fixed 2^128-jumps of one
 // seed. Window plans and Stats read only sim state, never thread identity.
 // With one shard there are no windows to split on (lookahead = ∞ ⇒ one
-// window to the horizon), so the run is the legacy single-threaded loop.
+// window to the horizon), so the run is one plain EventLoop run.
 #pragma once
 
 #include <algorithm>
@@ -81,16 +75,6 @@ class ShardedRuntime {
     /// cross-shard link latency (callers pass min_link − 1ns). max()
     /// means "no cross-shard traffic allowed": one window to the horizon.
     SimTime lookahead = SimTime::max();
-    /// Widen each shard's window to the earliest possible cross-shard
-    /// arrival (see header). Never narrower than the static window, and
-    /// deterministic; off by default so bare-runtime tests keep the
-    /// classic fixed-width window schedule.
-    bool adaptive_lookahead = false;
-    /// Minimum src→dst message latency, indexed [src * shards + dst]
-    /// (diagonal unused). Empty means "uniform": every pair floors at
-    /// lookahead + 1ns, which is the tightest bound consistent with the
-    /// static-lookahead contract. Only read when adaptive_lookahead.
-    std::vector<SimTime> link_floor;
     EventLoop::Config loop;
     std::uint64_t rng_seed = 1;
     std::size_t channel_capacity = 1024;
@@ -99,9 +83,7 @@ class ShardedRuntime {
   struct Stats {
     std::uint64_t windows = 0;          ///< barrier-bounded windows executed
     std::uint64_t cross_messages = 0;   ///< envelopes drained at barriers
-    /// Shard-windows whose adaptive horizon exceeded the static bound.
-    std::uint64_t adaptive_extensions = 0;
-    /// Shard-windows skipped entirely (no event before the shard's end).
+    /// Shard-windows skipped entirely (no event before the window end).
     std::uint64_t dispatches_skipped = 0;
   };
 
@@ -121,15 +103,11 @@ class ShardedRuntime {
       : n_(config.shards),
         lanes_(std::clamp<std::size_t>(config.threads, 1, n_)),
         lookahead_(config.lookahead),
-        adaptive_(config.adaptive_lookahead),
-        link_floor_(config.link_floor),
         start_(lanes_),
         done_(lanes_) {
     assert(n_ >= 1);
     assert(lookahead_.ns() > 0);
-    assert(link_floor_.empty() || link_floor_.size() == n_ * n_);
     next_times_.assign(n_, SimTime{});
-    shard_ends_.assign(n_, kNoWindow);
     drained_.assign(n_, 0);
     loops_.reserve(n_);
     rngs_.reserve(n_);
@@ -182,17 +160,14 @@ class ShardedRuntime {
   }
 
   /// Producer-side cross-shard send; called from shard `from`'s events
-  /// during a window. `arrival` must land strictly after the destination's
-  /// window end (guaranteed when the link latency exceeds the lookahead);
-  /// a violation aborts the run in every build type.
+  /// during a window. `arrival` must land strictly after the window end
+  /// (guaranteed when the link latency exceeds the lookahead); a violation
+  /// aborts the run in every build type.
   void post(std::size_t from, std::size_t to, SimTime arrival,
             Payload payload) {
     assert(from < n_ && to < n_ && from != to);
-    // The destination's own horizon is the safety line: with adaptive
-    // windows a shard may run far past other shards' ends, but nothing may
-    // arrive at `to` at or before the point `to` executes to this window.
-    if (arrival <= shard_ends_[to]) [[unlikely]] {
-      causality_violation(from, to, arrival, shard_ends_[to]);
+    if (arrival <= window_end_) [[unlikely]] {
+      causality_violation(from, to, arrival, window_end_);
     }
     channels_[from * n_ + to].push(Entry{arrival, std::move(payload)});
   }
@@ -225,7 +200,7 @@ class ShardedRuntime {
       lane_loop(0, deliver);
       for (std::thread& w : workers) w.join();
     }
-    std::fill(shard_ends_.begin(), shard_ends_.end(), kNoWindow);
+    window_end_ = kNoWindow;
     finished_ = false;
     // Clock parity with a plain run_until on a single loop: every shard's
     // now() advances to the horizon (events beyond it stay pending).
@@ -238,7 +213,7 @@ class ShardedRuntime {
     Payload payload;
   };
 
-  /// Every shard's end outside run_until(): posts there are unchecked.
+  /// The window end outside run_until(): posts there are unchecked.
   static constexpr SimTime kNoWindow{
       std::numeric_limits<std::int64_t>::min()};
 
@@ -257,30 +232,18 @@ class ShardedRuntime {
     return std::min(start + lookahead_, horizon_);
   }
 
-  /// Earliest sim time a message from `src` could arrive at `dst` given
-  /// src's current next_time — saturating, so quiet shards (next_time at
-  /// or near max()) impose no bound instead of wrapping.
-  [[nodiscard]] SimTime arrival_floor(std::size_t src, std::size_t dst) const {
-    const SimTime floor = link_floor_.empty()
-                              ? lookahead_ + SimTime::nanoseconds(1)
-                              : link_floor_[src * n_ + dst];
-    const SimTime t = next_times_[src];
-    if (t.ns() > SimTime::max().ns() - floor.ns()) return SimTime::max();
-    return t + floor;
-  }
-
   /// One lane's share of the run: its own shards, every window, until the
   /// planner ends the run.
   template <class Deliver>
   void lane_loop(std::size_t lane, Deliver& deliver) {
     while (!finished_) {
       for (std::size_t i = lane; i < n_; i += lanes_) {
-        // Idle skip: nothing to run before this shard's horizon (counted
-        // by the planner, so the dispatch loop stays write-free).
-        if (next_times_[i] > shard_ends_[i]) continue;
+        // Idle skip: nothing to run before the window end (counted by the
+        // planner, so the dispatch loop stays write-free).
+        if (next_times_[i] > window_end_) continue;
         auto dispatch = obs::PhaseProfiler::scoped(profiler_, i,
                                                    obs::Phase::kDispatch);
-        loops_[i].run_until(shard_ends_[i]);
+        loops_[i].run_until(window_end_);
       }
       if (lanes_ > 1) {
         auto wait = obs::PhaseProfiler::scoped(profiler_, lane,
@@ -334,36 +297,10 @@ class ShardedRuntime {
       finished_ = true;
       return;
     }
-    const SimTime static_end = window_end_for(window_start);
     window_start_ = window_start;
-    window_end_ = static_end;
-    if (adaptive_ && lookahead_ != SimTime::max()) {
-      for (std::size_t dst = 0; dst < n_; ++dst) {
-        // Earliest instant a cross-shard message could reach dst: some
-        // other shard's first pending event plus the cheapest link in.
-        SimTime bound = SimTime::max();
-        for (std::size_t src = 0; src < n_; ++src) {
-          if (src == dst) continue;
-          bound = std::min(bound, arrival_floor(src, dst));
-        }
-        SimTime end =
-            bound == SimTime::max()
-                ? horizon_
-                : std::min(horizon_, bound - SimTime::nanoseconds(1));
-        // Provably ≥ static_end (next_time ≥ W, floor ≥ lookahead+1ns);
-        // the max() guards against a caller-supplied floor below the
-        // static lookahead contract.
-        end = std::max(end, static_end);
-        shard_ends_[dst] = end;
-        if (end > static_end) ++stats_.adaptive_extensions;
-        if (next_times_[dst] > end) ++stats_.dispatches_skipped;
-        window_end_ = std::max(window_end_, end);
-      }
-    } else {
-      for (std::size_t dst = 0; dst < n_; ++dst) {
-        shard_ends_[dst] = static_end;
-        if (next_times_[dst] > static_end) ++stats_.dispatches_skipped;
-      }
+    window_end_ = window_end_for(window_start);
+    for (const SimTime next : next_times_) {
+      if (next > window_end_) ++stats_.dispatches_skipped;
     }
     ++stats_.windows;
   }
@@ -386,8 +323,6 @@ class ShardedRuntime {
   const std::size_t n_;
   const std::size_t lanes_;  // min(threads, shards); shard i → lane i % lanes_
   const SimTime lookahead_;
-  const bool adaptive_;
-  const std::vector<SimTime> link_floor_;  // [src * n_ + dst], may be empty
   std::vector<EventLoop> loops_;
   std::vector<Rng> rngs_;
   std::vector<SpscChannel<Entry>> channels_;  // [src * n_ + dst]
@@ -399,9 +334,8 @@ class ShardedRuntime {
   std::vector<SimTime> next_times_;     // next pending event
   std::vector<std::uint64_t> drained_;  // messages delivered this boundary
   // Written only by the planner; the start barrier publishes them to lanes.
-  std::vector<SimTime> shard_ends_;  // per-shard inclusive run horizon
   SimTime window_start_;
-  SimTime window_end_;  // max over shard_ends_ (window log bound)
+  SimTime window_end_ = kNoWindow;  // inclusive run horizon of every shard
   SimTime horizon_;
   bool finished_ = false;  // the planner found nothing left to run
 

@@ -1,5 +1,5 @@
 // Chaos harness: the four Fig. 5 recovery scenarios expressed as chaos
-// Schedules and checked by the online invariant checker on the legacy
+// Schedules and checked by the online invariant checker on the 1-shard
 // and 2-shard runtimes; generator/shrinker/artifact unit coverage; and a
 // teeth check proving a planted bug is caught and shrunk to a minimal
 // reproducer.
@@ -63,16 +63,15 @@ Event crash_event(SimTime at, CpfId cpf) {
   return e;
 }
 
-/// Run on legacy, sharded-2x1 and sharded-2x2; assert zero violations
+/// Run on sharded-1x1, sharded-2x1 and sharded-2x2; assert zero violations
 /// everywhere and bit-identical outcomes across thread counts.
 RunOutcome run_everywhere(const Schedule& s) {
-  RunConfig legacy;
-  RunOutcome lo = run_schedule(s, legacy, costs());
+  RunConfig one;
+  RunOutcome lo = run_schedule(s, one, costs());
   EXPECT_EQ(lo.violation_count, 0u)
       << (lo.violations.empty() ? "" : lo.violations.front());
 
   RunConfig two;
-  two.use_sharded = true;
   two.shards = 2;
   two.threads = 1;
   RunOutcome t1 = run_schedule(s, two, costs());

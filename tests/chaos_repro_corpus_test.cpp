@@ -1,8 +1,8 @@
 // Replayable chaos reproducer corpus: every artifact under tests/repros/
 // is a "neutrino.chaos-repro" JSON that once characterized an interesting
 // interleaving (recovery scenarios, overload storms, crash-during-
-// retransmit). Each is replayed through the legacy System and a 2-shard
-// runtime on every ctest run; the corpus must stay parseable, violation-
+// retransmit). Each is replayed on a 1-shard and a 2-shard runtime on
+// every ctest run; the corpus must stay parseable, violation-
 // free, and runtime-agreeing forever — a decoder or protocol regression
 // breaks this suite before it breaks a 500-seed campaign.
 //
@@ -204,15 +204,14 @@ TEST(ChaosReproCorpus, EveryArtifactReplaysCleanOnBothRuntimes) {
     ASSERT_TRUE(art.has_value()) << entry.path() << " failed to parse";
     ++replayed;
 
-    RunConfig legacy;
-    legacy.faults = art->faults;
-    const RunOutcome lo = run_schedule(art->schedule, legacy, costs());
+    RunConfig one;
+    one.faults = art->faults;
+    const RunOutcome lo = run_schedule(art->schedule, one, costs());
     EXPECT_EQ(lo.violation_count, 0u)
         << entry.path() << ": "
         << (lo.violations.empty() ? "" : lo.violations.front());
 
-    RunConfig two = legacy;
-    two.use_sharded = true;
+    RunConfig two = one;
     two.shards = 2;
     two.threads = 2;
     const RunOutcome t2 = run_schedule(art->schedule, two, costs());
@@ -270,7 +269,7 @@ TEST(ChaosReproCorpus, ElasticArtifactsActuallyChurn) {
     GTEST_SKIP() << "regenerating corpus";
   }
   // Teeth for the churn artifacts: they must really re-ring and really
-  // migrate state, on the legacy System and the 2-shard runtime alike.
+  // migrate state, on the 1-shard and the 2-shard runtime alike.
   std::uint64_t drains = 0;
   for (const auto& [name, schedule] : corpus_recipes()) {
     const bool has_churn = std::any_of(
@@ -279,15 +278,14 @@ TEST(ChaosReproCorpus, ElasticArtifactsActuallyChurn) {
                  e.kind == EventKind::kDrain;
         });
     if (!has_churn) continue;
-    RunConfig legacy;
-    const RunOutcome lo = run_schedule(schedule, legacy, costs());
+    RunConfig one;
+    const RunOutcome lo = run_schedule(schedule, one, costs());
     EXPECT_EQ(lo.violation_count, 0u) << name;
     EXPECT_GT(lo.drains, 0u) << name << ": churn schedule never drained";
     EXPECT_GT(lo.handoff_ues, 0u) << name << ": no state was handed off";
     drains += lo.drains;
 
     RunConfig two;
-    two.use_sharded = true;
     two.shards = 2;
     two.threads = 2;
     const RunOutcome t2 = run_schedule(schedule, two, costs());
@@ -337,8 +335,8 @@ TEST(ChaosReproCorpus, OverloadArtifactsActuallyOverload) {
   // failure schedules as protocol costs drift).
   for (const auto& [name, schedule] : corpus_recipes()) {
     if (!schedule_has_overload(schedule)) continue;
-    RunConfig legacy;
-    const RunOutcome out = run_schedule(schedule, legacy, costs());
+    RunConfig one;
+    const RunOutcome out = run_schedule(schedule, one, costs());
     EXPECT_EQ(out.violation_count, 0u) << name;
     EXPECT_GT(out.attach_sheds + out.overload_drops, 0u)
         << name << ": storm no longer overflows the bounded queues";
@@ -389,7 +387,6 @@ TEST(ChaosReproCorpus, FlightDumpsAreReplayableAndDeterministic) {
 
     // Sharded merge is worker-thread-count independent.
     RunConfig sharded = rc;
-    sharded.use_sharded = true;
     sharded.shards = 2;
     sharded.threads = 1;
     const RunOutcome s1 = run_schedule(schedule, sharded, costs());

@@ -71,16 +71,15 @@ Event churn_event(SimTime at, EventKind kind, CpfId cpf) {
   return e;
 }
 
-/// Run on legacy, sharded-2x1 and sharded-2x2; assert zero violations
+/// Run on sharded-1x1, sharded-2x1 and sharded-2x2; assert zero violations
 /// everywhere and bit-identical outcomes across thread counts.
 RunOutcome run_everywhere(const Schedule& s) {
-  RunConfig legacy;
-  RunOutcome lo = run_schedule(s, legacy, costs());
+  RunConfig one;
+  RunOutcome lo = run_schedule(s, one, costs());
   EXPECT_EQ(lo.violation_count, 0u)
       << (lo.violations.empty() ? "" : lo.violations.front());
 
   RunConfig two;
-  two.use_sharded = true;
   two.shards = 2;
   two.threads = 1;
   RunOutcome t1 = run_schedule(s, two, costs());
@@ -286,7 +285,7 @@ TEST(ElasticChurn, DrainMidProcedureCompletesOnEveryRuntime) {
 
 // ---------------------------------------------------------------------------
 // Generated churn schedules: join/leave interleaved with crash bursts,
-// clean on legacy and sharded runtimes.
+// clean on 1-shard and 2-shard runtimes.
 // ---------------------------------------------------------------------------
 
 TEST(ElasticChurn, GeneratedChurnSchedulesCleanOnAllRuntimes) {
@@ -351,7 +350,6 @@ TEST(ParallelDeterminism, ElasticChurnIdenticalAcrossThreadCounts) {
   s.events.push_back(restore);
 
   RunConfig rc;
-  rc.use_sharded = true;
   rc.shards = 2;
   rc.record_flight = true;
   rc.flight_capacity = 4096;

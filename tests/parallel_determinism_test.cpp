@@ -115,7 +115,7 @@ struct ShardRun {
 ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
                 bool with_crash, std::uint64_t preattached,
                 const core::ProtocolConfig& proto = test_proto(),
-                bool storm = false, bool adaptive = false,
+                bool storm = false,
                 const std::vector<trace::TraceRecord>* custom_trace =
                     nullptr) {
   const core::FixedCostModel costs{SimTime::microseconds(10)};
@@ -125,7 +125,6 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   cfg.proto = proto;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.adaptive_lookahead = adaptive;
   core::ShardedSystem sys(cfg, costs);
 
   obs::TracerConfig tc;
@@ -351,41 +350,6 @@ TEST(ParallelDeterminism, OverloadBackpressureIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive lookahead (DESIGN.md §16) armed over the full chaos + overload
-// scenario: crash + replay, bounded queues, NAS retransmission. Identical
-// window *schedules* are not required versus the static runs above —
-// identical event outcomes and byte-identical telemetry ARE, across
-// worker-thread counts {1, 2, 4, 8} and across runs.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelDeterminism, AdaptiveLookaheadIdenticalAcrossThreadCounts) {
-  const ShardRun t1 = run_sharded(4, 1, /*with_crash=*/true, 0,
-                                  overload_test_proto(), /*storm=*/true,
-                                  /*adaptive=*/true);
-
-  // Sanity: the scenario still exercises every order-sensitive path —
-  // shedding, retransmission, crash recovery — with adaptation on.
-  EXPECT_GT(t1.metrics.attach_sheds + t1.metrics.overload_drops, 0u);
-  EXPECT_GT(t1.metrics.nas_retransmissions, 0u);
-  EXPECT_GT(t1.metrics.procedures_completed, 200u);
-  EXPECT_EQ(t1.metrics.ryw_violations, 0u);
-  EXPECT_GT(t1.cross_messages, 0u);
-
-  const ShardRun t2 = run_sharded(4, 2, true, 0, overload_test_proto(),
-                                  true, true);
-  const ShardRun t4 = run_sharded(4, 4, true, 0, overload_test_proto(),
-                                  true, true);
-  const ShardRun t8 = run_sharded(4, 8, true, 0, overload_test_proto(),
-                                  true, true);  // clamped to 4 lanes
-  const ShardRun t4_again = run_sharded(4, 4, true, 0,
-                                        overload_test_proto(), true, true);
-  expect_identical(t1, t2, "adaptive threads 1 vs 2");
-  expect_identical(t1, t4, "adaptive threads 1 vs 4");
-  expect_identical(t1, t8, "adaptive threads 1 vs 8");
-  expect_identical(t4, t4_again, "adaptive run-to-run at threads=4");
-}
-
-// ---------------------------------------------------------------------------
 // Uneven lane ownership: 4 shards on 3 threads puts shards 0 and 3 on the
 // calling thread's lane and one shard on each worker, so lanes finish
 // windows and drains at different moments. Outcomes and telemetry bytes
@@ -398,42 +362,6 @@ TEST(ParallelDeterminism, UnevenLaneOwnershipIdenticalToOneThread) {
   const ShardRun t3 = run_sharded(4, 3, true, 0, overload_test_proto(), true);
   EXPECT_GT(t1.cross_messages, 0u);
   expect_identical(t1, t3, "uneven lanes threads 1 vs 3");
-}
-
-// ---------------------------------------------------------------------------
-// The link-floor matrix handed to the adaptive runtime must be an exact
-// per-shard-pair minimum of cpf_link over the block partition — the bound
-// the soundness argument in sim/parallel/runtime.hpp relies on.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelDeterminism, LinkFloorMatrixMatchesTopology) {
-  const core::TopologyConfig topo = four_region_topo();
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  constexpr std::uint32_t kShards = 4;
-  const std::vector<SimTime> floor =
-      core::ShardedSystem::link_floor_for(topo, kShards);
-  ASSERT_EQ(floor.size(), static_cast<std::size_t>(kShards) * kShards);
-
-  const std::uint32_t per_shard = (regions + kShards - 1) / kShards;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    for (std::uint32_t d = 0; d < kShards; ++d) {
-      if (s == d) continue;  // diagonal unused by the runtime
-      SimTime expect = SimTime::max();
-      for (std::uint32_t a = 0; a < regions; ++a) {
-        for (std::uint32_t b = 0; b < regions; ++b) {
-          if (a / per_shard != s || b / per_shard != d) continue;
-          expect = std::min(expect, topo.cpf_link(a, b));
-        }
-      }
-      EXPECT_EQ(floor[s * kShards + d], expect) << s << "->" << d;
-      // Soundness: every floor is at least the static lookahead + 1ns.
-      EXPECT_GT(floor[s * kShards + d],
-                core::ShardedSystem::lookahead_for(topo, kShards))
-          << s << "->" << d;
-    }
-  }
-  // Single shard: no matrix at all (the runtime runs one window).
-  EXPECT_TRUE(core::ShardedSystem::link_floor_for(topo, 1).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -471,24 +399,53 @@ TEST(ParallelDeterminism, ScenarioTrafficIdenticalAcrossThreadCounts) {
 
   const ShardRun t1 =
       run_sharded(4, 1, /*with_crash=*/false, /*preattached=*/200,
-                  test_proto(), /*storm=*/false, /*adaptive=*/false,
-                  &gen->records);
+                  test_proto(), /*storm=*/false, &gen->records);
   EXPECT_EQ(t1.metrics.ryw_violations, 0u);
   EXPECT_GT(t1.metrics.procedures_completed, 100u);
   EXPECT_EQ(t1.metrics.procedures_completed, t1.metrics.procedures_started);
 
-  const ShardRun t2 = run_sharded(4, 2, false, 200, test_proto(), false,
-                                  false, &gen->records);
-  const ShardRun t4 = run_sharded(4, 4, false, 200, test_proto(), false,
-                                  false, &gen->records);
+  const ShardRun t2 =
+      run_sharded(4, 2, false, 200, test_proto(), false, &gen->records);
+  const ShardRun t4 =
+      run_sharded(4, 4, false, 200, test_proto(), false, &gen->records);
   const ShardRun t8 = run_sharded(4, 8, false, 200, test_proto(), false,
-                                  false, &gen->records);  // clamped to 4 lanes
-  const ShardRun t2_again = run_sharded(4, 2, false, 200, test_proto(),
-                                        false, false, &gen->records);
+                                  &gen->records);  // clamped to 4 lanes
+  const ShardRun t2_again =
+      run_sharded(4, 2, false, 200, test_proto(), false, &gen->records);
   expect_identical(t1, t2, "scenario threads 1 vs 2");
   expect_identical(t1, t4, "scenario threads 1 vs 4");
   expect_identical(t1, t8, "scenario threads 1 vs 8");
   expect_identical(t2, t2_again, "scenario run-to-run at threads=2");
+}
+
+// ---------------------------------------------------------------------------
+// UEs are pinned to their home shard (UE↔CTA links sit below the
+// lookahead). An inter-shard handover would drive a shadow CTA, so the run
+// aborts naming the region, its owner and the calling shard — in every
+// build type, not only under assert().
+// ---------------------------------------------------------------------------
+
+TEST(ParallelDeterminism, CrossShardHandoverAbortsInEveryBuild) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto hand_over_across_shards = [] {
+    const core::FixedCostModel costs{SimTime::microseconds(10)};
+    core::ShardedSystem::Config cfg;
+    cfg.policy = core::neutrino_policy();
+    cfg.topo = four_region_topo();
+    cfg.shards = 2;  // regions {0, 1} | {2, 3}
+    core::ShardedSystem sys(cfg, costs);
+    sys.preattach(UeId{0}, /*region=*/0);
+    trace::TraceRecord ho;
+    ho.at = SimTime::milliseconds(1);
+    ho.ue = UeId{0};
+    ho.type = core::ProcedureType::kHandover;
+    ho.target_region = 2;
+    sys.replay(std::vector<trace::TraceRecord>{ho});
+    sys.run_until(SimTime::seconds(1));
+  };
+  EXPECT_DEATH(hand_over_across_shards(),
+               "cross-shard UE->CTA link: region 2 is owned by shard 1, "
+               "called on shard 0");
 }
 
 // ---------------------------------------------------------------------------

@@ -159,6 +159,67 @@ TEST(ShardedRuntime, FastForwardSkipsIdleGaps) {
   EXPECT_EQ(rt.stats().windows, 2u);
 }
 
+TEST(ShardedRuntime, QuietShardSkipsDispatch) {
+  // Shard 1 is empty for the whole run: every window is one 10ms-apart
+  // cluster on shard 0 (the start fast-forwards between them), and the
+  // empty shard never dispatches.
+  using Runtime = ShardedRuntime<int>;
+  Runtime::Config config;
+  config.shards = 2;
+  config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+  Runtime rt(config);
+  constexpr int kClusters = 50;
+  std::vector<std::int64_t> fired;
+  for (int i = 0; i < kClusters; ++i) {
+    rt.loop(0).schedule_at(SimTime::milliseconds(10 * i), [&] {
+      fired.push_back(rt.loop(0).now().ns());
+    });
+  }
+  rt.run_until(SimTime::seconds(1),
+               [](std::size_t, SimTime, int&&) { FAIL(); });
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kClusters));
+  for (int i = 0; i < kClusters; ++i) {
+    EXPECT_EQ(fired[i], SimTime::milliseconds(10 * i).ns());
+  }
+  EXPECT_EQ(rt.stats().windows, static_cast<std::uint64_t>(kClusters));
+  EXPECT_GT(rt.stats().dispatches_skipped, 0u);
+}
+
+TEST(ShardedRuntime, ClampsToHorizon) {
+  // The window end is clamped to the horizon: events beyond run_until()'s
+  // horizon stay pending.
+  using Runtime = ShardedRuntime<int>;
+  Runtime::Config config;
+  config.shards = 2;
+  config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+  Runtime rt(config);
+  int ran = 0;
+  rt.loop(0).schedule_at(SimTime::milliseconds(5), [&] { ++ran; });
+  rt.loop(0).schedule_at(SimTime::milliseconds(500), [&] { ++ran; });
+  rt.run_until(SimTime::milliseconds(100),
+               [](std::size_t, SimTime, int&&) { FAIL(); });
+  EXPECT_EQ(ran, 1);  // the 500ms event sits past the horizon
+  EXPECT_EQ(rt.stats().windows, 1u);
+  EXPECT_EQ(rt.loop(0).now(), SimTime::milliseconds(100));
+}
+
+TEST(ShardedRuntime, SaturatesNearMaxSimTime) {
+  // A window starting within one lookahead of SimTime::max() must end at
+  // the horizon instead of wrapping into the past.
+  using Runtime = ShardedRuntime<int>;
+  Runtime::Config config;
+  config.shards = 2;
+  config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+  Runtime rt(config);
+  const SimTime late = SimTime::max() - SimTime::nanoseconds(1);
+  int ran = 0;
+  rt.loop(0).schedule_at(late, [&] { ++ran; });
+  rt.loop(1).schedule_at(late, [&] { ++ran; });
+  rt.run_until(SimTime::max(), [](std::size_t, SimTime, int&&) { FAIL(); });
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(rt.stats().windows, 1u);
+}
+
 TEST(ShardedRuntime, ChannelOverflowBurstStaysOrdered) {
   // One event posts a burst far beyond the ring capacity; delivery must
   // preserve push order (ring prefix, then spill, FIFO).
@@ -184,6 +245,39 @@ TEST(ShardedRuntime, ChannelOverflowBurstStaysOrdered) {
                });
   ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kBurst));
   for (int i = 0; i < kBurst; ++i) EXPECT_EQ(delivered[i], i);
+}
+
+TEST(ShardedRuntime, DeliveryKeepsSourceThenRingSpillFifoOrder) {
+  // Two sources each burst far past a 4-slot ring into one destination.
+  // The destination's lane delivers all of source 0's burst, then all of
+  // source 2's, each one ring prefix then spill, FIFO.
+  using Runtime = ShardedRuntime<int>;
+  Runtime::Config config;
+  config.shards = 3;
+  config.threads = 3;
+  config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+  config.channel_capacity = 4;  // force ring + spill traversal
+  Runtime rt(config);
+  for (const std::size_t src : {std::size_t{2}, std::size_t{0}}) {
+    rt.loop(src).schedule_at(SimTime::nanoseconds(0), [&rt, src] {
+      for (int i = 0; i < 300; ++i) {
+        rt.post(src, 1, rt.loop(src).now() + SimTime::milliseconds(1),
+                static_cast<int>(src) * 1000 + i);
+      }
+    });
+  }
+  std::vector<int> delivered;
+  rt.run_until(SimTime::seconds(1),
+               [&](std::size_t dst, SimTime arrival, int&& v) {
+                 EXPECT_EQ(dst, 1u);
+                 delivered.push_back(v);
+                 rt.loop(dst).schedule_at(arrival, [] {});
+               });
+  ASSERT_EQ(delivered.size(), 600u);
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(delivered[i], i);
+    EXPECT_EQ(delivered[300 + i], 2000 + i);
+  }
 }
 
 // Window causality is checked in every build type, not only by assert():

@@ -37,12 +37,11 @@ struct StressRun {
   std::vector<std::tuple<std::int64_t, std::int64_t, std::uint64_t,
                          std::vector<std::uint64_t>>>
       windows_log;
-  std::uint64_t windows = 0, cross = 0, events = 0, extended = 0,
-                skipped = 0;
+  std::uint64_t windows = 0, cross = 0, events = 0, skipped = 0;
   bool operator==(const StressRun&) const = default;
 };
 
-StressRun run_stress(std::size_t threads, bool adaptive) {
+StressRun run_stress(std::size_t threads) {
   using Runtime = ShardedRuntime<Msg>;
   // Uneven links: src→dst takes 1ms + (5·src + dst)·10µs.
   const auto link = [](std::size_t src, std::size_t dst) {
@@ -53,14 +52,8 @@ StressRun run_stress(std::size_t threads, bool adaptive) {
   config.shards = kShards;
   config.threads = threads;
   config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
-  config.adaptive_lookahead = adaptive;
   config.channel_capacity = 2;
   config.rng_seed = 42;
-  for (std::size_t s = 0; adaptive && s < kShards; ++s) {
-    for (std::size_t d = 0; d < kShards; ++d) {
-      config.link_floor.push_back(s == d ? SimTime::max() : link(s, d));
-    }
-  }
   Runtime rt(config);
   rt.enable_window_log(/*max_windows=*/1u << 20);
   StressRun run;
@@ -105,13 +98,12 @@ StressRun run_stress(std::size_t threads, bool adaptive) {
   run.windows = rt.stats().windows;
   run.cross = rt.stats().cross_messages;
   run.events = rt.events_executed();
-  run.extended = rt.stats().adaptive_extensions;
   run.skipped = rt.stats().dispatches_skipped;
   return run;
 }
 
-void check_uneven_lanes(bool adaptive) {
-  const StressRun one = run_stress(1, adaptive);
+TEST(OwnerDrainStress, UnevenLanesMatchOneThreadStatic) {
+  const StressRun one = run_stress(1);
   // Every forwarding relay sends itself on plus kLeaves to each peer.
   constexpr std::uint64_t kSends =
       kShards * kTokens * kHops * (1 + (kShards - 1) * kLeaves);
@@ -122,17 +114,9 @@ void check_uneven_lanes(bool adaptive) {
   std::uint64_t logged = 0;
   for (const auto& w : one.windows_log) logged += std::get<2>(w);
   EXPECT_EQ(logged, one.cross);
-  EXPECT_EQ(one, run_stress(2, adaptive)) << "threads 1 vs 2";
-  EXPECT_EQ(one, run_stress(3, adaptive)) << "threads 1 vs 3";
-  EXPECT_EQ(one, run_stress(8, adaptive)) << "threads 1 vs 8 (5 lanes)";
-}
-
-TEST(OwnerDrainStress, UnevenLanesMatchOneThreadStatic) {
-  check_uneven_lanes(/*adaptive=*/false);
-}
-
-TEST(OwnerDrainStress, UnevenLanesMatchOneThreadAdaptive) {
-  check_uneven_lanes(/*adaptive=*/true);
+  EXPECT_EQ(one, run_stress(2)) << "threads 1 vs 2";
+  EXPECT_EQ(one, run_stress(3)) << "threads 1 vs 3";
+  EXPECT_EQ(one, run_stress(8)) << "threads 1 vs 8 (5 lanes)";
 }
 
 }  // namespace
