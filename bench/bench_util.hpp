@@ -31,10 +31,44 @@
 
 namespace neutrino::bench {
 
+namespace detail {
+/// Set once measured_costs() has built the model, so that a Report echoes
+/// the table only for benches whose simulator read it (the codec benches
+/// time the codecs themselves and never build it).
+inline bool costs_measured = false;
+}  // namespace detail
+
 /// The real-codec cost model, measured once per bench binary.
 inline const core::MeasuredCostModel& measured_costs() {
   static const core::MeasuredCostModel model;
+  detail::costs_measured = true;
   return model;
+}
+
+/// The cost table a run simulated with, as a report's config "cost_model"
+/// (schema v7): the calibration anchor (scale, base_ns) and, per wire
+/// format and message kind, the service time and encoded size the
+/// simulator charges. Kind "state" is the checkpoint payload (its
+/// serialize time and size).
+inline obs::Json cost_model_json(const core::MeasuredCostModel& costs) {
+  obs::Json j;
+  j["scale"] = costs.scale();
+  j["base_ns"] = costs.base().ns();
+  obs::Json& formats = j["formats"];
+  for (const ser::WireFormat f : ser::kAllWireFormats) {
+    obs::Json& kinds = formats[ser::to_string(f)];
+    for (std::size_t k = 0;
+         k <= static_cast<std::size_t>(core::MsgKind::kOutdatedNotify); ++k) {
+      const auto kind = static_cast<core::MsgKind>(k);
+      obs::Json& e = kinds[core::to_string(kind)];
+      e["service_ns"] = costs.processing_time(f, kind).ns();
+      e["bytes"] = costs.encoded_size(f, kind);
+    }
+    obs::Json& state = kinds["state"];
+    state["service_ns"] = costs.state_serialize_time(f).ns();
+    state["bytes"] = costs.state_encoded_size(f);
+  }
+  return j;
 }
 
 /// The paper's testbed runs every core node on two directly-cabled
@@ -549,6 +583,9 @@ class Report {
   void finish() {
     if (finished_) return;
     finished_ = true;
+    if (detail::costs_measured) {
+      config()["cost_model"] = cost_model_json(measured_costs());
+    }
     const std::string out = doc_.dump(2);
     if (opts_.report_path.empty()) {
       std::printf("%s", out.c_str());

@@ -75,6 +75,10 @@ neutrino.bench-report:
     rows show positive rehomed_ues; and each scenario's thread sweep
     (>= 2 rows) is bit-identical in counters, events, handoff PCT,
     windows, ring_epoch and migrated_ues.
+  * version >= 7 (cost table): every figure except the codec benches
+    (fig18, fig19, fig20, which time the codecs themselves) carries a
+    config "cost_model" object with a positive scale and base_ns and,
+    per wire format and message kind, a positive service_ns and bytes.
 
 Chrome/Perfetto trace-event JSON (a document with "traceEvents" and no
 "schema" key, as written by --trace-out=):
@@ -99,6 +103,9 @@ COMPONENTS = ("propagation", "queueing", "service", "serialization", "other")
 SCHEMA = "neutrino.bench-report"
 CAMPAIGN_SCHEMA = "neutrino.chaos-campaign"
 MODES = ("single-thread", "sharded")
+# Benches that time the real codecs directly; their reports carry no
+# simulated cost table.
+CODEC_FIGURES = ("fig18", "fig19", "fig20")
 
 
 def extract_json(text):
@@ -741,6 +748,35 @@ def check_elastic_figure(path, doc, errors):
                         f"bit-identical")
 
 
+def positive(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
+def check_cost_model(path, costs, errors):
+    where = f"{path}: config.cost_model"
+    if not isinstance(costs, dict):
+        errors.append(f"{where} = {costs!r}, want object")
+        return
+    for k in ("scale", "base_ns"):
+        if not positive(costs.get(k)):
+            errors.append(f"{where}.{k} = {costs.get(k)!r}, want > 0")
+    formats = costs.get("formats")
+    if not isinstance(formats, dict) or not formats:
+        errors.append(f"{where}.formats = {formats!r}, want non-empty object")
+        return
+    for fmt, kinds in formats.items():
+        if not isinstance(kinds, dict) or not kinds:
+            errors.append(f"{where}.formats.{fmt} = {kinds!r}, "
+                          "want non-empty object")
+            continue
+        for kind, entry in kinds.items():
+            for k in ("service_ns", "bytes"):
+                v = entry.get(k) if isinstance(entry, dict) else None
+                if not positive(v):
+                    errors.append(f"{where}.formats.{fmt}.{kind}.{k} = "
+                                  f"{v!r}, want > 0")
+
+
 def check_saturation(path, doc, errors):
     config = doc.get("config", {})
     if not isinstance(config.get("knee_pps"), (int, float)) or \
@@ -870,6 +906,11 @@ def validate(path):
                 isinstance(overhead, bool) or overhead <= -1):
             errors.append(f"{path}: config.sync_overhead_threads1 = "
                           f"{overhead!r}")
+    if version >= 7 and doc.get("figure") not in CODEC_FIGURES:
+        if isinstance(config, dict) and "cost_model" in config:
+            check_cost_model(path, config["cost_model"], errors)
+        else:
+            errors.append(f"{path}: missing config.cost_model")
     decomposed = check_rows(path, doc.get("rows", []), errors, version)
     scenario_mode = isinstance(config, dict) and "scenario" in config
     if scenario_mode:

@@ -40,7 +40,11 @@ inline constexpr std::string_view kBenchReportSchema = "neutrino.bench-report";
 //       ring_epoch / migrated_ues / completion_rate and a "handoff_ms"
 //       percentile summary, with zero RYW violations and cross-thread
 //       bit-identity as hard gates.
-inline constexpr int kBenchReportVersion = 6;
+//   7 — cost table: benches whose simulator reads the measured cost
+//       model echo it as a config "cost_model" object (scale, base_ns
+//       and per format and message kind the service_ns and bytes), so a
+//       report records the per-message costs it simulated.
+inline constexpr int kBenchReportVersion = 7;
 
 /// count/mean/p50/p90/p99/p999/max of a recorder, as a JSON object.
 inline Json summary_json(const LatencyRecorder& r) {

@@ -16,11 +16,13 @@
 // bytes the paper reports, and skipping one indirection on decode.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "serialize/schema.hpp"
 #include "serialize/wire.hpp"
@@ -34,12 +36,26 @@ enum class FlatBufMode {
 
 namespace fb_detail {
 
+/// Padding that brings `n` up to a multiple of `alignment`. Alignments are
+/// scalar sizes (1, 2, 4 or 8), so this is a mask, not a division.
+constexpr std::size_t pad_to(std::size_t n, std::size_t alignment) {
+  assert(std::has_single_bit(alignment));
+  return (0 - n) & (alignment - 1);
+}
+
 // Offset-from-buffer-end coordinates ("eoff"): the first byte pushed has the
 // largest position, so uoffset = pos_target - pos_field = eoff_field -
 // eoff_target, matching the standard forward-uoffset semantics.
 class BackwardBuffer {
  public:
   BackwardBuffer() : buf_(kInitialCapacity), head_(kInitialCapacity) {}
+
+  /// Drop the contents and keep the capacity. Stale bytes below the head
+  /// are never read: every byte of an encode is written before it is used.
+  void clear() {
+    head_ = buf_.size();
+    minalign_ = 1;
+  }
 
   [[nodiscard]] std::size_t written() const { return buf_.size() - head_; }
 
@@ -66,8 +82,8 @@ class BackwardBuffer {
   /// eoff multiple of `alignment`.
   void pre_align(std::size_t len, std::size_t alignment) {
     minalign_ = std::max(minalign_, alignment);
-    const std::size_t rem = (written() + len) % alignment;
-    if (rem != 0) push_zeros(alignment - rem);
+    const std::size_t pad = pad_to(written() + len, alignment);
+    if (pad != 0) push_zeros(pad);
   }
 
   [[nodiscard]] std::size_t minalign() const { return minalign_; }
@@ -80,10 +96,12 @@ class BackwardBuffer {
     return buf_.data() + (buf_.size() - eoff);
   }
 
-  Bytes finish() && {
+  /// The finished buffer, copied out; the builder keeps its storage.
+  Bytes finish() {
     // Pad the total size to minalign so pos = N - eoff keeps every
     // eoff-aligned item position-aligned as well.
-    while (written() % minalign_ != 0) push_zeros(1);
+    const std::size_t pad = pad_to(written(), minalign_);
+    if (pad != 0) push_zeros(pad);
     return Bytes(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
                  buf_.end());
   }
@@ -124,14 +142,15 @@ class FlatBufEncoder {
  public:
   template <FieldStruct M>
   static Bytes encode(const M& msg, FlatBufMode mode) {
-    FlatBufEncoder enc(mode);
+    FlatBufEncoder& enc = thread_builder();
+    enc.reset(mode);
     const std::uint32_t root = enc.encode_table(const_cast<M&>(msg));
     // Align so the root uoffset lands at position 0 of the final buffer
     // with no front padding needed afterwards (pos = N - eoff stays valid).
     enc.buf_.pre_align(4, std::max<std::size_t>(4, enc.buf_.minalign()));
     enc.buf_.push_scalar<std::uint32_t>(
         static_cast<std::uint32_t>(enc.buf_.written() + 4 - root));
-    return std::move(enc.buf_).finish();
+    return enc.buf_.finish();
   }
 
   // Visitor entry point.
@@ -156,7 +175,25 @@ class FlatBufEncoder {
   }
 
  private:
-  explicit FlatBufEncoder(FlatBufMode mode) : mode_(mode) {}
+  FlatBufEncoder() = default;
+
+  /// This thread's builder. As with FlatBufferBuilder::Clear(), reset()
+  /// keeps the capacity of the buffer and the scratch stacks, so once they
+  /// have grown to fit the largest message seen, an encode allocates only
+  /// the Bytes it returns.
+  static FlatBufEncoder& thread_builder() {
+    static thread_local FlatBufEncoder builder;
+    return builder;
+  }
+
+  void reset(FlatBufMode mode) {
+    buf_.clear();
+    fields_.clear();
+    child_eoffs_.clear();
+    written_vtables_.clear();
+    next_slot_ = 0;
+    mode_ = mode;
+  }
 
   template <typename T>
   void encode_optional_payload(std::uint16_t slot, T& inner) {
@@ -220,16 +257,20 @@ class FlatBufEncoder {
       for (std::size_t i = vec.size(); i-- > 0;) buf_.push_scalar<T>(vec[i]);
     } else {
       static_assert(FieldStruct<T>, "unsupported vector element");
-      std::vector<std::uint32_t> child_eoffs(vec.size());
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        child_eoffs[i] = encode_table(vec[i]);
+      // The children's eoffs go on a stack shared by nested vectors; each
+      // vector pops its own entries before returning.
+      const std::size_t base = child_eoffs_.size();
+      for (T& child : vec) {
+        const std::uint32_t eoff = encode_table(child);
+        child_eoffs_.push_back(eoff);
       }
       buf_.pre_align(vec.size() * 4, 4);
       for (std::size_t i = vec.size(); i-- > 0;) {
         const auto slot_eoff =
             static_cast<std::uint32_t>(buf_.written() + 4);
-        buf_.push_scalar<std::uint32_t>(slot_eoff - child_eoffs[i]);
+        buf_.push_scalar<std::uint32_t>(slot_eoff - child_eoffs_[base + i]);
       }
+      child_eoffs_.resize(base);
     }
     buf_.push_scalar<std::uint32_t>(static_cast<std::uint32_t>(vec.size()));
     return static_cast<std::uint32_t>(buf_.written());
@@ -282,9 +323,9 @@ class FlatBufEncoder {
     return end_table(frame);
   }
 
-  /// Nested tables reuse one pending-field vector with frame bases instead
-  /// of per-table vector allocations (the builder is on the hot path of
-  /// every simulated control message).
+  /// Nested tables share one pending-field stack with frame bases instead
+  /// of a vector per table. Only MeasuredCostModel's start-up timing and
+  /// the codec benches call the builder; the simulator reads its costs.
   struct Frame {
     std::size_t base;
     std::uint16_t saved_slot;
@@ -300,38 +341,49 @@ class FlatBufEncoder {
     const std::span<fb_detail::PendingField> fields(
         fields_.data() + frame.base, fields_.size() - frame.base);
 
+    // Fields arrive in slot order (a table's visitor hands out slots in
+    // declaration order), so the last one fixes the vtable's width.
+    assert(std::is_sorted(fields.begin(), fields.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.slot < b.slot;
+                          }));
+    const std::uint16_t slot_count =
+        fields.empty() ? 0 : static_cast<std::uint16_t>(fields.back().slot + 1);
+    assert(slot_count <= kMaxSlots);
+    const std::uint16_t vtable_bytes =
+        static_cast<std::uint16_t>(4 + 2 * slot_count);
+    Byte vt[4 + 2 * kMaxSlots];  // only the first vtable_bytes are used
+    std::memset(vt + 4, 0, vtable_bytes - 4u);
+
     // Layout the inline area: 4-byte soffset, then fields in declaration
     // order, each aligned. The vtable records the resulting byte offsets.
     std::uint32_t cursor = 4;
     std::uint32_t max_align = 4;
-    std::uint16_t max_slot = 0;
     for (auto& f : fields) {
       cursor = align_up(cursor, f.align);
       f.inline_off = static_cast<std::uint16_t>(cursor);
+      write_u16(vt, 4 + 2u * f.slot, f.inline_off);
       cursor += f.size;
       max_align = std::max<std::uint32_t>(max_align, f.align);
-      max_slot = std::max(max_slot, f.slot);
     }
     const std::uint32_t table_size = align_up(cursor, 4);
-    const std::uint16_t slot_count =
-        fields.empty() ? 0 : static_cast<std::uint16_t>(max_slot + 1);
-
-    // Serialize the vtable into a stack buffer, then deduplicate it the
-    // way the real FlatBufferBuilder does: memcmp against the vtables
-    // already written into the buffer (few unique shapes per message).
-    assert(slot_count <= kMaxSlots);
-    const std::uint16_t vtable_bytes =
-        static_cast<std::uint16_t>(4 + 2 * slot_count);
-    Byte vt[4 + 2 * kMaxSlots] = {};
     write_u16(vt, 0, vtable_bytes);
     write_u16(vt, 2, static_cast<std::uint16_t>(table_size));
-    for (const auto& f : fields) {
-      write_u16(vt, 4 + 2u * f.slot, f.inline_off);
-    }
+
+    // Deduplicate the vtable the way the real FlatBufferBuilder does:
+    // memcmp against the vtables already written into the buffer (few
+    // unique shapes per message). The 4-byte header (vtable size, table
+    // size) rules out most candidates first; a candidate whose header
+    // matches has this vtable's size, so the compare stays in bounds.
+    std::uint32_t header = 0;
+    std::memcpy(&header, vt, 4);
     std::uint32_t vt_eoff = 0;
     for (const std::uint32_t candidate : written_vtables_) {
-      if (candidate < vtable_bytes) continue;  // would read past buffer end
-      if (std::memcmp(buf_.data_at(candidate), vt, vtable_bytes) == 0) {
+      const Byte* written = buf_.data_at(candidate);
+      std::uint32_t candidate_header = 0;
+      std::memcpy(&candidate_header, written, 4);
+      if (candidate_header == header &&
+          std::memcmp(written + 4, vt + 4, vtable_bytes - 4u) == 0) {
         vt_eoff = candidate;
         break;
       }
@@ -369,7 +421,7 @@ class FlatBufEncoder {
   static constexpr std::size_t kMaxSlots = 72;  // >= widest message (2/union)
 
   static constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t a) {
-    return (v + a - 1) / a * a;
+    return v + static_cast<std::uint32_t>(fb_detail::pad_to(v, a));
   }
   static void write_u16(Byte* s, std::size_t off, std::uint16_t v) {
     s[off] = static_cast<Byte>(v & 0xff);
@@ -378,8 +430,9 @@ class FlatBufEncoder {
 
   fb_detail::BackwardBuffer buf_;
   std::vector<fb_detail::PendingField> fields_;
+  std::vector<std::uint32_t> child_eoffs_;
   std::uint16_t next_slot_ = 0;
-  FlatBufMode mode_;
+  FlatBufMode mode_ = FlatBufMode::kStandard;
   std::vector<std::uint32_t> written_vtables_;
 };
 

@@ -6,7 +6,9 @@
 //   * cross-codec agreement (asn1per vs flatbuf vs svtable decode to the
 //     same logical value),
 //   * clean failure on truncated and bit-flipped buffers for the formats
-//     that bounds-check their input.
+//     that bounds-check their input,
+//   * FlatBuffers encodings independent of what the thread's reused
+//     builder encoded before.
 //
 // The ctest run uses a small deterministic corpus; check.sh raises
 // NEUTRINO_FUZZ_ITERS in the ASan stage where memory errors surface.
@@ -14,6 +16,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <type_traits>
 
 #include "common/rng.hpp"
@@ -192,6 +195,37 @@ TEST(CodecFuzz, BitFlippedRandomPdusNeverCrash) {
       wire[pos] ^= static_cast<Byte>(1u << rng.next_below(8));
       auto result = ser::decode<s1ap::S1apPdu>(format, wire);
       (void)result;  // any terminating outcome is fine; ASan judges memory
+    }
+  }
+}
+
+TEST(CodecFuzz, FlatBuffersEncodingIndependentOfHistory) {
+  // The FlatBuffers builder is reused across a thread's encodes. Each
+  // random message must encode to the same bytes right after a large
+  // unrelated message in the other mode (the builder then holds its
+  // vtables, alignment and mode), right after a tiny one, and on a new
+  // thread whose builder has encoded nothing yet.
+  const s1ap::S1apPdu large(s1ap::samples::initial_context_setup());
+  const s1ap::S1apPdu tiny(s1ap::samples::ue_context_release_complete());
+  constexpr ser::WireFormat kModes[] = {
+      ser::WireFormat::kFlatBuffers, ser::WireFormat::kOptimizedFlatBuffers};
+  Rng rng(0x5eed0006);
+  const int iters = fuzz_iters(150);
+  for (int i = 0; i < iters; ++i) {
+    const auto pdu = random_pdu(rng);
+    Bytes fresh[2];
+    std::thread([&] {
+      for (int m = 0; m < 2; ++m) fresh[m] = ser::encode(kModes[m], pdu);
+    }).join();
+    for (int m = 0; m < 2; ++m) {
+      (void)ser::encode(kModes[1 - m], large);
+      const Bytes after_large = ser::encode(kModes[m], pdu);
+      (void)ser::encode(kModes[m], tiny);
+      const Bytes after_tiny = ser::encode(kModes[m], pdu);
+      ASSERT_EQ(after_large, fresh[m])
+          << ser::to_string(kModes[m]) << " iter " << i;
+      ASSERT_EQ(after_tiny, fresh[m])
+          << ser::to_string(kModes[m]) << " iter " << i;
     }
   }
 }

@@ -12,21 +12,52 @@
 // An intentional wire-format change regenerates the vectors with
 // tests/golden/regen.sh (sets NEUTRINO_GOLDEN_REGEN=1); the diff then
 // shows exactly which message x format pairs changed shape.
+//
+// The FlatBuffers builder is reused across encodes on a thread, so the
+// pinned bytes are also checked after shuffled, repeated and concurrent
+// encodes, and an encode is checked to allocate only its result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "s1ap/samples.hpp"
 #include "serialize/codec.hpp"
 
 #ifndef NEUTRINO_GOLDEN_DIR
 #error "NEUTRINO_GOLDEN_DIR must point at tests/golden"
 #endif
+
+// Global allocation counter for the one-allocation-per-encode guarantee.
+// Atomic because the concurrent test allocates on four threads at once;
+// the default operator new[] forwards here, so array news count too.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+// GCC can't see that this new/delete pair is internally consistent
+// (malloc in, free out) and warns at inlined call sites.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace neutrino {
 namespace {
@@ -130,6 +161,127 @@ TEST(GoldenVectors, SvtablePinnedNoLargerThanStandardFlatBuffers) {
     ASSERT_FALSE(opt.empty());
     ASSERT_FALSE(std_fb.empty());
     EXPECT_LE(opt.size(), std_fb.size()) << named.name;
+  }
+}
+
+bool is_flatbuf(ser::WireFormat f) {
+  return f == ser::WireFormat::kFlatBuffers ||
+         f == ser::WireFormat::kOptimizedFlatBuffers;
+}
+
+/// One encode of the state-isolation tests and the bytes it must produce.
+struct EncodeJob {
+  std::size_t message = 0;  // index into figure19_messages()
+  ser::WireFormat format = ser::WireFormat::kAsn1Per;
+  Bytes golden;
+};
+
+/// Every (message, format) pair twice, in a seeded shuffled order that
+/// starts with the 544-byte standard-FlatBuffers InitialContextSetup (so a
+/// fresh builder has to grow its buffer) and alternates the two
+/// FlatBuffers modes from one FlatBuffers encode to the next. A builder
+/// that carried vtable offsets, alignment, mode or child-stack state from
+/// one encode into the next would change a later encoding.
+std::vector<EncodeJob> shuffled_jobs(std::uint64_t seed) {
+  const auto messages = s1ap::samples::figure19_messages();
+  std::vector<EncodeJob> jobs;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t m = 0; m < messages.size(); ++m) {
+      for (const auto format : ser::kAllWireFormats) {
+        jobs.push_back({m, format,
+                        from_hex(read_hex(golden_path(messages[m].name,
+                                                      format)))});
+      }
+    }
+  }
+  Rng rng(seed);
+  for (std::size_t i = jobs.size(); i > 1; --i) {
+    std::swap(jobs[i - 1], jobs[rng.next_below(i)]);
+  }
+  const auto first = std::find_if(jobs.begin(), jobs.end(), [](const auto& j) {
+    return j.message == 0 && j.format == ser::WireFormat::kFlatBuffers;
+  });
+  std::iter_swap(jobs.begin(), first);
+  // Both modes appear equally often, so a later job of the other mode is
+  // always there to swap in.
+  std::optional<ser::WireFormat> last;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!is_flatbuf(jobs[i].format)) continue;
+    if (jobs[i].format == last) {
+      std::size_t j = i + 1;
+      while (!is_flatbuf(jobs[j].format) || jobs[j].format == last) ++j;
+      std::swap(jobs[i], jobs[j]);
+    }
+    last = jobs[i].format;
+  }
+  return jobs;
+}
+
+/// Run the jobs in order; one line per encode that missed its vector.
+std::vector<std::string> run_jobs(const std::vector<EncodeJob>& jobs) {
+  const auto messages = s1ap::samples::figure19_messages();
+  std::vector<std::string> misses;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const EncodeJob& job = jobs[i];
+    if (ser::encode(job.format, messages[job.message].pdu) != job.golden) {
+      misses.push_back("encode #" + std::to_string(i) + ": " +
+                       std::string(messages[job.message].name) + " x " +
+                       std::string(ser::to_string(job.format)));
+    }
+  }
+  return misses;
+}
+
+TEST(GoldenVectors, ShuffledRepeatedEncodesMatchPinnedVectors) {
+  if (regen_requested()) GTEST_SKIP() << "regenerating, nothing to check";
+  const std::vector<EncodeJob> jobs = shuffled_jobs(0x901d0001);
+  ASSERT_EQ(jobs.size(), 70u);
+  ASSERT_EQ(jobs.front().golden.size(), 544u);
+  for (const std::string& miss : run_jobs(jobs)) ADD_FAILURE() << miss;
+}
+
+TEST(GoldenVectors, ConcurrentEncodesMatchPinnedVectors) {
+  if (regen_requested()) GTEST_SKIP() << "regenerating, nothing to check";
+  // Four threads, each with its own shuffled order and so its own fresh
+  // builder growing from the same first message, encoding at once.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  std::vector<std::vector<EncodeJob>> jobs;
+  for (int t = 0; t < kThreads; ++t) {
+    jobs.push_back(shuffled_jobs(0x901d0100 + t));
+  }
+  std::vector<std::vector<std::string>> misses(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (std::string& miss : run_jobs(jobs[t])) {
+          misses[t].push_back(std::move(miss));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const std::string& miss : misses[t]) {
+      ADD_FAILURE() << "thread " << t << ", " << miss;
+    }
+  }
+}
+
+TEST(GoldenVectors, FlatBuffersEncodeAllocatesOnlyItsResult) {
+  // After one warm-up encode of the same message has grown the builder,
+  // the returned Bytes is the only heap allocation.
+  for (const auto& named : s1ap::samples::figure19_messages()) {
+    for (const auto format : {ser::WireFormat::kFlatBuffers,
+                              ser::WireFormat::kOptimizedFlatBuffers}) {
+      const Bytes warm = ser::encode(format, named.pdu);
+      const std::uint64_t before = g_alloc_count.load();
+      const Bytes wire = ser::encode(format, named.pdu);
+      const std::uint64_t allocs = g_alloc_count.load() - before;
+      EXPECT_EQ(allocs, 1u) << named.name << " x " << ser::to_string(format);
+      EXPECT_EQ(wire, warm) << named.name << " x " << ser::to_string(format);
+    }
   }
 }
 
