@@ -6,8 +6,13 @@
 // materialization (see FlatBufAccessor).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <limits>
+#include <vector>
 
 #include "serialize/codec.hpp"
 
@@ -32,22 +37,63 @@ void encode_decode_once(ser::WireFormat format, const M& msg) {
   }
 }
 
-/// Best-of-batches encode+decode nanoseconds (rejects scheduler noise).
-template <ser::FieldStruct M>
-double measure_encode_decode_ns(ser::WireFormat format, const M& msg,
-                                int iters = 3000) {
-  using Clock = std::chrono::steady_clock;
-  for (int i = 0; i < iters / 4; ++i) encode_decode_once(format, msg);
-  double best = 1e18;
-  for (int batch = 0; batch < 5; ++batch) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) encode_decode_once(format, msg);
-    const auto t1 = Clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                        iters);
+/// Encode+decode round trips per timed batch.
+inline constexpr int kBatchOps = 256;
+
+/// Times a figure's (format, message) points together. Round after round,
+/// every point runs one batch of kBatchOps encode+decode round trips,
+/// until the budget is spent; each point keeps its fastest batch mean. On
+/// a shared host, load from other tenants comes and goes, sometimes for
+/// longer than one point's share of the run: timing the points one after
+/// another let such a stretch shift whole points between runs.
+/// Interleaved, every point draws its batches from the whole run, as
+/// perfbench's codec workload does.
+class CodecRounds {
+ public:
+  /// Adds a point (the message is copied); returns its index for ns().
+  template <ser::FieldStruct M>
+  std::size_t add(ser::WireFormat format, const M& msg) {
+    points_.push_back(Point{[format, msg] {
+      for (int i = 0; i < kBatchOps; ++i) encode_decode_once(format, msg);
+    }});
+    return points_.size() - 1;
   }
-  return best;
+
+  /// One untimed warm-up round, then timed rounds until `budget` is spent.
+  void run(std::chrono::milliseconds budget) {
+    using Clock = std::chrono::steady_clock;
+    for (Point& p : points_) p.batch();
+    const auto deadline = Clock::now() + budget;
+    while (Clock::now() < deadline) {
+      for (Point& p : points_) {
+        const auto t0 = Clock::now();
+        p.batch();
+        const std::chrono::duration<double, std::nano> took =
+            Clock::now() - t0;
+        p.best_ns = std::min(p.best_ns, took.count() / kBatchOps);
+      }
+    }
+  }
+
+  /// Fastest batch mean of a point, in nanoseconds per round trip.
+  [[nodiscard]] double ns(std::size_t point) const {
+    return points_[point].best_ns;
+  }
+
+ private:
+  struct Point {
+    std::function<void()> batch;
+    double best_ns = std::numeric_limits<double>::infinity();
+  };
+  std::vector<Point> points_;
+};
+
+/// Wall-clock budget per point for the codec figures: 100 ms, spread over
+/// the run (5 ms under --smoke).
+inline std::chrono::milliseconds codec_budget(bool smoke,
+                                              std::size_t points) {
+  return std::chrono::milliseconds((smoke ? 5 : 100) *
+                                   static_cast<std::int64_t>(points));
 }
 
 }  // namespace neutrino::bench

@@ -15,31 +15,29 @@ using namespace neutrino;
 
 namespace {
 
+/// ASN.1 first: every other format is reported as a speedup over it.
+constexpr ser::WireFormat kFormats[] = {
+    ser::WireFormat::kAsn1Per,      ser::WireFormat::kFastCdr,
+    ser::WireFormat::kLcm,          ser::WireFormat::kProtobuf,
+    ser::WireFormat::kFlexBuffers,  ser::WireFormat::kFlatBuffers,
+    ser::WireFormat::kOptimizedFlatBuffers,
+};
+
+/// One element count's points, consecutive in kFormats order.
+struct Row {
+  std::size_t ies;
+  std::size_t first_point;
+};
+
 template <std::size_t N>
-void row(bench::Report& report, int iters) {
+Row add_row(bench::CodecRounds& rounds) {
   s1ap::CustomMessage<N> msg;
   msg.fill(42);
-  const double asn1 =
-      bench::measure_encode_decode_ns(ser::WireFormat::kAsn1Per, msg, iters);
-  std::printf("fig18\t%2zu", N);
-  std::printf("\tasn1_ns=%.0f", asn1);
-  obs::Json& json_row = report.new_row("codecs");
-  json_row["x"] = static_cast<std::uint64_t>(N);
-  json_row["asn1_ns"] = asn1;
-  json_row["speedup_over_asn1"].make_object();
-  const ser::WireFormat formats[] = {
-      ser::WireFormat::kFastCdr,      ser::WireFormat::kLcm,
-      ser::WireFormat::kProtobuf,     ser::WireFormat::kFlexBuffers,
-      ser::WireFormat::kFlatBuffers,  ser::WireFormat::kOptimizedFlatBuffers,
-  };
-  for (const auto f : formats) {
-    const double t = bench::measure_encode_decode_ns(f, msg, iters);
-    std::printf("\t%s=%.2fx", std::string(ser::to_string(f)).c_str(),
-                asn1 / t);
-    json_row["speedup_over_asn1"][ser::to_string(f)] = asn1 / t;
+  const Row row{N, rounds.add(kFormats[0], msg)};
+  for (std::size_t f = 1; f < std::size(kFormats); ++f) {
+    rounds.add(kFormats[f], msg);
   }
-  std::printf("\n");
-  std::fflush(stdout);
+  return row;
 }
 
 }  // namespace
@@ -48,19 +46,34 @@ int main(int argc, char** argv) {
   bench::Report report(
       argc, argv, "fig18", "en/decoding speedup over ASN.1 vs element count",
       "CDR/LCM best <7 elements, FBs wins beyond, 1.6-19.2x");
-  const int iters = report.smoke() ? 300 : 3000;
-  report.config()["iters"] = iters;
-  row<1>(report, iters);
-  row<3>(report, iters);
-  row<5>(report, iters);
-  row<7>(report, iters);
-  row<9>(report, iters);
-  row<12>(report, iters);
-  row<16>(report, iters);
-  row<20>(report, iters);
-  row<25>(report, iters);
-  row<30>(report, iters);
-  row<35>(report, iters);
+  bench::CodecRounds rounds;
+  const std::vector<Row> rows = {
+      add_row<1>(rounds),  add_row<3>(rounds),  add_row<5>(rounds),
+      add_row<7>(rounds),  add_row<9>(rounds),  add_row<12>(rounds),
+      add_row<16>(rounds), add_row<20>(rounds), add_row<25>(rounds),
+      add_row<30>(rounds), add_row<35>(rounds),
+  };
+  const auto budget = bench::codec_budget(
+      report.smoke(), rows.size() * std::size(kFormats));
+  report.config()["batch_ops"] = bench::kBatchOps;
+  report.config()["budget_ms"] = static_cast<std::int64_t>(budget.count());
+  rounds.run(budget);
+  for (const Row& r : rows) {
+    const double asn1 = rounds.ns(r.first_point);
+    std::printf("fig18\t%2zu", r.ies);
+    std::printf("\tasn1_ns=%.0f", asn1);
+    obs::Json& json_row = report.new_row("codecs");
+    json_row["x"] = static_cast<std::uint64_t>(r.ies);
+    json_row["asn1_ns"] = asn1;
+    json_row["speedup_over_asn1"].make_object();
+    for (std::size_t f = 1; f < std::size(kFormats); ++f) {
+      const double t = rounds.ns(r.first_point + f);
+      const std::string name(ser::to_string(kFormats[f]));
+      std::printf("\t%s=%.2fx", name.c_str(), asn1 / t);
+      json_row["speedup_over_asn1"][name] = asn1 / t;
+    }
+    std::printf("\n");
+  }
   std::printf("# checksum=%llu\n",
               static_cast<unsigned long long>(bench::codec_sink));
   return 0;

@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks over the simulation core: event
 // schedule+dispatch throughput (the seed's std::function priority_queue
-// vs the InlineTask 4-ary heap, wheel on/off) and Msg recycling (MsgPool
-// vs heap new/delete). Companion to bench/scale_throughput.cpp, which
-// measures the same machinery end-to-end; this isolates the primitives.
+// vs the InlineTask 4-ary heap behind its timer wheel) and Msg recycling
+// (MsgPool vs heap new/delete). Companion to bench/scale_throughput.cpp,
+// which measures the same machinery end-to-end; this isolates the
+// primitives.
 //
 // The ISSUE acceptance bar lives here: the new loop must sustain >= 3x
 // the legacy schedule+dispatch throughput for callbacks that fit the
@@ -115,12 +116,9 @@ void BM_LegacySteadyState(benchmark::State& state) {
 }
 
 void BM_InlineSteadyState(benchmark::State& state) {
-  sim::EventLoop::Config cfg;
-  cfg.use_timer_wheel = state.range(0) != 0;
-  sim::EventLoop loop(cfg);
+  sim::EventLoop loop;
   std::uint64_t sink = 0;
   steady_state(state, loop, sink);
-  state.SetLabel(cfg.use_timer_wheel ? "wheel" : "heap-only");
 }
 
 void BM_LegacySchedulePop(benchmark::State& state) {
@@ -140,12 +138,10 @@ void BM_LegacySchedulePop(benchmark::State& state) {
 }
 
 void BM_InlineSchedulePop(benchmark::State& state) {
-  sim::EventLoop::Config cfg;
-  cfg.use_timer_wheel = state.range(0) != 0;
   std::uint64_t sink = 0;
   const Payload p{{1, 2, 3, 4}};
   for (auto _ : state) {
-    sim::EventLoop loop(cfg);
+    sim::EventLoop loop;
     for (int i = 0; i < kBatch; ++i) {
       loop.schedule_at(SimTime::nanoseconds(kBatch - i),
                        [&sink, p] { sink += p.v[0]; });
@@ -154,7 +150,6 @@ void BM_InlineSchedulePop(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * kBatch);
-  state.SetLabel(cfg.use_timer_wheel ? "wheel" : "heap-only");
 }
 
 void BM_MsgNewDelete(benchmark::State& state) {
@@ -181,9 +176,9 @@ void BM_MsgPoolAcquireRelease(benchmark::State& state) {
 }
 
 BENCHMARK(BM_LegacySchedulePop);
-BENCHMARK(BM_InlineSchedulePop)->Arg(0)->Arg(1);
+BENCHMARK(BM_InlineSchedulePop);
 BENCHMARK(BM_LegacySteadyState);
-BENCHMARK(BM_InlineSteadyState)->Arg(0)->Arg(1);
+BENCHMARK(BM_InlineSteadyState);
 BENCHMARK(BM_MsgNewDelete);
 BENCHMARK(BM_MsgPoolAcquireRelease);
 

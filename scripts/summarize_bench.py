@@ -8,10 +8,10 @@ neutrino.bench-report JSON document (e.g. BENCH_scale.json). For the PCT
 figures it pivots median PCT into an x-by-system table and appends the
 best-vs-EPC ratio, which is the number the paper quotes. For JSON reports
 with sharded-runtime rows it prints a thread-scaling table: events/s,
-events/s per thread, and speedup relative to the threads=1 row of the
-same shard count. Rows that carry a "timeseries" section (benches run
-with --telemetry) additionally render each windowed series as a text
-sparkline over sim-time.
+events/s per thread, speedup relative to the threads=1 row of the same
+shard count, and each row's live heap at the end of its run. Rows that
+carry a "timeseries" section (benches run with --telemetry) additionally
+render each windowed series as a text sparkline over sim-time.
 
 When a committed BENCH_scale.json exists (or --baseline=PATH names any
 other bench-report), every sharded row additionally gets a "vs previous"
@@ -130,6 +130,13 @@ def delta_cells(row, prev_rows):
     return f"{ev:>8} {bw:>8}"
 
 
+def heap_mb(row):
+    """A row's live heap at the end of its run, in MB ('--' when the
+    report predates the field)."""
+    heap = row.get("heap_in_use_bytes")
+    return f"{heap / 1e6:.1f}" if isinstance(heap, int) else "--"
+
+
 def scaling_table(doc, prev_rows=None):
     """events/s-per-thread scaling of a report's sharded rows."""
     fig = doc.get("figure", "?")
@@ -138,7 +145,8 @@ def scaling_table(doc, prev_rows=None):
     sharded = [r for r in doc.get("rows", []) if r.get("mode") == "sharded"]
     for row in single:
         line = (f"  {row.get('system', '?'):>12}  single-thread baseline: "
-                f"{row['events_per_sec'] / 1e6:6.2f}M events/s")
+                f"{row['events_per_sec'] / 1e6:6.2f}M events/s, "
+                f"live heap {heap_mb(row)} MB")
         if prev_rows:
             line += f"   vs prev: {delta_cells(row, prev_rows)}"
         print(line)
@@ -154,7 +162,8 @@ def scaling_table(doc, prev_rows=None):
                      if r.get("threads") == 1), None)
         print(f"\n  shards={shards}")
         header = (f"  {'threads':>8} {'events/s':>12} {'per-thread':>12} "
-                  f"{'speedup':>8} {'windows':>10} {'cross-msgs':>12}")
+                  f"{'speedup':>8} {'windows':>10} {'cross-msgs':>12} "
+                  f"{'heap MB':>8}")
         if prev_rows:
             header += f" {'Δev/s':>8} {'Δbarrier':>8}"
         print(header)
@@ -165,7 +174,8 @@ def scaling_table(doc, prev_rows=None):
             speedup = f"{eps / base:7.2f}x" if base else "      ?"
             line = (f"  {threads:>8} {eps:>12.0f} {per_thread:>12.0f} "
                     f"{speedup:>8} {r.get('windows', 0):>10} "
-                    f"{r.get('cross_shard_messages', 0):>12}")
+                    f"{r.get('cross_shard_messages', 0):>12} "
+                    f"{heap_mb(r):>8}")
             if prev_rows:
                 line += f" {delta_cells(r, prev_rows)}"
             print(line)

@@ -11,7 +11,11 @@ neutrino.bench-report:
   * schema/version envelope and required keys;
   * every row has a system name; percentile summaries are internally
     consistent (count > 0 implies p50 <= p99 <= max);
-  * counters are non-negative integers;
+  * counters are non-negative integers; peak_rss_delta_bytes and
+    heap_in_use_bytes, when present, are non-negative integers;
+  * figure "scale" (version >= 7): every row carries heap_in_use_bytes,
+    the run's live heap read before teardown (0 where the allocator
+    cannot report it);
   * when a row carries decomposition_ms, each procedure's component means
     (propagation + queueing + service + serialization + other) sum to the
     "total" mean within 1% — the tracer's tiling guarantee;
@@ -385,10 +389,9 @@ def check_rows(path, rows, errors, version):
         for name, v in counters.items():
             if not isinstance(v, int) or v < 0:
                 errors.append(f"{path}: {where}: counter {name} = {v!r}")
-        if "peak_rss_delta_bytes" in row and \
-                not nonneg_int(row["peak_rss_delta_bytes"]):
-            errors.append(f"{path}: {where}: peak_rss_delta_bytes = "
-                          f"{row['peak_rss_delta_bytes']!r}")
+        for key in ("peak_rss_delta_bytes", "heap_in_use_bytes"):
+            if key in row and not nonneg_int(row[key]):
+                errors.append(f"{path}: {where}: {key} = {row[key]!r}")
         if "timeseries" in row:
             check_timeseries(path, f"{where}.timeseries", row["timeseries"],
                              errors)
@@ -927,6 +930,11 @@ def validate(path):
         check_mobility_figure(path, doc, errors)
     if doc.get("figure") == "fig_elastic":
         check_elastic_figure(path, doc, errors)
+    if doc.get("figure") == "scale" and version >= 7:
+        for i, row in enumerate(doc.get("rows", [])):
+            if "heap_in_use_bytes" not in row:
+                errors.append(f"{path}: rows[{i}]: missing "
+                              f"'heap_in_use_bytes'")
     return errors, decomposed
 
 

@@ -51,7 +51,7 @@ ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
   // Applied only when the caller left the loop config at its defaults;
   // explicit geometry is respected.
   const sim::EventLoop::Config defaults;
-  if (config.shards > 1 && config.loop.use_timer_wheel &&
+  if (config.shards > 1 &&
       config.loop.wheel_granularity_ns == defaults.wheel_granularity_ns &&
       config.loop.wheel_slots == defaults.wheel_slots) {
     const std::size_t scale = std::bit_ceil(static_cast<std::size_t>(

@@ -101,16 +101,24 @@ class ShardedSystem {
   /// each replica's owning shard (same placement as Frontend::preattach).
   void preattach(UeId ue, std::uint32_t region);
 
-  /// Partition a trace across shards by UE home region. Templated on the
-  /// record type (trace::TraceRecord-shaped) to keep core below trace in
-  /// the layering.
+  /// Partition a trace across shards by UE home region: each shard
+  /// replays its records, in trace order, as one event stream
+  /// (System::replay), so its queue holds one arrival at a time.
+  /// Templated on the record type (trace::TraceRecord-shaped) to keep
+  /// core below trace in the layering.
   template <class Record>
   void replay(const std::vector<Record>& trace) {
+    std::vector<std::vector<System::Arrival>> streams(shards_.size());
+    std::vector<std::size_t> counts(shards_.size(), 0);
+    for (const Record& rec : trace) ++counts[shard_of_ue(rec.ue)];
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      streams[s].reserve(counts[s]);
+    }
     for (const Record& rec : trace) {
-      System& home = *shards_[shard_of_ue(rec.ue)].system;
-      home.loop().schedule_at(rec.at, [&home, rec] {
-        home.frontend().start_procedure(rec.ue, rec.type, rec.target_region);
-      });
+      streams[shard_of_ue(rec.ue)].push_back(System::Arrival::of(rec));
+    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s].system->replay(std::move(streams[s]));
     }
   }
 

@@ -1,6 +1,8 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -535,11 +537,49 @@ void System::arm_telemetry(SimTime window, SimTime until) {
   telemetry_window_ = window;
   telem_prev_ = TelemSnap{};
   telem_prev_.regions.resize(ctas_.size());
-  // Ticks are plain sim events scheduled up front: every shard schedules
-  // the identical sequence on its own loop, so telemetry never depends on
+  // The ticks are one event stream on this shard's loop: every shard
+  // plans the identical sequence, so telemetry never depends on
   // worker-thread interleaving.
   obs::PeriodicSampler::schedule(*loop_, window, until,
                                  [this] { sample_telemetry(); });
+}
+
+namespace {
+
+static_assert(sizeof(System::Arrival) == 32);
+
+/// A replayed trace as an event stream: arrival k starts its procedure.
+struct ArrivalStream {
+  System* system;
+  std::vector<System::Arrival> arrivals;
+
+  [[nodiscard]] std::uint64_t size() const { return arrivals.size(); }
+  [[nodiscard]] SimTime when(std::uint64_t k) const { return arrivals[k].at; }
+  [[nodiscard]] std::uint64_t offset(std::uint64_t k) const {
+    return arrivals[k].offset;
+  }
+  void fire(std::uint64_t k) {
+    const System::Arrival& a = arrivals[k];
+    system->frontend().start_procedure(a.ue, a.type, a.target_region);
+  }
+};
+
+}  // namespace
+
+void System::replay(std::vector<Arrival> arrivals) {
+  assert(arrivals.size() <= UINT32_MAX);
+  bool sorted = true;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    arrivals[i].offset = static_cast<std::uint32_t>(i);
+    if (i > 0 && arrivals[i].at < arrivals[i - 1].at) sorted = false;
+  }
+  if (!sorted) {
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const Arrival& a, const Arrival& b) {
+                       return a.at < b.at;
+                     });
+  }
+  loop_->schedule_stream(ArrivalStream{this, std::move(arrivals)});
 }
 
 void System::sample_telemetry() {

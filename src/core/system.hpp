@@ -484,6 +484,31 @@ class System {
   [[nodiscard]] FaultInjection& faults() { return faults_; }
 
   [[nodiscard]] Frontend& frontend() { return *frontend_; }
+
+  /// One trace arrival as replay() keeps it until it fires (32 bytes).
+  struct Arrival {
+    SimTime at;
+    UeId ue;
+    std::uint32_t target_region = 0;
+    std::uint32_t offset = 0;  // position in trace order; set by replay()
+    ProcedureType type = ProcedureType::kAttach;
+
+    /// From a trace::TraceRecord-shaped record (core sits below trace).
+    template <class Record>
+    static Arrival of(const Record& rec) {
+      return {rec.at, rec.ue, rec.target_region, 0, rec.type};
+    }
+  };
+
+  /// Replay arrivals, given in trace order, as one event stream on this
+  /// System's loop (DESIGN.md §11): each starts its procedure on the
+  /// Frontend at its time, under the (time, seq) key that scheduling the
+  /// records one by one in trace order would give it, while the queue
+  /// holds only the next one. A trace that is not sorted by time is
+  /// stable-sorted first, so equal times keep trace order. Pre-attached
+  /// UEs are the caller's responsibility.
+  void replay(std::vector<Arrival> arrivals);
+
   [[nodiscard]] Cta& cta(std::uint32_t region) { return *ctas_[region]; }
   [[nodiscard]] Cpf& cpf(CpfId id) { return *cpfs_[id.value()]; }
   [[nodiscard]] Upf& upf(std::uint32_t region) { return *upfs_[region]; }

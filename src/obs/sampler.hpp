@@ -2,12 +2,13 @@
 //
 // The loop's run() drains the queue to empty, so an unbounded
 // self-rescheduling sampler would keep a simulation alive forever. This
-// one schedules a finite chain: it stops after `until`, and the caller
+// one plans a finite chain: it stops after `until`, and the caller
 // decides what each tick observes (queue depths, log occupancy, ...).
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/clock.hpp"
@@ -18,15 +19,35 @@ namespace neutrino::obs {
 class PeriodicSampler {
  public:
   /// Calls `fn()` every `interval` from `interval` until `until`
-  /// (inclusive). All ticks are scheduled up front; the object may be
-  /// destroyed after construction ends — the closure owns the callback.
+  /// (inclusive). The ticks form one event stream (EventLoop::
+  /// schedule_stream): their sequence numbers are reserved now, so they
+  /// tie-break exactly as if all were scheduled here, but only the next
+  /// tick waits in the queue. The loop owns the callback.
   static void schedule(sim::EventLoop& loop, SimTime interval, SimTime until,
                        std::function<void()> fn) {
-    const auto shared = std::make_shared<std::function<void()>>(std::move(fn));
-    for (SimTime at = loop.now() + interval; at <= until; at = at + interval) {
-      loop.schedule_at(at, [shared] { (*shared)(); });
-    }
+    assert(interval.ns() > 0);
+    const SimTime first = loop.now() + interval;
+    const std::uint64_t ticks =
+        until < first ? 0
+                      : static_cast<std::uint64_t>(
+                            (until - first).ns() / interval.ns()) + 1;
+    loop.schedule_stream(Ticks{first, interval, ticks, std::move(fn)});
   }
+
+ private:
+  struct Ticks {
+    SimTime first;
+    SimTime interval;
+    std::uint64_t ticks;
+    std::function<void()> fn;
+
+    [[nodiscard]] std::uint64_t size() const { return ticks; }
+    [[nodiscard]] SimTime when(std::uint64_t k) const {
+      return first + interval * static_cast<std::int64_t>(k);
+    }
+    [[nodiscard]] std::uint64_t offset(std::uint64_t k) const { return k; }
+    void fire(std::uint64_t) { fn(); }
+  };
 };
 
 }  // namespace neutrino::obs

@@ -1,10 +1,10 @@
 // Wall-clock and memory instrumentation for throughput benches.
 //
 // The simulator's own clock measures *simulated* time; throughput numbers
-// (events/sec, procedures/sec) need real elapsed time and the process's
-// peak resident set, which this header wraps portably enough for the
-// bench targets (Linux is the primary platform; ru_maxrss units differ
-// on macOS and are handled).
+// (events/sec, procedures/sec) need real elapsed time, the process's peak
+// resident set and the allocator's live heap, which this header wraps
+// portably enough for the bench targets (Linux is the primary platform;
+// ru_maxrss units differ on macOS and are handled).
 #pragma once
 
 #include <chrono>
@@ -14,6 +14,9 @@
 // No getrusage; peak_rss_bytes() reports 0 rather than failing the build.
 #else
 #include <sys/resource.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 namespace neutrino::obs {
@@ -47,6 +50,21 @@ inline std::size_t peak_rss_bytes() {
 #else
   return static_cast<std::size_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
 #endif
+#endif
+}
+
+/// Bytes the allocator holds in live allocations right now: glibc
+/// mallinfo2()'s arena bytes in use plus mmapped chunks, summed over all
+/// arenas. Unlike the RSS watermark it falls when memory is freed, so a
+/// bench can read each run's own footprint before the run tears down.
+/// 0 where mallinfo2() is unavailable (non-glibc, or glibc before 2.33).
+inline std::size_t heap_in_use_bytes() {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
 #endif
 }
 

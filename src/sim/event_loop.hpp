@@ -8,24 +8,49 @@
 //
 // Internals are built for million-UE storms: a 4-ary implicit heap over
 // small-buffer-optimized InlineTask callbacks (no per-event allocation for
-// captures ≤ 48 bytes), fronted by an optional hashed timer wheel that
-// absorbs the dominant near-future fixed-delay schedules. Ordering is
-// bit-for-bit identical to a (when, seq) priority queue regardless of
-// which structure an event lands in: the wheel drains one granularity
-// tick at a time into a sorted buffer that is merged against the heap
-// strictly by (when, seq).
+// captures ≤ 48 bytes), fronted by a hashed timer wheel that absorbs the
+// dominant near-future fixed-delay schedules. Ordering is bit-for-bit
+// identical to a (when, seq) priority queue regardless of which structure
+// an event lands in: the wheel drains one granularity tick at a time into
+// a sorted buffer that is merged against the heap strictly by (when, seq).
+//
+// Pre-planned streams (trace replay, periodic samplers) do not sit in the
+// queue whole: schedule_stream() reserves one sequence number per event
+// and queues only the stream's next event, which releases the one after
+// it when it fires. The queue holds O(streams) events instead of one per
+// arrival or tick, and the dispatch order is the one scheduling every
+// event of the stream up front would give (DESIGN.md §10).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cinttypes>
+#include <concepts>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "sim/inline_task.hpp"
 
 namespace neutrino::sim {
+
+/// Source of a pre-planned event stream (EventLoop::schedule_stream).
+/// Event k (k = 0 .. size()-1, in dispatch order) fires at `when(k)` with
+/// sequence number base + `offset(k)`, where offsets are the events'
+/// distinct positions in the stream's reserved block [0, size()); keys
+/// (when, offset) must strictly increase with k. `fire(k)` runs event k.
+template <class S>
+concept EventStreamSource =
+    requires(S& source, const S& view, std::uint64_t k) {
+      { view.size() } -> std::convertible_to<std::uint64_t>;
+      { view.when(k) } -> std::same_as<SimTime>;
+      { view.offset(k) } -> std::convertible_to<std::uint64_t>;
+      source.fire(k);
+    };
 
 // Cache-line aligned: sharded runs keep one loop per shard in a dense
 // vector, and the hot scalar block (now_/pending_/drain cursor) of one
@@ -34,10 +59,9 @@ class alignas(64) EventLoop {
  public:
   using Callback = InlineTask;
 
+  /// Wheel geometry. Pure optimization: where an event waits never
+  /// changes the order it runs in.
   struct Config {
-    /// Bucket near-future events by time tick instead of pushing them
-    /// through the heap. Pure optimization: ordering is unaffected.
-    bool use_timer_wheel = true;
     /// Width of one wheel tick. Events within the same tick are sorted
     /// on drain, so granularity only trades bucket count vs sort size.
     std::int64_t wheel_granularity_ns = 1'000;
@@ -49,44 +73,43 @@ class alignas(64) EventLoop {
   EventLoop() : EventLoop(Config{}) {}
 
   explicit EventLoop(const Config& config)
-      : wheel_enabled_(config.use_timer_wheel),
-        granule_(config.wheel_granularity_ns),
-        slots_(config.wheel_slots) {
+      : granule_(config.wheel_granularity_ns), slots_(config.wheel_slots) {
     assert(granule_ > 0);
     assert(slots_ >= 2 && (slots_ & (slots_ - 1)) == 0);
-    if (wheel_enabled_) {
-      buckets_.resize(slots_);
-      occupancy_.assign((slots_ + 63) / 64, 0);
-    }
+    buckets_.resize(slots_);
+    occupancy_.assign((slots_ + 63) / 64, 0);
   }
 
   [[nodiscard]] SimTime now() const { return now_; }
 
   void schedule_at(SimTime when, Callback cb) {
-    Event ev{when, next_seq_++, std::move(cb)};
-    ++pending_;
-    if (wheel_enabled_) {
-      if (wheel_count_ == 0 && drain_pos_ >= drain_.size()) {
-        // Wheel idle: snap the cursor forward so the window covers the
-        // near future again (it can never move backwards — events below
-        // the cursor would desync from the drained-tick invariant).
-        cursor_tick_ = std::max(cursor_tick_, tick_of(now_));
-      }
-      const std::int64_t tick = tick_of(when);
-      if (tick >= cursor_tick_ &&
-          static_cast<std::uint64_t>(tick - cursor_tick_) < slots_) {
-        const std::size_t slot = static_cast<std::size_t>(tick) & (slots_ - 1);
-        buckets_[slot].push_back(std::move(ev));
-        occupancy_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        ++wheel_count_;
-        return;
-      }
-    }
-    heap_push(std::move(ev));
+    insert(Event{when, next_seq_++, std::move(cb)});
   }
 
   void schedule_after(SimTime delay, Callback cb) {
     schedule_at(now_ + delay, std::move(cb));
+  }
+
+  /// Register a pre-planned stream of `source.size()` events. The stream
+  /// reserves that many consecutive sequence numbers, so each event runs
+  /// under the (when, seq) key it would have had if all of them had been
+  /// scheduled here, in offset order, with schedule_at(). Only the next
+  /// event waits in the queue (pending() counts it once); firing it
+  /// releases the one after, and the loop frees the source once the
+  /// stream drains. The queued event holds this loop's address, so the
+  /// loop must not move while a stream is pending. A stream whose keys do
+  /// not strictly increase aborts the run in every build.
+  template <EventStreamSource Source>
+  void schedule_stream(Source source) {
+    const std::uint64_t n = source.size();
+    const std::uint64_t base = next_seq_;
+    next_seq_ += n;
+    if (n == 0) return;
+    auto stream = std::make_unique<Stream<Source>>(
+        Stream<Source>{std::move(source), base, 0});
+    const SimTime when = stream->source.when(0);
+    const std::uint64_t seq = base + stream->source.offset(0);
+    insert(Event{when, seq, StreamStep<Source>{this, std::move(stream)}});
   }
 
   /// Run events until the queue drains or the horizon passes. Events at
@@ -132,6 +155,8 @@ class alignas(64) EventLoop {
   }
 
   [[nodiscard]] bool empty() const { return pending_ == 0; }
+  /// Events waiting in the queue; a stream counts once, however many of
+  /// its events are still to come.
   [[nodiscard]] std::size_t pending() const { return pending_; }
   /// Total events dispatched over the loop's lifetime (throughput counter).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -146,6 +171,71 @@ class alignas(64) EventLoop {
   static bool before(const Event& a, const Event& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
+  }
+
+  template <class Source>
+  struct Stream {
+    Source source;
+    std::uint64_t base;  // first reserved sequence number
+    std::uint64_t next;  // index of the event waiting in the queue
+  };
+
+  /// The queued event of a stream: owns the stream, runs its event, then
+  /// queues the next one under that event's reserved key. 16 bytes, so it
+  /// rides in InlineTask's buffer without an allocation per event.
+  template <class Source>
+  struct StreamStep {
+    EventLoop* loop;
+    std::unique_ptr<Stream<Source>> stream;
+
+    void operator()() {
+      Stream<Source>& s = *stream;
+      const std::uint64_t k = s.next++;
+      s.source.fire(k);
+      if (s.next == s.source.size()) return;  // drained: freed with the step
+      const SimTime when = s.source.when(s.next);
+      const std::uint64_t seq = s.base + s.source.offset(s.next);
+      const SimTime prev_when = s.source.when(k);
+      const std::uint64_t prev_seq = s.base + s.source.offset(k);
+      if (when < prev_when || (when == prev_when && seq <= prev_seq))
+          [[unlikely]] {
+        stream_order_violation(prev_when, prev_seq, when, seq);
+      }
+      loop->insert(Event{when, seq, StreamStep{loop, std::move(stream)}});
+    }
+  };
+
+  [[gnu::cold, gnu::noinline]] [[noreturn]] static void
+  stream_order_violation(SimTime prev_when, std::uint64_t prev_seq,
+                         SimTime when, std::uint64_t seq) {
+    std::fprintf(stderr,
+                 "EventLoop: stream keys must increase: (%" PRId64
+                 "ns, seq %" PRIu64 ") is followed by (%" PRId64
+                 "ns, seq %" PRIu64 ")\n",
+                 prev_when.ns(), prev_seq, when.ns(), seq);
+    std::abort();
+  }
+
+  /// Queue one event under its (when, seq) key: near-future ticks go to
+  /// the wheel, everything else to the heap.
+  void insert(Event ev) {
+    ++pending_;
+    if (wheel_count_ == 0 && drain_pos_ >= drain_.size()) {
+      // Wheel idle: snap the cursor forward so the window covers the
+      // near future again (it can never move backwards — events below
+      // the cursor would desync from the drained-tick invariant).
+      cursor_tick_ = std::max(cursor_tick_, tick_of(now_));
+    }
+    const std::int64_t tick = tick_of(ev.when);
+    if (tick >= cursor_tick_ &&
+        static_cast<std::uint64_t>(tick - cursor_tick_) < slots_) {
+      const std::size_t slot = static_cast<std::size_t>(tick) & (slots_ - 1);
+      buckets_[slot].push_back(std::move(ev));
+      occupancy_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+      ++wheel_count_;
+      return;
+    }
+    heap_push(std::move(ev));
   }
 
   [[nodiscard]] std::int64_t tick_of(SimTime t) const {
@@ -306,7 +396,6 @@ class alignas(64) EventLoop {
   // Timer wheel state. Invariant: every bucket holds events of at most one
   // tick value, and that tick is in [cursor_tick_, cursor_tick_ + slots_);
   // occupancy_ bit s is set iff buckets_[s] is non-empty.
-  bool wheel_enabled_;
   std::int64_t granule_;
   std::size_t slots_;
   std::vector<std::vector<Event>> buckets_;

@@ -210,14 +210,15 @@ class DeviceModelWorkload {
   Rng rng_;
 };
 
-/// Replay a trace into the system: schedules every record on the event
-/// loop. Pre-attached UEs are the caller's responsibility.
+/// Replay a trace into the system as one event stream (core::System::
+/// replay). Pre-attached UEs are the caller's responsibility.
 inline void replay(core::System& system, const std::vector<TraceRecord>& trace) {
+  std::vector<core::System::Arrival> arrivals;
+  arrivals.reserve(trace.size());
   for (const TraceRecord& rec : trace) {
-    system.loop().schedule_at(rec.at, [&system, rec] {
-      system.frontend().start_procedure(rec.ue, rec.type, rec.target_region);
-    });
+    arrivals.push_back(core::System::Arrival::of(rec));
   }
+  system.replay(std::move(arrivals));
 }
 
 }  // namespace neutrino::trace

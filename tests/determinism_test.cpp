@@ -1,15 +1,19 @@
 // Differential determinism proof for the event-loop rewrite: the 4-ary
-// heap + timer wheel must dispatch in the exact (when, seq) order the
-// seed's std::priority_queue produced — first on adversarial synthetic
-// schedules, then on a full core workload with crash + replay, where any
-// ordering divergence would surface as different counters, latency
-// distributions, or trace hop timelines.
+// heap + timer wheel, and event streams (EventLoop::schedule_stream), must
+// dispatch in the exact (when, seq) order the seed's std::priority_queue
+// produced with every event scheduled eagerly — first on adversarial
+// synthetic schedules, then on a full core workload with crash + replay,
+// where any ordering divergence would surface as different counters,
+// latency distributions, or trace hop timelines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -61,6 +65,23 @@ struct Plan {
   std::int64_t at_ns;
   int id;
 };
+
+/// A 2-slot wheel spans 2us, so nearly every event takes the heap path.
+sim::EventLoop::Config two_slot_wheel() {
+  sim::EventLoop::Config cfg;
+  cfg.wheel_slots = 2;
+  return cfg;
+}
+
+/// Loop geometries every differential runs under: the default wheel, the
+/// heap path (2 slots), and coarse 64us ticks that sort many timestamps
+/// per bucket.
+std::vector<sim::EventLoop::Config> geometries() {
+  sim::EventLoop::Config coarse;
+  coarse.wheel_granularity_ns = 64'000;
+  coarse.wheel_slots = 64;
+  return {sim::EventLoop::Config{}, two_slot_wheel(), coarse};
+}
 
 /// Adversarial schedule: times quantized to force ties (seq tie-breaks),
 /// clustered near zero (wheel buckets) with a far-future tail (heap
@@ -122,12 +143,11 @@ TEST(DeterminismPureLoop, MatchesLegacyPriorityQueueOrder) {
         dispatch_order(legacy, plans, child_delay);
     ASSERT_GT(want.size(), plans.size());  // children actually ran
 
-    for (const bool wheel : {true, false}) {
-      sim::EventLoop::Config cfg;
-      cfg.use_timer_wheel = wheel;
+    for (const sim::EventLoop::Config& cfg : geometries()) {
       sim::EventLoop loop(cfg);
       const std::vector<int> got = dispatch_order(loop, plans, child_delay);
-      ASSERT_EQ(got, want) << "seed " << seed << " wheel " << wheel;
+      ASSERT_EQ(got, want) << "seed " << seed << " slots "
+                           << cfg.wheel_slots;
     }
   }
 }
@@ -148,19 +168,214 @@ TEST(DeterminismPureLoop, CoarseWheelGranularityPreservesOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Core workload differential: wheel on vs off across a crash + replay
-// scenario. The wheel is a pure optimization; if it reordered anything,
-// the protocol's message interleaving — and with it the counters, the
-// latency distributions, and each procedure's hop timeline — would drift.
+// Streams (EventLoop::schedule_stream) against the LegacyLoop scheduling
+// every event of each stream eagerly, in offset order, at the moment the
+// stream is registered. Streams registered at start and mid-run
+// interleave with eager events and with each other, tie with both at the
+// same nanosecond, span the wheel and the heap, and include lengths 0
+// and 1.
+
+struct StreamLog {
+  std::vector<int> order;
+  std::vector<std::int64_t> child_delay;  // empty: no children
+};
+
+/// Log an event; every fifth id also schedules an eager child, as
+/// dispatch_order() does, so stream and eager events interleave mid-run.
+template <typename Loop>
+void fire_event(Loop& loop, StreamLog& log, int id) {
+  log.order.push_back(id);
+  if (!log.child_delay.empty() && id % 5 == 0) {
+    const std::int64_t d =
+        log.child_delay[static_cast<std::size_t>(id) % log.child_delay.size()];
+    loop.schedule_after(SimTime::nanoseconds(d),
+                        [&log, cid = id + 1'000'000] {
+                          log.order.push_back(cid);
+                        });
+  }
+}
+
+/// Stream over explicit times given in offset order (not necessarily
+/// sorted): it dispatches them stable-sorted by time, as System::replay
+/// does with an unsorted trace.
+struct PlanStream {
+  sim::EventLoop* loop;
+  StreamLog* log;
+  std::vector<std::int64_t> at_ns;
+  int id_base;
+  std::vector<std::uint32_t> by_time;  // dispatch index -> offset
+
+  PlanStream(sim::EventLoop& l, StreamLog& lg, std::vector<std::int64_t> at,
+             int base)
+      : loop(&l), log(&lg), at_ns(std::move(at)), id_base(base) {
+    by_time.resize(at_ns.size());
+    std::iota(by_time.begin(), by_time.end(), 0u);
+    std::stable_sort(by_time.begin(), by_time.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                       return at_ns[a] < at_ns[b];
+                     });
+  }
+  [[nodiscard]] std::uint64_t size() const { return at_ns.size(); }
+  [[nodiscard]] SimTime when(std::uint64_t k) const {
+    return SimTime::nanoseconds(at_ns[by_time[k]]);
+  }
+  [[nodiscard]] std::uint64_t offset(std::uint64_t k) const {
+    return by_time[k];
+  }
+  void fire(std::uint64_t k) {
+    fire_event(*loop, *log, id_base + static_cast<int>(by_time[k]));
+  }
+};
+
+template <typename Loop>
+void add_stream(Loop& loop, StreamLog& log, std::vector<std::int64_t> at_ns,
+                int id_base) {
+  if constexpr (std::is_same_v<Loop, LegacyLoop>) {
+    for (std::size_t i = 0; i < at_ns.size(); ++i) {
+      loop.schedule_at(SimTime::nanoseconds(at_ns[i]),
+                       [&loop, &log, id = id_base + static_cast<int>(i)] {
+                         fire_event(loop, log, id);
+                       });
+    }
+  } else {
+    loop.schedule_stream(PlanStream(loop, log, std::move(at_ns), id_base));
+  }
+}
+
+/// Unsorted stream times from `now`: exact ties at `now`, 500ns quanta
+/// shared with make_plans(), the rest of the default wheel span, and
+/// beyond it (heap).
+std::vector<std::int64_t> stream_times(Rng& rng, int n, std::int64_t now) {
+  std::vector<std::int64_t> at;
+  at.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const double dice = rng.next_double();
+    std::int64_t d;
+    if (dice < 0.1) {
+      d = 0;
+    } else if (dice < 0.6) {
+      d = static_cast<std::int64_t>(rng.next_below(4'000)) * 500;
+    } else if (dice < 0.85) {
+      d = static_cast<std::int64_t>(rng.next_below(4'000'000));
+    } else {
+      d = static_cast<std::int64_t>(rng.next_below(400'000'000));
+    }
+    at.push_back(now + d);
+  }
+  return at;
+}
+
+template <typename Loop>
+std::vector<int> stream_dispatch_order(Loop& loop, std::uint64_t seed) {
+  StreamLog log;
+  log.child_delay = {0, 1, 500, 12'345, 3'000, 900'000, 50'000'000};
+  const std::vector<Plan> plans = make_plans(seed, 1200);
+  Rng rng(seed + 1);
+  const auto eager = [&](const Plan& p) {
+    loop.schedule_at(SimTime::nanoseconds(p.at_ns), [&loop, &log, id = p.id] {
+      fire_event(loop, log, id);
+    });
+  };
+
+  // At start: eager events on both sides of stream A; stream B shares
+  // some of A's times, so the two streams tie with each other too.
+  for (std::size_t i = 0; i < 600; ++i) eager(plans[i]);
+  const std::vector<std::int64_t> a = stream_times(rng, 800, 0);
+  add_stream(loop, log, a, 100'000);
+  for (std::size_t i = 600; i < plans.size(); ++i) eager(plans[i]);
+  std::vector<std::int64_t> b = stream_times(rng, 200, 0);
+  b.insert(b.end(), a.rbegin(), a.rbegin() + 100);
+  add_stream(loop, log, b, 200'000);
+  add_stream(loop, log, {}, 300'000);
+  add_stream(loop, log, {plans[3].at_ns}, 400'000);
+
+  // Mid-run: eager events register streams relative to their own time,
+  // including one-event streams at exactly now, then an eager peer at now.
+  std::vector<std::vector<std::int64_t>> mid;
+  for (int m = 0; m < 4; ++m) mid.push_back(stream_times(rng, 150, 0));
+  for (int m = 0; m < 4; ++m) {
+    const Plan& p = plans[static_cast<std::size_t>(m) * 97];
+    loop.schedule_at(SimTime::nanoseconds(p.at_ns), [&loop, &log, &mid, m] {
+      const std::int64_t now = loop.now().ns();
+      std::vector<std::int64_t> times = mid[static_cast<std::size_t>(m)];
+      for (std::int64_t& t : times) t += now;
+      add_stream(loop, log, std::move(times), 500'000 + m * 10'000);
+      add_stream(loop, log, {}, 600'000 + m);
+      add_stream(loop, log, {now}, 700'000 + m);
+      loop.schedule_at(loop.now(),
+                       [&log, m] { log.order.push_back(800'000 + m); });
+    });
+  }
+  loop.run();
+  return log.order;
+}
+
+TEST(DeterminismStreams, MatchEagerSchedulingInLegacyLoop) {
+  for (const std::uint64_t seed : {3ull, 17ull, 2024ull}) {
+    LegacyLoop legacy;
+    const std::vector<int> want = stream_dispatch_order(legacy, seed);
+    // Every planned event ran: 1200 eager + 1100 start-of-run stream
+    // events + 4 x (150 + 1 + 1) mid-run, plus children.
+    ASSERT_GT(want.size(), 1200u + 1100u + 4u * 152u);
+    for (const sim::EventLoop::Config& cfg : geometries()) {
+      sim::EventLoop loop(cfg);
+      ASSERT_EQ(stream_dispatch_order(loop, seed), want)
+          << "seed " << seed << " slots " << cfg.wheel_slots;
+    }
+  }
+}
+
+TEST(DeterminismStreams, QueueHoldsOneEventPerStream) {
+  sim::EventLoop loop;
+  StreamLog log;
+  add_stream(loop, log, {5, 1, 3, 3, 9}, 0);  // seqs 0..4
+  add_stream(loop, log, {}, 100);             // reserves nothing
+  add_stream(loop, log, {2}, 200);            // seq 5
+  loop.schedule_at(SimTime::nanoseconds(3),   // seq 6: after both 3s
+                   [&log] { log.order.push_back(999); });
+  EXPECT_EQ(loop.pending(), 3u);
+  loop.run_until(SimTime::nanoseconds(3));
+  EXPECT_EQ(loop.pending(), 1u);  // the stream's t=5 event; t=9 unreleased
+  loop.run();
+  EXPECT_EQ(loop.executed(), 7u);
+  EXPECT_EQ(log.order, (std::vector<int>{1, 200, 2, 3, 999, 0, 4}));
+}
+
+/// A stream whose second key precedes its first: a broken source.
+struct BackwardsStream {
+  [[nodiscard]] std::uint64_t size() const { return 2; }
+  [[nodiscard]] SimTime when(std::uint64_t k) const {
+    return SimTime::nanoseconds(k == 0 ? 10 : 5);
+  }
+  [[nodiscard]] std::uint64_t offset(std::uint64_t k) const { return k; }
+  void fire(std::uint64_t) {}
+};
+
+TEST(DeterminismStreams, DecreasingKeysAbortInEveryBuild) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::EventLoop loop;
+        loop.schedule_stream(BackwardsStream{});
+        loop.run();
+      },
+      "stream keys must increase");
+}
+
+// ---------------------------------------------------------------------------
+// Core workload differential: wheel on (default geometry) vs off (a
+// 2-slot wheel sends nearly every event through the heap) across a
+// crash + replay scenario. Wheel geometry is a pure
+// optimization; if it reordered anything, the protocol's message
+// interleaving — and with it the counters, the latency distributions, and
+// each procedure's hop timeline — would drift.
 
 struct CoreRun {
   core::Metrics metrics;
   std::string trace_dump;
 };
 
-CoreRun run_core_workload(bool use_wheel) {
-  sim::EventLoop::Config cfg;
-  cfg.use_timer_wheel = use_wheel;
+CoreRun run_core_workload(const sim::EventLoop::Config& cfg) {
   sim::EventLoop loop(cfg);
   core::Metrics metrics;
   core::FixedCostModel costs{SimTime::microseconds(10)};
@@ -200,8 +415,8 @@ CoreRun run_core_workload(bool use_wheel) {
 }
 
 TEST(DeterminismCoreWorkload, WheelOnAndOffProduceIdenticalRuns) {
-  CoreRun wheel = run_core_workload(true);
-  CoreRun heap = run_core_workload(false);
+  CoreRun wheel = run_core_workload(sim::EventLoop::Config{});
+  CoreRun heap = run_core_workload(two_slot_wheel());
 
   // Sanity: the scenario actually exercised the interesting paths.
   EXPECT_GT(wheel.metrics.procedures_completed, 400u);

@@ -3,7 +3,9 @@
 // through an attach + handover + CPF-crash scenario.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "core/cost_model.hpp"
@@ -156,6 +158,47 @@ TEST(PeriodicSampler, BoundedTickChain) {
                                  [&] { ++ticks; });
   loop.run();  // a bounded chain must drain — this returning is the test
   EXPECT_EQ(ticks, 10);
+}
+
+// Ticks reserve their sequence numbers when the sampler is scheduled, so
+// they tie-break with same-time events exactly like ticks scheduled one by
+// one (the sampler's behavior before it became a stream, kept here as the
+// oracle), while the queue holds a single tick.
+TEST(PeriodicSampler, OnePendingTickTieBreaksLikeEagerTicks) {
+  using Log = std::vector<std::string>;
+  const auto scenario = [](bool eager) {
+    sim::EventLoop loop;
+    Log log;
+    const auto mark = [&loop, &log](const char* what) {
+      log.push_back(std::string(what) + "@" +
+                    std::to_string(loop.now().ns() / 1'000'000));
+    };
+    loop.schedule_at(SimTime::milliseconds(2), [&] { mark("before"); });
+    const auto tick = [&] {
+      mark("tick");
+      // Lands on the next tick's time, after that tick: the tick's
+      // sequence number was reserved first.
+      loop.schedule_after(SimTime::milliseconds(1), [&] { mark("child"); });
+    };
+    if (eager) {
+      for (SimTime at = SimTime::milliseconds(1);
+           at <= SimTime::milliseconds(3); at = at + SimTime::milliseconds(1)) {
+        loop.schedule_at(at, tick);
+      }
+    } else {
+      obs::PeriodicSampler::schedule(loop, SimTime::milliseconds(1),
+                                     SimTime::milliseconds(3), tick);
+      EXPECT_EQ(loop.pending(), 2u);  // the peer and the first tick
+    }
+    loop.schedule_at(SimTime::milliseconds(2), [&] { mark("after"); });
+    loop.schedule_at(SimTime::milliseconds(1), [&] { mark("after"); });
+    loop.run();
+    return log;
+  };
+  const Log want = {"tick@1",  "after@1", "before@2", "tick@2", "after@2",
+                    "child@2", "tick@3",  "child@3",  "child@4"};
+  EXPECT_EQ(scenario(/*eager=*/true), want);
+  EXPECT_EQ(scenario(/*eager=*/false), want);
 }
 
 // ------------------------------------------------------- ProcTracer ----

@@ -112,12 +112,26 @@ struct ShardRun {
   std::string flight_json;            // merged flight recorders
 };
 
+/// The replay ShardedSystem had before event streams, kept as the oracle
+/// for System::replay: one schedule_at per record, in trace order, on the
+/// record's home shard.
+void eager_replay(core::ShardedSystem& sys,
+                  const std::vector<trace::TraceRecord>& trace) {
+  for (const trace::TraceRecord& rec : trace) {
+    core::System& home = sys.system(sys.shard_of_ue(rec.ue));
+    home.loop().schedule_at(rec.at, [&home, rec] {
+      home.frontend().start_procedure(rec.ue, rec.type, rec.target_region);
+    });
+  }
+}
+
 ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
                 bool with_crash, std::uint64_t preattached,
                 const core::ProtocolConfig& proto = test_proto(),
                 bool storm = false,
                 const std::vector<trace::TraceRecord>* custom_trace =
-                    nullptr) {
+                    nullptr,
+                bool eager = false) {
   const core::FixedCostModel costs{SimTime::microseconds(10)};
   core::ShardedSystem::Config cfg;
   cfg.policy = core::neutrino_policy();
@@ -150,7 +164,11 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   }
 
   if (custom_trace != nullptr) {
-    sys.replay(*custom_trace);
+    if (eager) {
+      eager_replay(sys, *custom_trace);
+    } else {
+      sys.replay(*custom_trace);
+    }
   } else {
     sys.replay(storm ? make_storm_trace(static_cast<int>(regions))
                      : make_trace(static_cast<int>(regions)));
@@ -416,6 +434,77 @@ TEST(ParallelDeterminism, ScenarioTrafficIdenticalAcrossThreadCounts) {
   expect_identical(t1, t4, "scenario threads 1 vs 4");
   expect_identical(t1, t8, "scenario threads 1 vs 8");
   expect_identical(t2, t2_again, "scenario run-to-run at threads=2");
+}
+
+// ---------------------------------------------------------------------------
+// Stream replay: each shard replays its records as one event stream
+// (System::replay). Its queue holds one arrival at a time, and the run is
+// the one the eager replay above gives — also on an unsorted trace with
+// duplicate and same-instant records, where the stream must release
+// arrivals in (time, trace position) order.
+// ---------------------------------------------------------------------------
+
+TEST(ParallelDeterminism, ReplayQueuesOneEventPerStream) {
+  const core::FixedCostModel costs{SimTime::microseconds(10)};
+  core::ShardedSystem::Config cfg;
+  cfg.policy = core::neutrino_policy();
+  cfg.topo = four_region_topo();
+  cfg.proto = test_proto();
+  cfg.shards = 4;
+  core::ShardedSystem sys(cfg, costs);
+  const std::vector<trace::TraceRecord> trace = make_storm_trace(4);
+  sys.replay(trace);
+  for (std::uint32_t s = 0; s < sys.shards(); ++s) {
+    EXPECT_LE(sys.runtime().loop(s).pending(), 1u) << "shard " << s;
+  }
+  sys.arm_telemetry(kTelemetryWindow, kHorizon);  // a second stream
+  for (std::uint32_t s = 0; s < sys.shards(); ++s) {
+    EXPECT_LE(sys.runtime().loop(s).pending(), 2u) << "shard " << s;
+  }
+  sys.run_until(kHorizon);
+  const core::Metrics m = sys.merged_metrics();
+  EXPECT_GT(m.procedures_started, trace.size() / 2);
+  EXPECT_EQ(m.ryw_violations, 0u);
+}
+
+/// The storm trace (its 80 appended attaches already break time order)
+/// plus a repeat of every 9th record, a same-(time, UE) record of another
+/// procedure type after every 13th, and a reversed middle block.
+std::vector<trace::TraceRecord> unsorted_trace() {
+  std::vector<trace::TraceRecord> recs = make_storm_trace(4);
+  const std::size_t n = recs.size();
+  for (std::size_t i = 0; i < n; i += 9) recs.push_back(recs[i]);
+  for (std::size_t i = 0; i < n; i += 13) {
+    trace::TraceRecord other = recs[i];
+    other.type = other.type == core::ProcedureType::kAttach
+                     ? core::ProcedureType::kServiceRequest
+                     : core::ProcedureType::kAttach;
+    recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(i + 1), other);
+  }
+  std::reverse(recs.begin() + static_cast<std::ptrdiff_t>(n / 3),
+               recs.begin() + static_cast<std::ptrdiff_t>(n / 2));
+  return recs;
+}
+
+TEST(ParallelDeterminism, StreamReplayMatchesEagerReplayOnUnsortedTrace) {
+  const std::vector<trace::TraceRecord> trace = unsorted_trace();
+  ASSERT_FALSE(std::is_sorted(
+      trace.begin(), trace.end(),
+      [](const trace::TraceRecord& a, const trace::TraceRecord& b) {
+        return a.at < b.at;
+      }));
+  for (const std::uint32_t shards : {1u, 4u}) {
+    const std::string label = std::to_string(shards) + " shard(s)";
+    const ShardRun stream =
+        run_sharded(shards, shards, /*with_crash=*/true, 0,
+                    overload_test_proto(), /*storm=*/false, &trace);
+    const ShardRun eager =
+        run_sharded(shards, shards, true, 0, overload_test_proto(), false,
+                    &trace, /*eager=*/true);
+    EXPECT_GT(stream.metrics.procedures_completed, 200u) << label;
+    EXPECT_EQ(stream.metrics.ryw_violations, 0u) << label;
+    expect_identical(stream, eager, label.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

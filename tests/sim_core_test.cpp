@@ -79,15 +79,22 @@ TEST(InlineTask, SizeBudget) {
 
 // --- EventLoop allocation profile -------------------------------------------
 
+/// 2 slots of 1ns: every event scheduled more than 2ns past the cursor
+/// takes the heap path, whose storage is a single vector.
+sim::EventLoop::Config heap_path() {
+  sim::EventLoop::Config cfg;
+  cfg.wheel_granularity_ns = 1;
+  cfg.wheel_slots = 2;
+  return cfg;
+}
+
 // The ISSUE acceptance bar: zero heap allocations per event for callbacks
 // within the 48-byte inline capacity, once the loop's own vectors have
-// warmed up. Heap-only config makes the steady state exact (the wheel's
+// warmed up. The heap path makes the steady state exact (the wheel's
 // per-bucket vectors warm per bucket index, which depends on the time
 // pattern; the 4-ary heap's storage is a single vector).
 TEST(EventLoopAlloc, SteadyStateScheduleDispatchIsAllocationFree) {
-  sim::EventLoop::Config cfg;
-  cfg.use_timer_wheel = false;
-  sim::EventLoop loop(cfg);
+  sim::EventLoop loop(heap_path());
   std::uint64_t sink = 0;
   std::uint64_t pad[3] = {1, 2, 3};  // 32-byte capture, inline
 
@@ -100,12 +107,38 @@ TEST(EventLoopAlloc, SteadyStateScheduleDispatchIsAllocationFree) {
     loop.run();
   };
 
-  round(0);  // warm-up: grows the heap vector to kBatch capacity
+  round(1'000'000);  // warm-up: grows the heap vector to kBatch capacity
   const std::uint64_t before = g_alloc_count;
-  round(1'000'000);
+  round(2'000'000);
   EXPECT_EQ(g_alloc_count, before);
   EXPECT_EQ(sink, 2u * kBatch);
   EXPECT_EQ(loop.executed(), 2u * kBatch);
+}
+
+/// Counts its events; times far past the cursor, so each takes the heap.
+struct CountingStream {
+  std::uint64_t n;
+  std::uint64_t* fired;
+  [[nodiscard]] std::uint64_t size() const { return n; }
+  [[nodiscard]] SimTime when(std::uint64_t k) const {
+    return SimTime::nanoseconds(1'000'000 + 10 * static_cast<std::int64_t>(k));
+  }
+  [[nodiscard]] std::uint64_t offset(std::uint64_t k) const { return k; }
+  void fire(std::uint64_t) { ++*fired; }
+};
+
+// A stream allocates once, at registration; releasing each next event
+// moves the 16-byte step through InlineTask's buffer, allocation-free.
+TEST(EventLoopAlloc, StreamReleasesEventsWithoutAllocating) {
+  sim::EventLoop loop(heap_path());
+  std::uint64_t fired = 0;
+  loop.schedule_stream(CountingStream{4096, &fired});
+  EXPECT_EQ(loop.pending(), 1u);
+  const std::uint64_t before = g_alloc_count;
+  loop.run();
+  EXPECT_EQ(g_alloc_count, before);
+  EXPECT_EQ(fired, 4096u);
+  EXPECT_EQ(loop.executed(), 4096u);
 }
 
 TEST(EventLoopAlloc, MsgPoolSteadyStateIsAllocationFree) {
@@ -129,9 +162,8 @@ TEST(EventLoopAlloc, MsgPoolSteadyStateIsAllocationFree) {
 // --- EventLoop semantics ----------------------------------------------------
 
 TEST(EventLoopCore, EqualTimesDispatchInScheduleOrder) {
-  for (const bool wheel : {false, true}) {
-    sim::EventLoop::Config cfg;
-    cfg.use_timer_wheel = wheel;
+  for (const sim::EventLoop::Config& cfg :
+       {heap_path(), sim::EventLoop::Config{}}) {
     sim::EventLoop loop(cfg);
     std::vector<int> order;
     for (int i = 0; i < 16; ++i) {

@@ -23,7 +23,6 @@ using sim::EventLoop;
 EventLoop::Config tiny_wheel() {
   // 4 slots x 100ns: horizon 400ns, so "far future" is cheap to reach.
   EventLoop::Config cfg;
-  cfg.use_timer_wheel = true;
   cfg.wheel_granularity_ns = 100;
   cfg.wheel_slots = 4;
   return cfg;
@@ -56,7 +55,8 @@ TEST(TimerEdge, ZeroDelayRetriesPreserveFifoOrder) {
 TEST(TimerEdge, FarFutureTimersCrossWheelHorizon) {
   // Interleave wheel-window and beyond-horizon schedules; firing order
   // must be exactly (when, seq) regardless of which structure each event
-  // landed in. A heap-only loop is the oracle.
+  // landed in. A 2-slot, 1ns wheel (nearly every event on the heap) is
+  // the oracle.
   const std::vector<std::int64_t> whens = {
       50, 4450, 150, 399, 400, 401, 12'000, 350, 4450, 50,
   };
@@ -71,7 +71,8 @@ TEST(TimerEdge, FarFutureTimersCrossWheelHorizon) {
     return order;
   };
   EventLoop::Config no_wheel;
-  no_wheel.use_timer_wheel = false;
+  no_wheel.wheel_granularity_ns = 1;
+  no_wheel.wheel_slots = 2;
   const auto wheeled = run(tiny_wheel());
   const auto heap_only = run(no_wheel);
   EXPECT_EQ(wheeled, heap_only);
