@@ -103,6 +103,12 @@ struct ExperimentResult {
   /// Per-window shard activity (runs with record_trace_events): the
   /// Perfetto shard tracks.
   std::vector<obs::ShardWindowRecord> window_log;
+  /// Live heap once the loops drain, before the system tears down
+  /// (obs::heap_in_use_bytes). Per run, unlike the RSS watermark, which
+  /// reads no growth for a run that stays under an earlier run's peak.
+  std::size_t heap_in_use_bytes = 0;
+  /// Capacity census of the nodes' hash tables at the same point.
+  core::TableBytes table_bytes{};
 };
 
 struct ExperimentConfig {
@@ -200,6 +206,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   obs::WallTimer wall;
   sys.run_until(horizon);
   const double wall_seconds = wall.seconds();
+  const std::size_t heap = obs::heap_in_use_bytes();
   post(sys);
   ExperimentResult result{sys.merged_metrics(), horizon.sec(),
                           sys.events_executed(), wall_seconds, cfg.shards,
@@ -208,6 +215,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   result.cross_shard_messages = sys.stats().cross_messages;
   result.dispatches_skipped = sys.stats().dispatches_skipped;
   result.shard_events = sys.shard_events();
+  result.heap_in_use_bytes = heap;
+  result.table_bytes = sys.table_bytes();
   result.tracer = std::move(tracer);
   for (const auto& w : sys.window_log()) {
     result.window_log.push_back(
@@ -523,6 +532,8 @@ class Report {
       per_shard.make_array();
       for (const std::uint64_t e : result.shard_events) per_shard.push_back(e);
     }
+    row["heap_in_use_bytes"] =
+        static_cast<std::uint64_t>(result.heap_in_use_bytes);
     row["counters"] = obs::counters_json(reg);
     obs::Json gauges = obs::gauges_json(reg);
     if (gauges.size() > 0) row["gauges"] = std::move(gauges);
@@ -537,6 +548,16 @@ class Report {
         slo != nullptr && slo->any_samples()) {
       row["slo"] = slo->json();
     }
+  }
+
+  /// The run's table census as a row's "table_bytes": bytes per owner.
+  static void attach_table_bytes(obs::Json& row,
+                                 const ExperimentResult& result) {
+    obs::Json& t = row["table_bytes"];
+    t["frontend"] = static_cast<std::uint64_t>(result.table_bytes.frontend);
+    t["cta"] = static_cast<std::uint64_t>(result.table_bytes.cta);
+    t["cpf"] = static_cast<std::uint64_t>(result.table_bytes.cpf);
+    t["upf"] = static_cast<std::uint64_t>(result.table_bytes.upf);
   }
 
   /// Wall-clock phase shares for a sharded run (schema v3 "profiler"

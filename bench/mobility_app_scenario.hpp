@@ -53,6 +53,7 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
           cfg, t,
           [&](core::ShardedSystem& sys) {
             core::System& system = sys.system(0);
+            system.frontend().watch_outages(observed);
             sim::EventLoop& loop = system.loop();
             // Driver: issue the next handover as soon as the previous one
             // finished, up to the scenario's count.

@@ -3,9 +3,9 @@
 // Not a figure from the paper — this is the repo's perf gate. The ROADMAP
 // north star ("millions of users, as fast as the hardware allows") makes
 // simulator throughput the binding constraint on every storm experiment;
-// this bench pins it as events/sec, procedures/sec, peak RSS and each
-// row's live heap so later changes have a trajectory to beat
-// (BENCH_scale.json baseline).
+// this bench pins it as events/sec, procedures/sec, peak RSS, each row's
+// live heap and its table census by owner, so later changes have a
+// trajectory to beat (BENCH_scale.json baseline).
 //
 // Workload: every UE attaches during a bursty storm window, then issues
 // one service request in a second wave — the §6.1 bursty IoT pattern at
@@ -31,13 +31,6 @@ obs::Json streaming_summary(const LatencyRecorder& r) {
   j["mean"] = r.mean();
   j["max"] = r.empty() ? 0.0 : r.max();
   return j;
-}
-
-/// run_experiment post hook: the run's live heap once its loops drain,
-/// before its system tears down. Per row, unlike the RSS watermark delta,
-/// which reads 0 for a run that stays under an earlier row's peak.
-auto read_heap(std::size_t& out) {
-  return [&out](core::ShardedSystem&) { out = obs::heap_in_use_bytes(); };
 }
 
 }  // namespace
@@ -121,9 +114,7 @@ int main(int argc, char** argv) {
     cfg.telemetry_window = opts.telemetry_window();
     if (scen != nullptr && scen->preattach) cfg.preattached_ues = n_ues;
     rss_meter.begin_run();
-    std::size_t heap = 0;
-    auto result = bench::run_experiment(  // pct_for is non-const
-        cfg, t, [](core::ShardedSystem&) {}, read_heap(heap));
+    auto result = bench::run_experiment(cfg, t);  // pct_for is non-const
     const std::size_t rss_delta = rss_meter.run_delta_bytes();
 
     const std::uint64_t started = result.metrics.procedures_started;
@@ -156,7 +147,7 @@ int main(int argc, char** argv) {
     row["procedures_per_sec"] = procs_per_sec;
     row["peak_rss_bytes"] = rss;
     row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-    row["heap_in_use_bytes"] = static_cast<std::uint64_t>(heap);
+    bench::Report::attach_table_bytes(row, result);
     row["attach_ms"] = streaming_summary(result.metrics.pct_for(
         core::ProcedureType::kAttach));
     row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
@@ -214,9 +205,7 @@ int main(int argc, char** argv) {
     double baseline_wall = 0.0;
     {
       rss_meter.begin_run();
-      std::size_t heap = 0;
-      auto result = bench::run_experiment(
-          cfg, ts, [](core::ShardedSystem&) {}, read_heap(heap));
+      auto result = bench::run_experiment(cfg, ts);
       const std::size_t rss_delta = rss_meter.run_delta_bytes();
       baseline_wall = result.wall_seconds;
       const double events_per_sec =
@@ -237,7 +226,7 @@ int main(int argc, char** argv) {
       row["events_per_sec"] = events_per_sec;
       row["peak_rss_bytes"] = obs::peak_rss_bytes();
       row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      row["heap_in_use_bytes"] = static_cast<std::uint64_t>(heap);
+      bench::Report::attach_table_bytes(row, result);
       bench::Report::attach_result(row, result);
       if (result.metrics.procedures_completed !=
               result.metrics.procedures_started ||
@@ -262,13 +251,10 @@ int main(int argc, char** argv) {
       // "profiler" section — never in determinism-compared output.
       obs::PhaseProfiler profiler(std::max<std::size_t>(shards, threads));
       rss_meter.begin_run();
-      std::size_t heap = 0;
       auto result = bench::run_experiment(
-          cfg, ts,
-          [&profiler](core::ShardedSystem& sys) {
+          cfg, ts, [&profiler](core::ShardedSystem& sys) {
             sys.set_profiler(&profiler);
-          },
-          read_heap(heap));
+          });
       const std::size_t rss_delta = rss_meter.run_delta_bytes();
       if (cfg.record_trace_events) {
         bench::write_trace_file(
@@ -311,7 +297,7 @@ int main(int argc, char** argv) {
       row["procedures_per_sec"] = procs_per_sec;
       row["peak_rss_bytes"] = rss;
       row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      row["heap_in_use_bytes"] = static_cast<std::uint64_t>(heap);
+      bench::Report::attach_table_bytes(row, result);
       row["attach_ms"] = streaming_summary(result.metrics.pct_for(
           core::ProcedureType::kAttach));
       row["service_request_ms"] = streaming_summary(result.metrics.pct_for(

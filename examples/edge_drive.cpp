@@ -58,6 +58,7 @@ void run(const core::CorePolicy& policy, const core::MeasuredCostModel& costs,
   // The car: five region-crossing handovers, one every 200 ms
   // (time-compressed from the Fig. 12 drive).
   const UeId car{kUsers};
+  system.frontend().watch_outages(car);
   for (int hop = 1; hop <= 5; ++hop) {
     const auto at = SimTime::milliseconds(200) * hop;
     loop.schedule_at(at, [&system, car, hop, &topo] {

@@ -95,17 +95,21 @@ echo "== release build + scale smoke (build-release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
 cmake --build build-release -j --target scale_throughput sim_core_gbench \
-  parallel_runtime_test parallel_determinism_test determinism_test
-# The window-causality check, the cross-shard UE<->CTA guard and the
-# event-stream key order must survive -DNDEBUG: a message landing inside
-# its destination's window, an inter-shard handover, or a stream whose
-# keys go backwards aborts the run in Release too.
+  parallel_runtime_test parallel_determinism_test determinism_test \
+  core_procedures_test
+# The window-causality check, the cross-shard UE<->CTA guard, the
+# event-stream key order and the watched-outage contract must survive
+# -DNDEBUG: a message landing inside its destination's window, an
+# inter-shard handover, a stream whose keys go backwards, or an outage
+# query for a UE nobody watched aborts the run in Release too.
 build-release/tests/parallel_runtime_test \
   --gtest_filter='ShardedRuntime.CausalityViolationAbortsInEveryBuild'
 build-release/tests/parallel_determinism_test \
   --gtest_filter='ParallelDeterminism.CrossShardHandoverAbortsInEveryBuild'
 build-release/tests/determinism_test \
   --gtest_filter='DeterminismStreams.DecreasingKeysAbortInEveryBuild'
+build-release/tests/core_procedures_test \
+  --gtest_filter='Frontend.OutagesOfUnwatchedUeAbortInEveryBuild'
 out=build-release/bench/scale_throughput.smoke-report.json
 build-release/bench/scale_throughput --smoke --threads=1,2 --shards=2 \
   --report="$out"

@@ -181,6 +181,31 @@ def scaling_table(doc, prev_rows=None):
             print(line)
 
 
+TABLE_OWNERS = ("frontend", "cta", "cpf", "upf")
+
+
+def table_census(doc):
+    """Bytes per UE of each owner's hash tables, for rows that carry a
+    table_bytes census and a UE count."""
+    rows = [r for r in doc.get("rows", [])
+            if isinstance(r.get("table_bytes"), dict) and r.get("ues")]
+    if not rows:
+        return
+    print(f"\n  {'table bytes per UE':>21} "
+          + " ".join(f"{o:>9}" for o in TABLE_OWNERS) + f" {'total':>9}")
+    for r in rows:
+        label = r.get("system", "?")
+        if r.get("mode") == "sharded":
+            label += f" s={r.get('shards', '?')} t={r.get('threads', '?')}"
+        elif r.get("sharded_baseline"):
+            label += " sharded-topo"
+        census = r["table_bytes"]
+        cells = [census.get(o, 0) / r["ues"] for o in TABLE_OWNERS]
+        print(f"  {label:>21} "
+              + " ".join(f"{c:>9.1f}" for c in cells)
+              + f" {sum(cells):>9.1f}")
+
+
 SPARK = "▁▂▃▄▅▆▇█"  # ▁▂▃▄▅▆▇█
 
 
@@ -424,6 +449,7 @@ def main():
             if isinstance(scenario, dict) and scenario.get("name"):
                 print(f"  (scenario: {scenario['name']})")
             scaling_table(doc, prev_rows)
+            table_census(doc)
             timeseries_view(doc)
         else:
             summarize_tsv(path)

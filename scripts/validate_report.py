@@ -16,6 +16,9 @@ neutrino.bench-report:
   * figure "scale" (version >= 7): every row carries heap_in_use_bytes,
     the run's live heap read before teardown (0 where the allocator
     cannot report it);
+  * a row's table_bytes, when present, is an object of non-negative
+    integer byte counts keyed frontend/cta/cpf/upf (the per-owner hash
+    table census);
   * when a row carries decomposition_ms, each procedure's component means
     (propagation + queueing + service + serialization + other) sum to the
     "total" mean within 1% — the tracer's tiling guarantee;
@@ -107,6 +110,7 @@ COMPONENTS = ("propagation", "queueing", "service", "serialization", "other")
 SCHEMA = "neutrino.bench-report"
 CAMPAIGN_SCHEMA = "neutrino.chaos-campaign"
 MODES = ("single-thread", "sharded")
+TABLE_OWNERS = ("frontend", "cta", "cpf", "upf")
 # Benches that time the real codecs directly; their reports carry no
 # simulated cost table.
 CODEC_FIGURES = ("fig18", "fig19", "fig20")
@@ -392,6 +396,14 @@ def check_rows(path, rows, errors, version):
         for key in ("peak_rss_delta_bytes", "heap_in_use_bytes"):
             if key in row and not nonneg_int(row[key]):
                 errors.append(f"{path}: {where}: {key} = {row[key]!r}")
+        if "table_bytes" in row:
+            census = row["table_bytes"]
+            if not isinstance(census, dict) or \
+                    set(census) != set(TABLE_OWNERS) or \
+                    not all(nonneg_int(v) for v in census.values()):
+                errors.append(f"{path}: {where}: table_bytes = {census!r}, "
+                              f"want non-negative ints keyed "
+                              f"{'/'.join(TABLE_OWNERS)}")
         if "timeseries" in row:
             check_timeseries(path, f"{where}.timeseries", row["timeseries"],
                              errors)

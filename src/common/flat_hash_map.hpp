@@ -13,7 +13,8 @@
 // The API is the subset of std::unordered_map the core actually calls —
 // find/end, operator[], try_emplace, erase(key), erase(iterator),
 // contains, clear, size, range-for — plus an iterator-free `lookup()`
-// returning V* for hot paths that don't want iterator plumbing.
+// returning V* for hot paths that don't want iterator plumbing, and
+// `memory_bytes()` for per-owner table censuses.
 #pragma once
 
 #include <algorithm>
@@ -88,6 +89,12 @@ class FlatHashMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return ctrl_.size(); }
+  /// Bytes of the slot and control arrays: capacity × (slot + 1 control
+  /// byte). Depends on the insert history only, so it is deterministic;
+  /// memory the mapped values own elsewhere is not counted.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return capacity() * (sizeof(Slot) + 1);
+  }
 
   iterator begin() { return {this, 0}; }
   iterator end() { return {this, ctrl_.size()}; }

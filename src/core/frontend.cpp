@@ -1,5 +1,10 @@
 // Trace-driven UE + BS emulator: drives control procedures, measures PCT,
-// tracks data-path outages, and asserts Read-your-Writes on every response.
+// tracks watched UEs' data-path outages, and asserts Read-your-Writes on
+// every response.
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+
 #include "core/system.hpp"
 
 namespace neutrino::core {
@@ -37,7 +42,7 @@ void Frontend::start_procedure(UeId ue, ProcedureType type,
       ctx.awaiting = system_->policy().dpcm_device_state
                          ? MsgKind::kAttachAccept
                          : MsgKind::kAuthRequest;
-      begin_outage(ctx);
+      begin_outage(ue);
       send_uplink(ctx, ue, MsgKind::kAttachRequest);
       break;
     case ProcedureType::kServiceRequest:
@@ -55,14 +60,14 @@ void Frontend::start_procedure(UeId ue, ProcedureType type,
           system_->proto().ho_coverage_grace, [this, ue, seq] {
             const auto it = ues_.find(ue);
             if (it == ues_.end()) return;
-            UeCtx& late = it->second;
-            if (late.in_flight && late.proc_seq == seq) begin_outage(late);
+            const UeCtx& late = it->second;
+            if (late.in_flight && late.proc_seq == seq) begin_outage(ue);
           });
       break;
     }
     case ProcedureType::kIntraHandover:
       ctx.awaiting = MsgKind::kHandoverComplete;
-      begin_outage(ctx);
+      begin_outage(ue);
       send_uplink(ctx, ue, MsgKind::kHandoverRequired);
       break;
     case ProcedureType::kDetach:
@@ -209,7 +214,7 @@ void Frontend::deliver(Msg msg) {
     case MsgKind::kAttachAccept:
       check_ryw(ctx, msg);
       ctx.attached = true;
-      end_outage(ctx);
+      end_outage(msg.ue);
       // The UE considers the attach done once accepted; the completion
       // message is fire-and-forget from its perspective.
       send_uplink(ctx, msg.ue, MsgKind::kAttachComplete);
@@ -223,7 +228,7 @@ void Frontend::deliver(Msg msg) {
     case MsgKind::kHandoverCommand:
       // The UE detaches from the source cell: the data path is down until
       // the target side switches the bearer (§6.6's outage window).
-      begin_outage(ctx);
+      begin_outage(msg.ue);
       ctx.awaiting = MsgKind::kHandoverComplete;
       // Switch cells before notifying: the notify must name the region the
       // UE is leaving (prev_region drives the target's replica lookup).
@@ -233,7 +238,7 @@ void Frontend::deliver(Msg msg) {
       break;
     case MsgKind::kHandoverComplete:
       check_ryw(ctx, msg);
-      end_outage(ctx);
+      end_outage(msg.ue);
       complete(ctx, msg.ue, msg);
       break;
     case MsgKind::kDetachAccept:
@@ -306,20 +311,22 @@ void Frontend::begin_reattach(UeCtx& ctx, UeId ue) {
   ctx.awaiting = system_->policy().dpcm_device_state
                      ? MsgKind::kAttachAccept
                      : MsgKind::kAuthRequest;
-  begin_outage(ctx);
+  begin_outage(ue);
   send_uplink(ctx, ue, MsgKind::kAttachRequest);
 }
 
-void Frontend::begin_outage(UeCtx& ctx) {
-  if (ctx.in_outage) return;
-  ctx.in_outage = true;
-  ctx.outage_start = system_->loop().now();
+void Frontend::begin_outage(UeId ue) {
+  OutageLog* log = outage_logs_.lookup(ue);
+  if (log == nullptr || log->open) return;
+  log->open = true;
+  log->start = system_->loop().now();
 }
 
-void Frontend::end_outage(UeCtx& ctx) {
-  if (!ctx.in_outage) return;
-  ctx.in_outage = false;
-  ctx.outages.push_back({ctx.outage_start, system_->loop().now()});
+void Frontend::end_outage(UeId ue) {
+  OutageLog* log = outage_logs_.lookup(ue);
+  if (log == nullptr || !log->open) return;
+  log->open = false;
+  log->closed.push_back({log->start, system_->loop().now()});
 }
 
 void Frontend::check_ryw(UeCtx& ctx, const Msg& msg) {
@@ -421,9 +428,19 @@ std::uint32_t Frontend::region_of(UeId ue) const {
   return it == ues_.end() ? 0 : it->second.region;
 }
 
+void Frontend::watch_outages(UeId ue) { outage_logs_.try_emplace(ue); }
+
 const std::vector<Frontend::Outage>& Frontend::outages(UeId ue) const {
-  const auto it = ues_.find(ue);
-  return it == ues_.end() ? no_outages_ : it->second.outages;
+  const OutageLog* log = outage_logs_.lookup(ue);
+  if (log == nullptr) [[unlikely]] {
+    std::fprintf(stderr,
+                 "Frontend: outages() of UE %" PRIu64
+                 ", which nobody watched: call watch_outages() before its "
+                 "first procedure\n",
+                 ue.value());
+    std::abort();
+  }
+  return log->closed;
 }
 
 }  // namespace neutrino::core

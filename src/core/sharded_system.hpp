@@ -186,6 +186,13 @@ class ShardedSystem {
   /// Fold every shard's metrics into one aggregate (merge-on-join).
   [[nodiscard]] Metrics merged_metrics() const;
 
+  /// Table census summed over every shard's owned nodes.
+  [[nodiscard]] TableBytes table_bytes() const {
+    TableBytes out;
+    for (const Shard& shard : shards_) out += shard.system->table_bytes();
+    return out;
+  }
+
   [[nodiscard]] std::uint64_t events_executed() const {
     return runtime_.events_executed();
   }

@@ -480,6 +480,20 @@ void System::retire_cpf(CpfId id) {
   });
 }
 
+TableBytes System::table_bytes() const {
+  TableBytes out;
+  out.frontend = frontend_->table_bytes();
+  for (std::uint32_t r = 0; r < ctas_.size(); ++r) {
+    if (!owns_region(r)) continue;
+    out.cta += ctas_[r]->table_bytes();
+    out.upf += upfs_[r]->table_bytes();
+  }
+  for (const auto& cpf : cpfs_) {
+    if (owns_region(cpf->region())) out.cpf += cpf->table_bytes();
+  }
+  return out;
+}
+
 void System::sample_log_sizes() {
   std::size_t total = 0;
   for (const auto& cta : ctas_) {

@@ -52,6 +52,24 @@ inline sim::JobClass job_class_of(const Msg& msg) {
   }
 }
 
+/// Bytes of the hash tables each kind of node keeps, summed over the nodes
+/// one System (one shard) owns: a per-owner census of capacity × slot
+/// size (FlatHashMap::memory_bytes), deterministic for a given run.
+struct TableBytes {
+  std::size_t frontend = 0;
+  std::size_t cta = 0;
+  std::size_t cpf = 0;
+  std::size_t upf = 0;
+
+  TableBytes& operator+=(const TableBytes& o) {
+    frontend += o.frontend;
+    cta += o.cta;
+    cpf += o.cpf;
+    upf += o.upf;
+    return *this;
+  }
+};
+
 // ---------------------------------------------------------------------------
 // UPF: data-plane session endpoint (S11 server), one per region.
 // ---------------------------------------------------------------------------
@@ -69,6 +87,9 @@ class Upf {
 
   [[nodiscard]] UpfId id() const { return id_; }
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
+  [[nodiscard]] std::size_t table_bytes() const {
+    return sessions_.memory_bytes();
+  }
   [[nodiscard]] bool has_session(UeId ue) const {
     return sessions_.contains(ue);
   }
@@ -114,6 +135,11 @@ class Cpf {
 
   [[nodiscard]] bool has_up_to_date(UeId ue) const;
   [[nodiscard]] const UeState* peek_state(UeId ue) const;
+  /// Bytes of the state store, procedure and parked-handover tables.
+  [[nodiscard]] std::size_t table_bytes() const {
+    return store_.memory_bytes() + procs_.memory_bytes() +
+           pending_handover_.memory_bytes();
+  }
   /// Diagnostics: worst queueing delay seen by each service pool.
   [[nodiscard]] SimTime max_request_backlog() const {
     return request_pool_.max_backlog();
@@ -143,13 +169,18 @@ class Cpf {
   [[nodiscard]] int request_cores() const { return request_pool_.cores(); }
 
  private:
+  /// One replica's copy of a UE: 24 bytes, 1 + N per attached UE. The
+  /// marker shares a word with its clock; `Entry{state, true}` fills the
+  /// fields in this order.
   struct Entry {
     std::shared_ptr<const UeState> state;
-    bool up_to_date = true;
+    LogicalClock::Value up_to_date : 1 = 1;
     /// §4.2.4(1a-ii): once marked outdated, only a state update carrying at
-    /// least this logical clock makes the replica current again.
-    LogicalClock::Value required_lclock = 0;
+    /// least this logical clock makes the replica current again. 63 bits:
+    /// a CTA clock ticks once per logged message and never gets near 2^63.
+    LogicalClock::Value required_lclock : 63 = 0;
   };
+  static_assert(sizeof(Entry) == 24);
 
   /// Per-UE progress of the procedure this CPF is currently executing.
   struct ProcCtx {
@@ -252,6 +283,11 @@ class Cta {
 
   [[nodiscard]] std::size_t log_bytes() const { return log_bytes_; }
   [[nodiscard]] std::size_t log_messages() const { return log_messages_; }
+  /// Bytes of the per-UE record and probe tables (not what the records
+  /// own: procedure logs, ACK sets).
+  [[nodiscard]] std::size_t table_bytes() const {
+    return ues_.memory_bytes() + missed_probes_.memory_bytes();
+  }
   /// Chaos audit (DESIGN.md §12): appends a description of every violated
   /// log invariant — retained entries below first_seq_logged or beyond
   /// last_seq_logged, empty or fully-ACKed-but-unpruned procedure logs,
@@ -380,41 +416,58 @@ class Frontend {
 
   /// Data-plane outage accounting for the application studies (§6.6):
   /// [start, end) intervals during which the UE had no usable data path.
+  /// Only watched UEs keep a history: watch before the UE's first
+  /// procedure to see every interval. outages() of an unwatched UE aborts
+  /// in every build, since an empty history would read as "no outage".
   struct Outage {
     SimTime start;
     SimTime end;
   };
+  void watch_outages(UeId ue);
   [[nodiscard]] const std::vector<Outage>& outages(UeId ue) const;
 
+  /// Bytes of this Frontend's tables (capacity × slot; see
+  /// FlatHashMap::memory_bytes).
+  [[nodiscard]] std::size_t table_bytes() const {
+    return ues_.memory_bytes() + outage_logs_.memory_bytes();
+  }
+
  private:
+  /// Fields run from widest to narrowest: 64 bytes, one per UE the
+  /// Frontend has seen.
   struct UeCtx {
-    std::uint32_t region = 0;
-    std::uint32_t prev_region = 0;  // before the last move (replica lookup)
-    bool paging_response = false;   // current procedure answers a page
-    bool attached = false;
     std::uint64_t completed_procs = 0;
     /// proc_seq of the last procedure this UE saw complete: the RYW ground
     /// truth the core's served_proc is checked against.
     std::uint64_t last_completed_seq = 0;
     std::uint64_t next_proc_seq = 1;
     // In-flight procedure, if any.
-    bool in_flight = false;
-    ProcedureType proc_type = ProcedureType::kAttach;
-    ProcedureType reported_type = ProcedureType::kAttach;  // original type
     std::uint64_t proc_seq = 0;
-    MsgKind awaiting = MsgKind::kAttachAccept;
     SimTime start_time;
-    bool under_failure = false;
+    std::uint32_t region = 0;
+    std::uint32_t prev_region = 0;  // before the last move (replica lookup)
     std::uint32_t ho_target = 0;
     // NAS retransmission (DESIGN.md §13): the last uplink sent and how
     // often it has been re-sent. A pending retx timer is stale unless
     // (proc_seq, last_uplink, retx_attempt) all still match.
-    MsgKind last_uplink = MsgKind::kAttachRequest;
     std::uint32_t retx_attempt = 0;
-    // Data-path outage tracking.
-    SimTime outage_start;
-    bool in_outage = false;
-    std::vector<Outage> outages;
+    MsgKind last_uplink = MsgKind::kAttachRequest;
+    MsgKind awaiting = MsgKind::kAttachAccept;
+    ProcedureType proc_type = ProcedureType::kAttach;
+    ProcedureType reported_type = ProcedureType::kAttach;  // original type
+    bool in_flight = false;
+    bool under_failure = false;
+    bool paging_response = false;  // current procedure answers a page
+    bool attached = false;
+  };
+  static_assert(sizeof(UeCtx) <= 64);
+
+  /// A watched UE's outage history: the open interval, if any, and the
+  /// closed ones in order.
+  struct OutageLog {
+    SimTime start;
+    bool open = false;
+    std::vector<Outage> closed;
   };
 
   void send_uplink(UeCtx& ctx, UeId ue, MsgKind kind);
@@ -423,13 +476,13 @@ class Frontend {
   void arm_retx(UeCtx& ctx, UeId ue, MsgKind kind);
   void complete(UeCtx& ctx, UeId ue, const Msg& final_msg);
   void begin_reattach(UeCtx& ctx, UeId ue);
-  void begin_outage(UeCtx& ctx);
-  void end_outage(UeCtx& ctx);
+  void begin_outage(UeId ue);
+  void end_outage(UeId ue);
   void check_ryw(UeCtx& ctx, const Msg& msg);
 
   System* system_;
   FlatHashMap<UeId, UeCtx> ues_;
-  std::vector<Outage> no_outages_;  // empty result for unknown UEs
+  FlatHashMap<UeId, OutageLog> outage_logs_;  // watched UEs only
   /// Cached "frontend.completions{proc=..}" registry handles, by type.
   std::array<obs::Counter*, Metrics::kProcTypes> completion_counters_{};
 };
@@ -484,6 +537,9 @@ class System {
   [[nodiscard]] FaultInjection& faults() { return faults_; }
 
   [[nodiscard]] Frontend& frontend() { return *frontend_; }
+
+  /// Table census of the nodes this System owns (shadows excluded).
+  [[nodiscard]] TableBytes table_bytes() const;
 
   /// One trace arrival as replay() keeps it until it fires (32 bytes).
   struct Arrival {

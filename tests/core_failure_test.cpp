@@ -228,6 +228,49 @@ TEST(OutdatedMarking, LateReplicaRefusesToServeStaleState) {
   EXPECT_EQ(h.metrics.procedures_completed, 3u);
 }
 
+TEST(OutdatedMarking, MarkerClockAboveTwoToTheThirtyTwoHolds) {
+  Harness h(neutrino_policy());
+  const UeId ue{42};
+  h.system->frontend().preattach(ue, 0);
+  const CpfId replica = h.system->backups_for(ue, 0).front();
+  ASSERT_TRUE(h.system->cpf(replica).has_up_to_date(ue));
+  // A marker clock whose low 32 bits are tiny: a packing that truncates
+  // it would let any later checkpoint restore the replica.
+  const LogicalClock::Value marker = (LogicalClock::Value{1} << 32) + 7;
+  Msg notify;
+  notify.kind = MsgKind::kOutdatedNotify;
+  notify.ue = ue;
+  notify.proc_seq = 2;  // newer than the preinstalled state's procedure 1
+  notify.lclock = marker;
+  h.system->cpf(replica).deliver(notify);
+  h.run_to(SimTime::milliseconds(10));
+  ASSERT_FALSE(h.system->cpf(replica).has_up_to_date(ue));
+
+  const auto checkpoint = [&](LogicalClock::Value lclock, SimTime until) {
+    auto state = std::make_shared<UeState>(
+        *h.system->cpf(replica).peek_state(ue));
+    state->last_completed_proc = 2;
+    state->last_lclock = lclock;
+    Msg ckpt;
+    ckpt.kind = MsgKind::kStateCheckpoint;
+    ckpt.ue = ue;
+    ckpt.proc_seq = 2;
+    ckpt.lclock = lclock;
+    ckpt.state = std::move(state);
+    h.system->cpf(replica).deliver(std::move(ckpt));
+    h.run_to(until);
+  };
+  // One tick short of the marker: newer data is kept, the replica stays
+  // outdated.
+  checkpoint(marker - 1, SimTime::milliseconds(20));
+  EXPECT_FALSE(h.system->cpf(replica).has_up_to_date(ue));
+  EXPECT_EQ(h.system->cpf(replica).peek_state(ue)->last_lclock, marker - 1);
+  // At the marker: current again.
+  checkpoint(marker, SimTime::milliseconds(30));
+  EXPECT_TRUE(h.system->cpf(replica).has_up_to_date(ue));
+  EXPECT_EQ(h.system->cpf(replica).peek_state(ue)->last_lclock, marker);
+}
+
 // --- Randomized property sweep ----------------------------------------------
 
 struct PropertyParams {

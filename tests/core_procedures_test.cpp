@@ -204,11 +204,88 @@ TEST(Handover, HandoverOutageIsRecorded) {
   MultiRegionHarness h(neutrino_policy());
   const UeId ue{11};
   h.system->frontend().preattach(ue, 1);
+  h.system->frontend().watch_outages(ue);
   h.system->frontend().start_procedure(ue, ProcedureType::kHandover, 2);
   h.run();
   const auto& outages = h.system->frontend().outages(ue);
   ASSERT_EQ(outages.size(), 1u);
   EXPECT_GT((outages[0].end - outages[0].start).ns(), 0);
+}
+
+TEST(Frontend, OutagesOfUnwatchedUeAbortInEveryBuild) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MultiRegionHarness h(neutrino_policy());
+  const UeId ue{11};
+  h.system->frontend().preattach(ue, 1);
+  h.system->frontend().start_procedure(ue, ProcedureType::kHandover, 2);
+  h.run();
+  // An empty history would read as "no outage", i.e. no missed deadline.
+  EXPECT_DEATH((void)h.system->frontend().outages(ue),
+               "outages\\(\\) of UE 11, which nobody watched");
+}
+
+TEST(Frontend, WatchedUeRecordsEveryOutageKind) {
+  sim::EventLoop loop;
+  FixedCostModel costs{SimTime::microseconds(10)};
+  Metrics metrics;
+  TopologyConfig topo;
+  topo.l1_per_l2 = 4;
+  topo.cpfs_per_region = 5;
+  ProtocolConfig proto;
+  proto.ack_timeout = SimTime::milliseconds(500);
+  proto.log_scan_interval = SimTime::milliseconds(100);
+  // Crashes are noticed after the 500-ms coverage grace has run out.
+  proto.failure_detection = SimTime::milliseconds(600);
+  System system(loop, neutrino_policy(), topo, proto, costs, metrics);
+  Frontend& fe = system.frontend();
+  const UeId ue{11};  // homed in region 3
+  const UeId bystander{12};
+  fe.watch_outages(ue);
+  const auto at = [&](SimTime when, auto fn) { loop.schedule_at(when, fn); };
+  const auto ms = [](std::int64_t v) { return SimTime::milliseconds(v); };
+  const auto crash_serving = [&](bool with_backups) {
+    const std::uint32_t region = fe.region_of(ue);
+    system.crash_cpf(system.cta(region).route(ue));
+    if (!with_backups) return;
+    for (const CpfId b : system.cta(region).backups(ue)) system.crash_cpf(b);
+  };
+  // Attach, then an inter-region and an intra-region handover.
+  at(ms(0), [&] { fe.start_procedure(ue, ProcedureType::kAttach); });
+  at(ms(0), [&] { fe.start_procedure(bystander, ProcedureType::kAttach); });
+  at(ms(1000), [&] { fe.start_procedure(ue, ProcedureType::kHandover, 0); });
+  at(ms(2000),
+     [&] { fe.start_procedure(ue, ProcedureType::kIntraHandover, 0); });
+  // The serving CPF dies while it runs a handover: the coverage grace
+  // expires before failover replays it, so the outage starts at 3.5 s.
+  at(ms(3000), [&] { fe.start_procedure(ue, ProcedureType::kHandover, 1); });
+  at(ms(3000) + SimTime::microseconds(20), [&] { crash_serving(false); });
+  // Every replica dies: the next service request re-attaches.
+  at(ms(5000), [&] { crash_serving(true); });
+  at(ms(6000),
+     [&] { fe.start_procedure(ue, ProcedureType::kServiceRequest); });
+  loop.run_until(SimTime::seconds(10));
+
+  EXPECT_EQ(metrics.procedures_completed, 6u);
+  // One re-attach inside the failed-over handover, one after the crash.
+  EXPECT_EQ(metrics.reattaches, 2u);
+  EXPECT_EQ(metrics.ryw_violations, 0u);
+  // Pinned from the build that kept every UE's history, to the
+  // nanosecond: attach, inter-region handover (command to completion),
+  // intra-region handover, expired grace to failover, re-attach.
+  const std::vector<std::pair<std::int64_t, std::int64_t>> want = {
+      {0, 146'950},
+      {1'000'041'650, 1'000'925'300},
+      {2'000'000'000, 2'000'063'650},
+      {3'500'000'000, 3'602'546'950},
+      {6'000'041'650, 6'000'188'600}};
+  std::vector<std::pair<std::int64_t, std::int64_t>> got;
+  for (const Frontend::Outage& o : fe.outages(ue)) {
+    got.emplace_back(o.start.ns(), o.end.ns());
+  }
+  EXPECT_EQ(got, want);
+  // The bystander was never watched and keeps no history.
+  fe.watch_outages(bystander);
+  EXPECT_TRUE(fe.outages(bystander).empty());
 }
 
 TEST(Load, ManyUesAcrossRegionsAllComplete) {
