@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks over the simulation core: event
 // schedule+dispatch throughput (the seed's std::function priority_queue
-// vs the InlineTask 4-ary heap behind its timer wheel) and Msg recycling
-// (MsgPool vs heap new/delete). Companion to bench/scale_throughput.cpp,
-// which measures the same machinery end-to-end; this isolates the
-// primitives.
+// vs the InlineTask 4-ary heap behind its timer wheel) and one message
+// hop as the transports run it (an event that owns its Msg by value).
+// Companion to bench/scale_throughput.cpp, which measures the same
+// machinery end-to-end; this isolates the primitives.
 //
 // The ISSUE acceptance bar lives here: the new loop must sustain >= 3x
 // the legacy schedule+dispatch throughput for callbacks that fit the
@@ -16,7 +16,7 @@
 #include <queue>
 #include <vector>
 
-#include "core/msg_pool.hpp"
+#include "core/msg.hpp"
 #include "sim/event_loop.hpp"
 
 namespace neutrino {
@@ -68,8 +68,8 @@ class LegacyLoop {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Representative transport capture: the pooled paths capture
-/// {this, region, Handle} = 24-32 bytes; pad to 32 to model them.
+/// Representative small capture: service-pool completions capture
+/// {this, id, generation} = 24 bytes and timers a few words; pad to 32.
 struct Payload {
   std::uint64_t v[4];
 };
@@ -152,35 +152,35 @@ void BM_InlineSchedulePop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
-void BM_MsgNewDelete(benchmark::State& state) {
+/// One message hop: an event capturing {System*, dest, dest_id, Msg}
+/// (104 bytes: past the inline buffer, one heap allocation) that moves
+/// its Msg into the node's entry point, a batch of near-future hops per
+/// iteration.
+void BM_MsgHopByValue(benchmark::State& state) {
+  sim::EventLoop loop;
+  std::uint64_t sink = 0;
+  std::int64_t at = 0;
   for (auto _ : state) {
-    auto* msg = new core::Msg();
-    msg->proc_seq = 7;
-    benchmark::DoNotOptimize(msg);
-    delete msg;
+    for (int i = 0; i < kBatch; ++i) {
+      core::Msg msg;
+      msg.proc_seq = static_cast<std::uint64_t>(i);
+      loop.schedule_at(SimTime::nanoseconds(++at),
+                       [s = &sink, dest = 1u, m = std::move(msg)]() mutable {
+                         const core::Msg arrived = std::move(m);
+                         *s += arrived.proc_seq + dest;
+                       });
+    }
+    loop.run_until(SimTime::nanoseconds(at));
   }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_MsgPoolAcquireRelease(benchmark::State& state) {
-  core::MsgPool pool;
-  { auto warm = pool.acquire(core::Msg{}); warm.take(); }  // prime free list
-  for (auto _ : state) {
-    core::Msg m;
-    m.proc_seq = 7;
-    auto h = pool.acquire(std::move(m));
-    core::Msg back = h.take();
-    benchmark::DoNotOptimize(back.proc_seq);
-  }
-  state.SetItemsProcessed(state.iterations());
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
 BENCHMARK(BM_LegacySchedulePop);
 BENCHMARK(BM_InlineSchedulePop);
 BENCHMARK(BM_LegacySteadyState);
 BENCHMARK(BM_InlineSteadyState);
-BENCHMARK(BM_MsgNewDelete);
-BENCHMARK(BM_MsgPoolAcquireRelease);
+BENCHMARK(BM_MsgHopByValue);
 
 }  // namespace
 }  // namespace neutrino

@@ -17,9 +17,6 @@
 //  * Ring membership (DESIGN.md §19): each CTA's level-1/level-2 rings
 //    agree with the system's elastic in-ring bitmap (audited alongside
 //    the log scan; catches a scale-out/drain that missed a CTA).
-//  * Msg pool conservation: once the loop fully drains, every pooled Msg
-//    must be back on the free list — a leak means some crash/recovery
-//    path dropped an in-flight handle.
 //
 // One checker per System instance: under the sharded runtime each shard
 // gets its own (UEs partition by home shard, and observer callbacks must
@@ -90,18 +87,10 @@ class InvariantChecker final : public core::InvariantObserver {
     watermark_[ue.value()] = proc_seq;
   }
 
-  /// Post-run audit: final CTA log scan, plus pool conservation when the
-  /// loop actually drained (pending timers legitimately hold no pooled
-  /// messages, but an undelivered in-flight message does).
+  /// Post-run audit: final CTA log scan, and whether the loop drained.
   void final_check() {
     audit_ctas();
     quiesced_ = system_->loop().empty();
-    if (quiesced_ && system_->msg_pool().outstanding() != 0) {
-      record("msg pool conservation: " +
-             std::to_string(system_->msg_pool().outstanding()) +
-             " pooled messages never returned after drain",
-             "msg_pool");
-    }
   }
 
   [[nodiscard]] std::uint64_t violation_count() const { return count_; }

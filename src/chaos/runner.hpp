@@ -46,8 +46,8 @@ struct RunConfig {
 struct RunOutcome {
   std::uint64_t violation_count = 0;
   std::vector<std::string> violations;  // capped per checker
-  /// All loops fully drained at the horizon (pool conservation was
-  /// checkable). Reported, not a violation by itself.
+  /// All loops fully drained at the horizon: no message was still in
+  /// flight or queued. Reported, not a violation by itself.
   bool quiesced = true;
   std::uint64_t lost = 0;  // UEs still mid-procedure at the horizon
   std::uint64_t started = 0;

@@ -117,7 +117,7 @@ struct Schedule {
   std::uint32_t cpfs_per_region = 5;
   std::uint32_t ues = 24;
   /// Run the loops to here; generous drain past the last event so every
-  /// timeout fires and the pool-conservation audit is meaningful.
+  /// timeout fires and every in-flight message is delivered or dropped.
   SimTime horizon = SimTime::seconds(8);
   std::vector<Event> events;
 };

@@ -21,7 +21,6 @@ Cpf::Cpf(System& system, CpfId id, std::uint32_t region)
 }
 
 void Cpf::deliver(Msg msg) {
-  if (!alive_) return;
   SimTime cost = system_->costs().processing_time(
       system_->policy().wire_format, msg.kind);
   // SkyCore-style per-message replication locks and serializes the UE
@@ -55,51 +54,30 @@ void Cpf::deliver(Msg msg) {
     case MsgKind::kStateCheckpoint:
     case MsgKind::kOutdatedNotify:
       trace_pool(sync_pool_);
-      sync_pool_.submit(
-          cost, [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-            Msg m = h.take();
-            handle_replication(m);
-          });
+      sync_pool_.submit(cost, [this, m = std::move(msg)]() mutable {
+        handle_replication(m);
+      });
       return;
     case MsgKind::kStateFetch:
       // A fetch serves a live procedure (FastHandover/TAU arrival) — it
       // belongs on the request core, not behind bulk checkpoint traffic.
       trace_pool(request_pool_);
-      request_pool_.submit(
-          cost, [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-            Msg m = h.take();
-            handle_replication(m);
-          });
+      request_pool_.submit(cost, [this, m = std::move(msg)]() mutable {
+        handle_replication(m);
+      });
       return;
     default:
       // Bounded request queue (DESIGN.md §13): only UE-origin ingress is
       // sheddable — UPF responses, relocation traffic and fetch replies
       // complete procedures the system already admitted and paid for.
-      if (is_ue_control_message(msg.kind)) {
-        const sim::JobClass cls = job_class_of(msg);
-        if (!request_pool_.admits(cls)) {
-          request_pool_.count_drop(cls);
-          if (obs::FlightRecorder* fl = system_->flight()) {
-            fl->record(system_->loop().now(),
-                       cls == sim::JobClass::kAttach
-                           ? obs::FlightRecorder::Kind::kAttachShed
-                           : obs::FlightRecorder::Kind::kOverloadDrop,
-                       static_cast<std::int64_t>(msg.ue.value()), region_,
-                       "cpf");
-          }
-          if (cls == sim::JobClass::kAttach) {
-            ++system_->metrics().attach_sheds;
-          } else {
-            ++system_->metrics().overload_drops;
-          }
-          return;
-        }
+      if (is_ue_control_message(msg.kind) &&
+          !system_->admit(request_pool_, msg, region_, "cpf")) {
+        return;
       }
       trace_pool(request_pool_);
-      request_pool_.submit(
-          cost, [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-            handle(h.take());
-          });
+      request_pool_.submit(cost, [this, m = std::move(msg)]() mutable {
+        handle(std::move(m));
+      });
       return;
   }
 }
@@ -365,10 +343,8 @@ void Cpf::handle_handover_source(Msg& msg) {
                   now + queued, now + queued + serialize);
         }
         request_pool_.submit(
-            serialize,
-            [this, target,
-             h = system_->msg_pool().acquire(std::move(request))]() mutable {
-              system_->cpf_to_cpf(id_, target, h.take());
+            serialize, [this, target, m = std::move(request)]() mutable {
+              system_->cpf_to_cpf(id_, target, std::move(m));
             });
       } else {
         // FastHandover (§4.3): the state already lives on a level-2
@@ -654,7 +630,7 @@ void Cpf::handle_replication(Msg& msg) {
       entry.up_to_date = false;
       entry.required_lclock = msg.lclock;
       // §4.2.4(1c): fetch from a CPF known to be current, if any.
-      if (msg.uptodate_cpfs && !msg.uptodate_cpfs->empty()) {
+      if (msg.fetch_from) {
         ++system_->metrics().state_fetches;
         Msg fetch;
         fetch.kind = MsgKind::kStateFetch;
@@ -662,8 +638,7 @@ void Cpf::handle_replication(Msg& msg) {
         fetch.proc_seq = msg.proc_seq;
         fetch.region = msg.region;
         fetch.src_cpf = id_;
-        system_->cpf_to_cpf(id_, msg.uptodate_cpfs->front(),
-                            std::move(fetch));
+        system_->cpf_to_cpf(id_, *msg.fetch_from, std::move(fetch));
       }
       break;
     }

@@ -160,7 +160,6 @@ std::vector<CpfId> Cta::backups(UeId ue) const {
 }
 
 void Cta::deliver_uplink(Msg msg) {
-  if (!alive_) return;
   SimTime cost = system_->proto().cta_forward_cost;
   if (system_->policy().cta_message_logging &&
       is_ue_control_message(msg.kind)) {
@@ -169,23 +168,7 @@ void Cta::deliver_uplink(Msg msg) {
   // Bounded ingress (DESIGN.md §13): admission happens before the log and
   // before pending-request tracking, so to the protocol a shed message
   // never arrived — the UE's NAS retransmission re-drives it with backoff.
-  const sim::JobClass cls = job_class_of(msg);
-  if (!pool_.admits(cls)) {
-    pool_.count_drop(cls);
-    if (obs::FlightRecorder* fl = system_->flight()) {
-      fl->record(system_->loop().now(),
-                 cls == sim::JobClass::kAttach
-                     ? obs::FlightRecorder::Kind::kAttachShed
-                     : obs::FlightRecorder::Kind::kOverloadDrop,
-                 static_cast<std::int64_t>(msg.ue.value()), region_, "cta");
-    }
-    if (cls == sim::JobClass::kAttach) {
-      ++system_->metrics().attach_sheds;
-    } else {
-      ++system_->metrics().overload_drops;
-    }
-    return;
-  }
+  if (!system_->admit(pool_, msg, region_, "cta")) return;
   if (obs::ProcTracer* tr = system_->tracer()) {
     const SimTime now = system_->loop().now();
     const SimTime queued = pool_.backlog();
@@ -193,10 +176,9 @@ void Cta::deliver_uplink(Msg msg) {
     tr->hop(msg, obs::HopClass::kService, "cta", region_, now + queued,
             now + queued + cost);
   }
-  pool_.submit(cost,
-               [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-                 forward_uplink(h.take());
-               });
+  pool_.submit(cost, [this, m = std::move(msg)]() mutable {
+    forward_uplink(std::move(m));
+  });
 }
 
 void Cta::forward_uplink(Msg msg) {
@@ -272,7 +254,6 @@ void Cta::forward_uplink(Msg msg) {
 }
 
 void Cta::deliver_downlink(Msg msg) {
-  if (!alive_) return;
   if (obs::ProcTracer* tr = system_->tracer()) {
     const SimTime now = system_->loop().now();
     const SimTime queued = pool_.backlog();
@@ -282,8 +263,7 @@ void Cta::deliver_downlink(Msg msg) {
             now + queued + cost);
   }
   pool_.submit(system_->proto().cta_forward_cost,
-               [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-    Msg msg = h.take();
+               [this, msg = std::move(msg)]() mutable {
     if (msg.kind == MsgKind::kCheckpointAck) {
       handle_ack(msg);
       return;
@@ -417,9 +397,9 @@ void Cta::notify_outdated(UeId ue, const ProcedureLog& plog,
           ? plog.end_lclock
           : (plog.entries.empty() ? 0 : plog.entries.back().msg.lclock);
   const auto replica_set = backups(ue);
-  auto uptodate = std::make_shared<std::vector<CpfId>>();
+  std::optional<CpfId> fetch_from;  // the first replica that ACKed
   for (const CpfId b : replica_set) {
-    if (plog.acked_by.contains(b.value())) uptodate->push_back(b);
+    if (!fetch_from && plog.acked_by.contains(b.value())) fetch_from = b;
   }
   for (const CpfId b : replica_set) {
     if (plog.acked_by.contains(b.value())) continue;
@@ -429,7 +409,7 @@ void Cta::notify_outdated(UeId ue, const ProcedureLog& plog,
     notify.proc_seq = proc_seq;
     notify.lclock = marker;  // ignore older state updates (§4.2.4)
     notify.region = region_;
-    notify.uptodate_cpfs = uptodate;
+    notify.fetch_from = fetch_from;
     ++system_->metrics().outdated_notifies;
     system_->cta_to_cpf(region_, b, std::move(notify));
   }

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
@@ -143,13 +143,25 @@ constexpr std::string_view to_string(ProcedureType p) {
 
 struct UeState;  // core/ue_state.hpp
 
-/// One simulated control message.
+/// One simulated control message, owned by value by the event of its hop
+/// or the service-pool job it waits in. `state` is its only allocating
+/// member; fields run from widest to narrowest, so only the tail pads.
 struct Msg {
-  MsgKind kind = MsgKind::kAttachRequest;
+  /// Replication payload (kStateCheckpoint / kStateFetchResponse /
+  /// kHandoverRequest with migration).
+  std::shared_ptr<const UeState> state;
   UeId ue;
-  ProcedureType proc_type = ProcedureType::kAttach;
   std::uint64_t proc_seq = 0;  // per-UE procedure number
   LogicalClock::Value lclock = 0;  // stamped by the CTA (§4.2.3)
+  /// last_completed_proc of the state the CPF served from; the frontend
+  /// compares it against the UE's own completed count — the executable
+  /// Read-your-Writes check (§4.2.1).
+  std::uint64_t served_proc = 0;
+  /// The UE's own context version (its last completed procedure), stamped
+  /// on procedure-initiating messages. A CPF whose stored state disagrees
+  /// must reject and demand Re-Attach — the UE-side context validation
+  /// (KSI/S-TMSI checks) that §3.1 builds on.
+  std::uint64_t expected_proc = 0;
   CpfId src_cpf;                   // sender, for CPF<->CPF traffic
   /// Sender's crash incarnation, stamped on checkpoint ACKs: an ACK from a
   /// previous incarnation vouches for state that died with the crash and
@@ -160,21 +172,14 @@ struct Msg {
   /// Region the UE was homed in before this message (a handover target
   /// derives the level-2 replica placement from the *source* region).
   std::uint32_t prev_region = 0;
+  /// kOutdatedNotify: the first replica, in ring order, that ACKed the
+  /// procedure and so holds up-to-date state; the outdated replica fetches
+  /// from it (§4.2.4 1a-i, 1c). Empty when no replica ACKed.
+  std::optional<CpfId> fetch_from;
+  MsgKind kind = MsgKind::kAttachRequest;
+  ProcedureType proc_type = ProcedureType::kAttach;
   bool is_replay = false;          // re-injected from the CTA log
-  /// last_completed_proc of the state the CPF served from; the frontend
-  /// compares it against the UE's own completed count — the executable
-  /// Read-your-Writes check (§4.2.1).
-  std::uint64_t served_proc = 0;
-  /// The UE's own context version (its last completed procedure), stamped
-  /// on procedure-initiating messages. A CPF whose stored state disagrees
-  /// must reject and demand Re-Attach — the UE-side context validation
-  /// (KSI/S-TMSI checks) that §3.1 builds on.
-  std::uint64_t expected_proc = 0;
-  /// Replication payload (kStateCheckpoint / kStateFetchResponse /
-  /// kHandoverRequest with migration).
-  std::shared_ptr<const UeState> state;
-  /// kOutdatedNotify: CPFs known to hold up-to-date state (§4.2.4 1a-i).
-  std::shared_ptr<const std::vector<CpfId>> uptodate_cpfs;
 };
+static_assert(sizeof(Msg) <= 88);
 
 }  // namespace neutrino::core

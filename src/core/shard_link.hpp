@@ -12,11 +12,11 @@
 // through an SPSC channel and the owning shard's System re-schedules it
 // at the precomputed arrival time (System::deliver_envelope).
 //
-// Messages cross by value (the Msg, including its shared_ptr snapshot
-// fields) — MsgPool handles never leave their shard. The shared_ptr
-// control blocks use atomic refcounts and UeState snapshots are immutable
-// after publication (Cpf::mutable_state clones before writing), so the
-// barrier's happens-before edge makes this race-free.
+// Messages cross by value, as they travel on every hop; only the Msg's
+// `state` snapshot is shared. Its control block uses atomic refcounts and
+// UeState snapshots are immutable after publication (Cpf::mutable_state
+// clones before writing), so the barrier's happens-before edge makes this
+// race-free.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +27,10 @@
 namespace neutrino::core {
 
 struct ShardEnvelope {
-  /// Which delivery path the message re-enters on the owning shard; the
-  /// alive-gating of the local transports is replayed at delivery.
+  /// The node entry point the message arrives at through System::dispatch,
+  /// which applies the alive gates. UE↔CTA hops never cross shards.
   enum class Dest : std::uint8_t {
+    kUe,           // → Frontend::deliver     (dest_id = region)
     kCtaUplink,    // → Cta::deliver_uplink   (dest_id = region)
     kCtaDownlink,  // → Cta::deliver_downlink (dest_id = region)
     kCpf,          // → Cpf::deliver          (dest_id = CpfId value)

@@ -31,9 +31,7 @@ void Upf::deliver(Msg msg) {
             now + queued + cost);
   }
   pool_.submit(cost,
-               [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-                 handle(h.take());
-               });
+               [this, m = std::move(msg)]() mutable { handle(std::move(m)); });
 }
 
 void Upf::handle(Msg msg) {
@@ -140,127 +138,57 @@ void System::ue_to_cta(std::uint32_t region, Msg msg) {
   if (!owns_region(region)) [[unlikely]] {
     cross_shard_ue_link("UE->CTA", region);
   }
-  trace_prop(msg, "ue->cta", region, topo_.latency.ue_to_cta);
-  // All transports park the message in the pool so the event captures a
-  // handle (inline-schedulable) instead of a full Msg. take() runs first,
-  // unconditionally: it must free the slot even when the target is dead.
-  loop_->schedule_after(topo_.latency.ue_to_cta,
-                        [this, region,
-                         h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          Msg m = h.take();
-                          if (ctas_[region]->alive()) {
-                            ctas_[region]->deliver_uplink(std::move(m));
-                          }
-                        });
+  send(Dest::kCtaUplink, region, region, topo_.latency.ue_to_cta, "ue->cta",
+       std::move(msg));
 }
 
 void System::cta_to_ue(Msg msg) {
-  if (!owns_region(msg.region)) [[unlikely]] {
-    cross_shard_ue_link("CTA->UE", msg.region);
+  const std::uint32_t region = msg.region;
+  if (!owns_region(region)) [[unlikely]] {
+    cross_shard_ue_link("CTA->UE", region);
   }
-  trace_prop(msg, "cta->ue", msg.region, topo_.latency.ue_to_cta);
-  loop_->schedule_after(topo_.latency.ue_to_cta,
-                        [this, h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          frontend_->deliver(h.take());
-                        });
+  send(Dest::kUe, region, region, topo_.latency.ue_to_cta, "cta->ue",
+       std::move(msg));
 }
 
 void System::cta_to_cpf(std::uint32_t cta_region, CpfId cpf, Msg msg) {
   const std::uint32_t cpf_region = topo_.region_of_cpf(cpf);
-  const SimTime latency = cta_region == cpf_region
-                              ? topo_.latency.cta_to_cpf
-                              : topo_.cpf_link(cta_region, cpf_region);
-  trace_prop(msg, "cta->cpf", cpf.value(), latency);
-  if (!owns_region(cpf_region)) {
-    post_remote(ShardEnvelope::Dest::kCpf, cpf.value(), cpf_region, latency,
-                std::move(msg));
-    return;
-  }
-  loop_->schedule_after(
-      latency, [this, cpf, h = msg_pool_.acquire(std::move(msg))]() mutable {
-        Msg m = h.take();
-        if (cpfs_[cpf.value()]->alive()) {
-          cpfs_[cpf.value()]->deliver(std::move(m));
-        }
-      });
+  send(Dest::kCpf, cpf.value(), cpf_region,
+       link_latency(cta_region, cpf_region, topo_.latency.cta_to_cpf),
+       "cta->cpf", std::move(msg));
 }
 
 void System::cpf_to_cta(CpfId from, std::uint32_t cta_region, Msg msg) {
-  const std::uint32_t from_region = topo_.region_of_cpf(from);
-  const SimTime latency = from_region == cta_region
-                              ? topo_.latency.cta_to_cpf
-                              : topo_.cpf_link(from_region, cta_region);
-  trace_prop(msg, "cpf->cta", cta_region, latency);
-  if (!owns_region(cta_region)) {
-    post_remote(ShardEnvelope::Dest::kCtaDownlink, cta_region, cta_region,
-                latency, std::move(msg));
-    return;
-  }
-  loop_->schedule_after(latency,
-                        [this, cta_region,
-                         h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          Msg m = h.take();
-                          if (ctas_[cta_region]->alive()) {
-                            ctas_[cta_region]->deliver_downlink(std::move(m));
-                          }
-                        });
+  send(Dest::kCtaDownlink, cta_region, cta_region,
+       link_latency(topo_.region_of_cpf(from), cta_region,
+                    topo_.latency.cta_to_cpf),
+       "cpf->cta", std::move(msg));
 }
 
 void System::cpf_to_cpf(CpfId from, CpfId to, Msg msg) {
-  const SimTime latency =
-      topo_.cpf_link(topo_.region_of_cpf(from), topo_.region_of_cpf(to));
-  trace_prop(msg, "cpf->cpf", to.value(), latency);
-  if (const std::uint32_t to_region = topo_.region_of_cpf(to);
-      !owns_region(to_region)) {
-    post_remote(ShardEnvelope::Dest::kCpf, to.value(), to_region, latency,
-                std::move(msg));
-    return;
-  }
-  loop_->schedule_after(
-      latency, [this, to, h = msg_pool_.acquire(std::move(msg))]() mutable {
-        Msg m = h.take();
-        if (cpfs_[to.value()]->alive()) {
-          cpfs_[to.value()]->deliver(std::move(m));
-        }
-      });
+  const std::uint32_t to_region = topo_.region_of_cpf(to);
+  send(Dest::kCpf, to.value(), to_region,
+       topo_.cpf_link(topo_.region_of_cpf(from), to_region), "cpf->cpf",
+       std::move(msg));
 }
 
 void System::cpf_to_upf(CpfId from, std::uint32_t upf_region, Msg msg) {
-  const std::uint32_t from_region = topo_.region_of_cpf(from);
-  const SimTime latency = from_region == upf_region
-                              ? topo_.latency.cpf_to_upf
-                              : topo_.cpf_link(from_region, upf_region);
-  trace_prop(msg, "cpf->upf", upf_region, latency);
-  if (!owns_region(upf_region)) {
-    post_remote(ShardEnvelope::Dest::kUpf, upf_region, upf_region, latency,
-                std::move(msg));
-    return;
-  }
-  loop_->schedule_after(latency,
-                        [this, upf_region,
-                         h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          upfs_[upf_region]->deliver(h.take());
-                        });
+  send(Dest::kUpf, upf_region, upf_region,
+       link_latency(topo_.region_of_cpf(from), upf_region,
+                    topo_.latency.cpf_to_upf),
+       "cpf->upf", std::move(msg));
 }
 
 void System::upf_to_cpf(std::uint32_t upf_region, CpfId cpf, Msg msg) {
   const std::uint32_t cpf_region = topo_.region_of_cpf(cpf);
-  const SimTime latency = upf_region == cpf_region
-                              ? topo_.latency.cpf_to_upf
-                              : topo_.cpf_link(upf_region, cpf_region);
-  trace_prop(msg, "upf->cpf", cpf.value(), latency);
-  if (!owns_region(cpf_region)) {
-    post_remote(ShardEnvelope::Dest::kCpf, cpf.value(), cpf_region, latency,
-                std::move(msg));
-    return;
-  }
-  loop_->schedule_after(
-      latency, [this, cpf, h = msg_pool_.acquire(std::move(msg))]() mutable {
-        Msg m = h.take();
-        if (cpfs_[cpf.value()]->alive()) {
-          cpfs_[cpf.value()]->deliver(std::move(m));
-        }
-      });
+  send(Dest::kCpf, cpf.value(), cpf_region,
+       link_latency(upf_region, cpf_region, topo_.latency.cpf_to_upf),
+       "upf->cpf", std::move(msg));
+}
+
+void System::upf_to_cta(std::uint32_t upf_region, Msg msg) {
+  send(Dest::kCtaUplink, upf_region, upf_region, topo_.latency.cpf_to_upf,
+       "upf->cta", std::move(msg));
 }
 
 void System::trigger_downlink(UeId ue) {
@@ -268,50 +196,76 @@ void System::trigger_downlink(UeId ue) {
   upfs_[region]->notify_downlink(ue);
 }
 
-void System::upf_to_cta(std::uint32_t upf_region, Msg msg) {
-  trace_prop(msg, "upf->cta", upf_region, topo_.latency.cpf_to_upf);
-  loop_->schedule_after(topo_.latency.cpf_to_upf,
-                        [this, upf_region,
-                         h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          Msg m = h.take();
-                          if (ctas_[upf_region]->alive()) {
-                            ctas_[upf_region]->deliver_uplink(std::move(m));
-                          }
-                        });
+void System::send(Dest dest, std::uint32_t dest_id, std::uint32_t dest_region,
+                  SimTime latency, const char* link, Msg msg) {
+  const SimTime now = loop_->now();
+  if (tracer_) {
+    tracer_->hop(msg, obs::HopClass::kPropagation, link, dest_id, now,
+                 now + latency);
+  }
+  if (!owns_region(dest_region)) {
+    // The arrival lies past the current window's end (the lookahead is
+    // below every cross-shard link), so the owner schedules it later.
+    ++metrics_->cross_shard_posts;
+    shard_.sink->post(shard_of_region(dest_region), now + latency,
+                      ShardEnvelope{dest, dest_id, std::move(msg)});
+    return;
+  }
+  loop_->schedule_at(now + latency,
+                     [this, dest, dest_id, m = std::move(msg)]() mutable {
+                       dispatch(dest, dest_id, std::move(m));
+                     });
 }
 
 void System::deliver_envelope(SimTime arrival, ShardEnvelope envelope) {
-  // The lookahead guarantees arrival > the window this loop just ran to
-  // (so the max() below never actually clamps); replay the alive-gating
-  // of the local transports at delivery time.
-  const SimTime when = std::max(arrival, loop_->now());
-  const ShardEnvelope::Dest dest = envelope.dest;
-  const std::uint32_t dest_id = envelope.dest_id;
-  loop_->schedule_at(
-      when, [this, dest, dest_id,
-             h = msg_pool_.acquire(std::move(envelope.msg))]() mutable {
-        Msg m = h.take();
-        switch (dest) {
-          case ShardEnvelope::Dest::kCtaUplink:
-            if (ctas_[dest_id]->alive()) {
-              ctas_[dest_id]->deliver_uplink(std::move(m));
-            }
-            break;
-          case ShardEnvelope::Dest::kCtaDownlink:
-            if (ctas_[dest_id]->alive()) {
-              ctas_[dest_id]->deliver_downlink(std::move(m));
-            }
-            break;
-          case ShardEnvelope::Dest::kCpf:
-            if (cpfs_[dest_id]->alive()) {
-              cpfs_[dest_id]->deliver(std::move(m));
-            }
-            break;
-          case ShardEnvelope::Dest::kUpf:
-            upfs_[dest_id]->deliver(std::move(m));
-            break;
-        }
-      });
+  // The lookahead guarantees arrival > the window this loop just ran to,
+  // so the max() below never actually clamps.
+  loop_->schedule_at(std::max(arrival, loop_->now()),
+                     [this, e = std::move(envelope)]() mutable {
+                       dispatch(e.dest, e.dest_id, std::move(e.msg));
+                     });
+}
+
+void System::dispatch(Dest dest, std::uint32_t dest_id, Msg msg) {
+  // A CTA or CPF that is down when the message arrives drops it; one
+  // restored before the arrival takes it.
+  switch (dest) {
+    case Dest::kUe:
+      frontend_->deliver(std::move(msg));
+      break;
+    case Dest::kCtaUplink:
+      if (ctas_[dest_id]->alive()) {
+        ctas_[dest_id]->deliver_uplink(std::move(msg));
+      }
+      break;
+    case Dest::kCtaDownlink:
+      if (ctas_[dest_id]->alive()) {
+        ctas_[dest_id]->deliver_downlink(std::move(msg));
+      }
+      break;
+    case Dest::kCpf:
+      if (cpfs_[dest_id]->alive()) cpfs_[dest_id]->deliver(std::move(msg));
+      break;
+    case Dest::kUpf:
+      upfs_[dest_id]->deliver(std::move(msg));
+      break;
+  }
+}
+
+bool System::admit(sim::ServerPool& pool, const Msg& msg,
+                   std::uint32_t region, const char* node) {
+  const sim::JobClass cls = job_class_of(msg);
+  if (pool.admits(cls)) return true;
+  pool.count_drop(cls);
+  const bool attach = cls == sim::JobClass::kAttach;
+  if (flight_) {
+    flight_->record(loop_->now(),
+                    attach ? obs::FlightRecorder::Kind::kAttachShed
+                           : obs::FlightRecorder::Kind::kOverloadDrop,
+                    static_cast<std::int64_t>(msg.ue.value()), region, node);
+  }
+  ++(attach ? metrics_->attach_sheds : metrics_->overload_drops);
+  return false;
 }
 
 void System::crash_cpf(CpfId id) {

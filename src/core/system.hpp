@@ -16,7 +16,6 @@
 #include "core/invariants.hpp"
 #include "core/metrics.hpp"
 #include "core/msg.hpp"
-#include "core/msg_pool.hpp"
 #include "core/policy.hpp"
 #include "core/shard_link.hpp"
 #include "core/topology.hpp"
@@ -503,10 +502,6 @@ class System {
   [[nodiscard]] const ProtocolConfig& proto() const { return proto_; }
   [[nodiscard]] const CostModel& costs() const { return *costs_; }
   [[nodiscard]] Metrics& metrics() { return *metrics_; }
-  /// Recycler for in-flight Msg slots: every transport hop and service-pool
-  /// submission parks its message here so the scheduled event captures a
-  /// 16-byte handle instead of a full Msg (see core/msg_pool.hpp).
-  [[nodiscard]] MsgPool& msg_pool() { return msg_pool_; }
 
   /// Procedure tracing is off (and costs one null test per site) until a
   /// tracer is attached. The tracer must outlive the attachment.
@@ -590,7 +585,8 @@ class System {
   }
   [[nodiscard]] const ShardSpec& shard() const { return shard_; }
   /// Re-entry point for cross-shard messages: schedules the envelope's
-  /// message onto this shard's loop at the precomputed arrival time.
+  /// message onto this shard's loop at the precomputed arrival time, where
+  /// it reaches its node through the same dispatch as a local hop.
   void deliver_envelope(SimTime arrival, ShardEnvelope envelope);
 
   /// Stable key a UE hashes to on every ring (M-TMSI/S1AP id, §4.3 fn15).
@@ -645,6 +641,12 @@ class System {
 
   void upf_to_cta(std::uint32_t upf_region, Msg msg);
 
+  /// Bounded admission (DESIGN.md §13) of `msg` at `pool`, the ingress of
+  /// `node` ("cta"/"cpf") in `region`: false, with the shed counted on the
+  /// pool, the flight recorder and the metrics, if its class is refused.
+  [[nodiscard]] bool admit(sim::ServerPool& pool, const Msg& msg,
+                           std::uint32_t region, const char* node);
+
   // -- failure injection ----------------------------------------------------
   void crash_cpf(CpfId id);
   /// Crash without notifying anyone: detection is left to the CTAs'
@@ -677,15 +679,23 @@ class System {
   void sample_telemetry();
 
  private:
-  /// Record a propagation hop for `msg` departing now over a link of the
-  /// given latency (no-op unless a tracer is attached).
-  void trace_prop(const Msg& msg, const char* link, std::uint32_t node_id,
-                  SimTime latency) {
-    if (tracer_) {
-      tracer_->hop(msg, obs::HopClass::kPropagation, link, node_id,
-                   loop_->now(), loop_->now() + latency);
-    }
+  using Dest = ShardEnvelope::Dest;
+
+  /// Latency between nodes in regions `a` and `b`: `local` inside one
+  /// region, the inter-region CPF link otherwise.
+  [[nodiscard]] SimTime link_latency(std::uint32_t a, std::uint32_t b,
+                                     SimTime local) const {
+    return a == b ? local : topo_.cpf_link(a, b);
   }
+
+  /// Carry `msg` to node `dest_id` of kind `dest` in `dest_region`: trace
+  /// the hop as `link`, then post it to the shard owning `dest_region` or
+  /// schedule its arrival on this loop.
+  void send(Dest dest, std::uint32_t dest_id, std::uint32_t dest_region,
+            SimTime latency, const char* link, Msg msg);
+  /// Hand an arrived message to its node's entry point; a CTA or CPF that
+  /// is dead at arrival drops it.
+  void dispatch(Dest dest, std::uint32_t dest_id, Msg msg);
 
   /// Drain epilogue: after proto().drain_grace the drained CPF goes down
   /// for real (crash-style epoch bump + failure notification), unless a
@@ -701,15 +711,6 @@ class System {
   [[gnu::cold, gnu::noinline]] [[noreturn]] void cross_shard_ue_link(
       const char* link, std::uint32_t region) const;
 
-  /// Hand a message bound for a non-owned region to the cross-shard sink
-  /// (arrival = now + latency, already past the current window's end).
-  void post_remote(ShardEnvelope::Dest dest, std::uint32_t dest_id,
-                   std::uint32_t dest_region, SimTime latency, Msg msg) {
-    ++metrics_->cross_shard_posts;
-    shard_.sink->post(shard_of_region(dest_region), loop_->now() + latency,
-                      ShardEnvelope{dest, dest_id, std::move(msg)});
-  }
-
   sim::EventLoop* loop_;
   CorePolicy policy_;
   TopologyConfig topo_;
@@ -722,7 +723,6 @@ class System {
   obs::FlightRecorder* flight_ = nullptr;
   InvariantObserver* invariant_observer_ = nullptr;
   FaultInjection faults_;
-  MsgPool msg_pool_;
 
   /// Elastic ring membership (1 = in the rings), indexed by CpfId; all
   /// ones at construction. Mirrored identically on every shard because

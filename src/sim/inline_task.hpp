@@ -1,10 +1,10 @@
 // Small-buffer-optimized move-only callable for the event loop hot path.
 //
-// Every scheduled event used to be a std::function<void()>; with the
-// message pool in place the typical capture is `this` plus a pooled-message
-// handle (≤ 32 bytes), so a 48-byte inline buffer makes event scheduling
-// allocation-free. Oversized or over-aligned callables fall back to a
-// single heap allocation, preserving std::function's generality.
+// Every scheduled event used to be a std::function<void()>. Timers, pool
+// completions and stream steps capture ≤ 32 bytes, so a 48-byte inline
+// buffer schedules them allocation-free. Oversized or over-aligned
+// callables, such as a message hop carrying its Msg by value, fall back to
+// a single heap allocation, preserving std::function's generality.
 #pragma once
 
 #include <cassert>

@@ -1,7 +1,7 @@
 // Sharded discrete-event runtime: conservative time windows over N shards.
 //
 // Each shard owns a full EventLoop (and, at the core layer, its slice of
-// the topology, a MsgPool, an RNG stream, and per-shard metrics). Shards
+// the topology, an RNG stream, and per-shard metrics). Shards
 // advance in lock-step windows
 //
 //     [W, W + lookahead]   where W = min over shards of next_time()
@@ -22,7 +22,7 @@
 // Thread model (owner computes): run_until() runs L = min(threads, shards)
 // lanes. The calling thread is lane 0 and spawns the other L − 1, so
 // threads=1 spawns nothing and never touches a barrier. Shard i belongs to
-// lane i mod L for the whole run, so its loop, pool and channels stay in
+// lane i mod L for the whole run, so its loop, nodes and channels stay in
 // one core's cache. Per window each lane runs its shards to the window
 // end, waits at the done barrier, drains its own shards' inbound channels
 // (each destination in ascending source order, FIFO within a channel) and

@@ -64,7 +64,7 @@ class ServerPool {
 
   /// Bounded admission: enqueue like submit() if the class is admitted,
   /// otherwise count the drop and destroy `done` (releasing whatever it
-  /// owns — e.g. a MsgPool handle). Returns whether the job was accepted.
+  /// owns — e.g. its message). Returns whether the job was accepted.
   bool try_submit(SimTime service, JobClass cls, EventLoop::Callback done) {
     if (!admits(cls)) {
       count_drop(cls);
@@ -149,7 +149,8 @@ class ServerPool {
   };
   [[nodiscard]] Occupancy occupancy() const { return {inflight_, backlog()}; }
 
-  /// Drop all queued work and invalidate in-flight completions (crash).
+  /// Drop all queued work, destroying its callbacks and what they own (a
+  /// queued message), and invalidate in-flight completions (crash).
   /// Capacity limits and drop/peak statistics survive — only the work
   /// dies. See the generation-fence comment in submit() for how post-reset
   /// retries of the lost jobs interact with stale completions.

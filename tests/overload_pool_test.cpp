@@ -117,7 +117,7 @@ TEST(OverloadPool, StatsSurviveCrashButWorkDies) {
 
 TEST(OverloadPool, RejectedCallbackIsDestroyedNotLeaked) {
   // try_submit must destroy the rejected callback so anything it owns
-  // (e.g. a MsgPool handle) is released immediately.
+  // (e.g. the message it carries) is released immediately.
   EventLoop loop;
   ServerPool pool(loop, 1);
   pool.set_capacity(1, 1);

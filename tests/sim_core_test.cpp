@@ -1,5 +1,5 @@
-// Simulation-core primitives: InlineTask small-buffer behaviour, the
-// event loop's allocation profile on the hot path, and MsgPool recycling.
+// Simulation-core primitives: InlineTask small-buffer behaviour and the
+// event loop's allocation profile on the hot path.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -7,7 +7,6 @@
 #include <new>
 #include <vector>
 
-#include "core/msg_pool.hpp"
 #include "sim/event_loop.hpp"
 
 // Global allocation counter for the zero-allocation guarantees. The
@@ -141,24 +140,6 @@ TEST(EventLoopAlloc, StreamReleasesEventsWithoutAllocating) {
   EXPECT_EQ(loop.executed(), 4096u);
 }
 
-TEST(EventLoopAlloc, MsgPoolSteadyStateIsAllocationFree) {
-  core::MsgPool pool;
-  {
-    auto warm = pool.acquire(core::Msg{});
-    (void)warm.take();
-  }
-  const std::uint64_t before = g_alloc_count;
-  for (int i = 0; i < 1000; ++i) {
-    core::Msg m;
-    m.proc_seq = static_cast<std::uint64_t>(i);
-    auto h = pool.acquire(std::move(m));
-    core::Msg back = h.take();
-    ASSERT_EQ(back.proc_seq, static_cast<std::uint64_t>(i));
-  }
-  EXPECT_EQ(g_alloc_count, before);
-  EXPECT_EQ(pool.reused(), 1000u);
-}
-
 // --- EventLoop semantics ----------------------------------------------------
 
 TEST(EventLoopCore, EqualTimesDispatchInScheduleOrder) {
@@ -217,90 +198,6 @@ TEST(EventLoopCore, FarFutureEventsBeyondWheelSpanStillOrder) {
   loop.schedule_at(SimTime::microseconds(100), [&] { order.push_back(1); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-// --- MsgPool ----------------------------------------------------------------
-
-TEST(MsgPool, RoundTripPreservesMessage) {
-  core::MsgPool pool;
-  core::Msg m;
-  m.kind = core::MsgKind::kAttachRequest;
-  m.ue = UeId{42};
-  m.proc_seq = 9;
-  auto h = pool.acquire(std::move(m));
-  ASSERT_TRUE(static_cast<bool>(h));
-  EXPECT_EQ(h->proc_seq, 9u);
-  core::Msg back = h.take();
-  EXPECT_FALSE(static_cast<bool>(h));
-  EXPECT_EQ(back.kind, core::MsgKind::kAttachRequest);
-  EXPECT_EQ(back.ue.value(), 42u);
-  EXPECT_EQ(pool.outstanding(), 0u);
-}
-
-TEST(MsgPool, SlotsAreRecycledWithinOneBlock) {
-  core::MsgPool pool;
-  for (int i = 0; i < 10'000; ++i) {
-    auto h = pool.acquire(core::Msg{});
-    (void)h.take();
-  }
-  EXPECT_EQ(pool.capacity(), 256u);  // one block serves sequential traffic
-  EXPECT_EQ(pool.acquired(), 10'000u);
-  EXPECT_EQ(pool.reused(), 9'999u);
-}
-
-TEST(MsgPool, GrowsByBlocksUnderConcurrentHandles) {
-  core::MsgPool pool;
-  std::vector<core::MsgPool::Handle> held;
-  for (int i = 0; i < 600; ++i) held.push_back(pool.acquire(core::Msg{}));
-  EXPECT_EQ(pool.capacity(), 768u);  // three 256-slot blocks
-  EXPECT_EQ(pool.outstanding(), 600u);
-  for (auto& h : held) (void)h.take();
-  EXPECT_EQ(pool.outstanding(), 0u);
-}
-
-TEST(MsgPool, DroppedHandleReturnsSlotWhilePoolLives) {
-  // A Handle destroyed without take() while its pool is still alive — a
-  // crashed node's ServerPool dropping queued jobs — returns the slot:
-  // without this, every crash permanently leaked the in-service messages
-  // (caught by the chaos checker's pool-conservation invariant).
-  core::MsgPool pool;
-  {
-    auto h = pool.acquire(core::Msg{});
-  }  // dropped without take(), pool alive
-  EXPECT_EQ(pool.outstanding(), 0u);
-  auto h2 = pool.acquire(core::Msg{});
-  (void)h2.take();
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.reused(), 1u);  // the dropped slot went back on the list
-}
-
-TEST(MsgPool, HandleOutlivingPoolAbandonsSafely) {
-  // The bench-teardown ordering: the pool dies while an undelivered event
-  // still holds a Handle. The destructor must not touch the dead pool.
-  auto pool = std::make_unique<core::MsgPool>();
-  auto h = pool->acquire(core::Msg{});
-  pool.reset();  // pool gone first
-}  // h destroyed here: must not crash
-
-TEST(MsgPool, MoveAssignReleasesOverwrittenSlot) {
-  core::MsgPool pool;
-  auto a = pool.acquire(core::Msg{});
-  auto b = pool.acquire(core::Msg{});
-  EXPECT_EQ(pool.outstanding(), 2u);
-  a = std::move(b);  // a's original slot is released, not stranded
-  EXPECT_EQ(pool.outstanding(), 1u);
-  (void)a.take();
-  EXPECT_EQ(pool.outstanding(), 0u);
-}
-
-TEST(MsgPool, HandleMoveTransfersSlot) {
-  core::MsgPool pool;
-  auto a = pool.acquire(core::Msg{});
-  auto b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  ASSERT_TRUE(static_cast<bool>(b));
-  (void)b.take();
-  EXPECT_EQ(pool.outstanding(), 0u);
 }
 
 }  // namespace
