@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     cfg.policy = policy;
     cfg.topo.l1_per_l2 = 4;
     cfg.topo.latency = bench::testbed_latencies();
-    trace::UniformWorkload workload(rate, duration, {}, /*seed=*/42);
-    const auto t = workload.generate(1'000'000, cfg.topo.total_regions());
+    const auto t = traffic::uniform(rate, duration, {}, 1'000'000,
+                                    cfg.topo.total_regions(), /*seed=*/42);
     const auto clean = bench::run_experiment(cfg, t);
     const auto& pct = clean.metrics.pct[static_cast<std::size_t>(
         core::ProcedureType::kAttach)];

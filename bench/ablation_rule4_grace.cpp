@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
     cfg.proto.rule4_grace = SimTime::milliseconds(grace_ms);
     const std::uint64_t users = 120'000;
     cfg.preattached_ues = users;
-    trace::ProcedureMix mix{.service_request = 1.0};
     // Each UE fires several service requests, so rule 4 is exercised by
     // every procedure whose predecessor's ACKs still lag.
-    trace::UniformWorkload workload(rate, duration, mix, /*seed=*/42);
-    const auto t = workload.generate(users, cfg.topo.total_regions());
+    const auto t = traffic::uniform(rate, duration, {.service_request = 1.0},
+                                    users, cfg.topo.total_regions(),
+                                    /*seed=*/42);
     const auto result = bench::run_experiment(cfg, t);
     const auto& pct = result.metrics.pct[static_cast<std::size_t>(
         core::ProcedureType::kServiceRequest)];

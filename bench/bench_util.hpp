@@ -26,7 +26,6 @@
 #include "obs/throughput.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
-#include "trace/workload.hpp"
 #include "traffic/scenario.hpp"
 
 namespace neutrino::bench {
@@ -169,7 +168,7 @@ default_slo_targets() {
 /// hooks reach System-only calls through sys.system(0).
 template <typename SetupFn, typename PostFn>
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const std::vector<trace::TraceRecord>& t,
+                                const std::vector<traffic::TraceRecord>& t,
                                 SetupFn&& setup, PostFn&& post) {
   core::ShardedSystem::Config scfg;
   scfg.policy = cfg.policy;
@@ -227,14 +226,14 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
 template <typename SetupFn>
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const std::vector<trace::TraceRecord>& t,
+                                const std::vector<traffic::TraceRecord>& t,
                                 SetupFn&& setup) {
   return run_experiment(cfg, t, std::forward<SetupFn>(setup),
                         [](core::ShardedSystem&) {});
 }
 
 inline ExperimentResult run_experiment(
-    const ExperimentConfig& cfg, const std::vector<trace::TraceRecord>& t) {
+    const ExperimentConfig& cfg, const std::vector<traffic::TraceRecord>& t) {
   return run_experiment(cfg, t, [](core::ShardedSystem&) {});
 }
 
@@ -437,7 +436,7 @@ inline void attach_arrivals(obs::Json& row,
       1, duration.ns() / static_cast<std::int64_t>(windows));
   series["window_ms"] = static_cast<double>(window_ns) / 1e6;
   std::vector<std::uint64_t> counts(windows, 0);
-  for (const trace::TraceRecord& rec : traffic.records) {
+  for (const traffic::TraceRecord& rec : traffic.records) {
     const auto w = static_cast<std::size_t>(
         std::min<std::int64_t>(static_cast<std::int64_t>(windows) - 1,
                                rec.at.ns() / window_ns));

@@ -50,7 +50,6 @@ namespace core = neutrino::core;
 namespace sim = neutrino::sim;
 namespace bench = neutrino::bench;
 namespace obs = neutrino::obs;
-namespace trace = neutrino::trace;
 namespace traffic = neutrino::traffic;
 
 /// --scenario=NAME: overlay a traffic-engine scenario onto a generated
@@ -62,7 +61,7 @@ void overlay_scenario(chaos::Schedule& s, const std::string& name,
                       const traffic::ScenarioRequest& req) {
   const auto gen = traffic::generate_scenario(name, req);
   s.events.reserve(s.events.size() + gen->records.size());
-  for (const trace::TraceRecord& rec : gen->records) {
+  for (const traffic::TraceRecord& rec : gen->records) {
     chaos::Event e;
     e.at = rec.at;
     e.kind = chaos::EventKind::kProcedure;

@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
       cfg.trace_decomposition = report.decompose();
       const auto population = static_cast<std::uint64_t>(rate * 1.2);
       cfg.preattached_ues = population;
-      trace::ProcedureMix mix{.service_request = 1.0};
-      trace::UniformWorkload workload(rate, duration, mix, /*seed=*/42);
-      const auto t = workload.generate(population, cfg.topo.total_regions());
+      const auto t = traffic::uniform(rate, duration,
+                                      {.service_request = 1.0}, population,
+                                      cfg.topo.total_regions(), /*seed=*/42);
       const auto result = bench::run_experiment(cfg, t);
       report.add_pct_row(policy.name, rate,
                          result.metrics.pct[static_cast<std::size_t>(

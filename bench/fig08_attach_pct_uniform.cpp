@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
       cfg.proto = core::ProtocolConfig{};
       // Attach-time decomposition by hop (--no-decompose to disable).
       cfg.trace_decomposition = report.decompose();
-      trace::UniformWorkload workload(rate, duration, {}, /*seed=*/42);
-      const auto t = workload.generate(/*ue_population=*/10'000'000,
-                                       cfg.topo.total_regions());
+      const auto t = traffic::uniform(rate, duration, {},
+                                      /*ue_population=*/10'000'000,
+                                      cfg.topo.total_regions(), /*seed=*/42);
       const auto result = bench::run_experiment(cfg, t);
       report.add_pct_row(policy.name, rate,
                          result.metrics.pct[static_cast<std::size_t>(

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
       cfg.policy = policy;
       cfg.drain = SimTime::seconds(600);  // let the burst fully drain
       cfg.trace_decomposition = report.decompose();
-      trace::BurstyWorkload workload(users, SimTime::milliseconds(100),
-                                     /*seed=*/42);
-      const auto t = workload.generate();
+      const auto t =
+          traffic::wave(users, core::ProcedureType::kAttach, SimTime{},
+                        SimTime::milliseconds(100), /*seed=*/42);
       const auto result = bench::run_experiment(cfg, t);
       report.add_pct_row(policy.name, static_cast<double>(users),
                          result.metrics.pct[static_cast<std::size_t>(

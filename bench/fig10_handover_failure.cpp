@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
       cfg.trace_decomposition = report.decompose();
       const auto population = static_cast<std::uint64_t>(rate * 1.2);
       cfg.preattached_ues = population;
-      trace::ProcedureMix mix{.handover = 1.0};
-      trace::UniformWorkload workload(rate, duration, mix, /*seed=*/42);
-      const auto t = workload.generate(population, cfg.topo.total_regions());
+      const auto t = traffic::uniform(rate, duration, {.handover = 1.0},
+                                      population, cfg.topo.total_regions(),
+                                      /*seed=*/42);
       // Crash waves: every 100 ms a CPF per region fails (and is restarted
       // empty 80 ms later, as a real NF respawn would be) — each wave's
       // in-flight procedures go through the recovery path.

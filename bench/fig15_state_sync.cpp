@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
       bench::ExperimentConfig cfg;
       cfg.policy = policy;
       cfg.trace_decomposition = report.decompose();
-      trace::UniformWorkload workload(rate, duration, {}, /*seed=*/42);
-      const auto t = workload.generate(static_cast<std::uint64_t>(rate * 2),
-                                       cfg.topo.total_regions());
+      const auto t = traffic::uniform(
+          rate, duration, {}, static_cast<std::uint64_t>(rate * 2),
+          cfg.topo.total_regions(), /*seed=*/42);
       const auto result = bench::run_experiment(cfg, t);
       report.add_pct_row(policy.name, rate,
                          result.metrics.pct[static_cast<std::size_t>(

@@ -22,25 +22,9 @@ LogSizeRun peak_log_bytes(const core::CorePolicy& policy,
   cfg.topo.l1_per_l2 = type == core::ProcedureType::kHandover ? 4 : 1;
   cfg.preattached_ues = type == core::ProcedureType::kHandover ? users : 0;
 
-  std::vector<trace::TraceRecord> t;
-  t.reserve(users);
-  Rng rng(42);
-  for (std::uint64_t ue = 0; ue < users; ++ue) {
-    trace::TraceRecord rec;
-    // All users act within one second (the paper's highest-pressure case).
-    rec.at = SimTime::nanoseconds(
-        static_cast<std::int64_t>(rng.next_double() * 1e9));
-    rec.ue = UeId(ue);
-    rec.type = type;
-    rec.target_region =
-        type == core::ProcedureType::kHandover
-            ? static_cast<std::uint32_t>((ue + 1) %
-                                         static_cast<std::uint64_t>(
-                                             cfg.topo.total_regions()))
-            : 0;
-    t.push_back(rec);
-  }
-  trace::sort_records(t);
+  // All users act within one second (the paper's highest-pressure case).
+  const auto t = traffic::wave(users, type, SimTime{}, SimTime::seconds(1),
+                               /*seed=*/42, cfg.topo.total_regions());
 
   std::size_t peak = 0;
   auto result = bench::run_experiment(

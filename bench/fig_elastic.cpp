@@ -88,7 +88,7 @@ struct RunOut {
 
 /// One sharded replay with the churn plan armed.
 RunOut run_scenario(const core::TopologyConfig& topo,
-                    const std::vector<trace::TraceRecord>& records,
+                    const std::vector<traffic::TraceRecord>& records,
                     std::uint64_t population, std::uint32_t shards,
                     std::uint32_t threads, const ElasticPlan& plan,
                     SimTime telemetry_window) {

@@ -69,7 +69,7 @@ struct RunOut {
 
 /// One sharded replay of a generated scenario with the chaos plan armed.
 RunOut run_replay(const core::TopologyConfig& topo,
-                  const std::vector<trace::TraceRecord>& records,
+                  const std::vector<traffic::TraceRecord>& records,
                   std::uint64_t population, std::uint32_t shards,
                   std::uint32_t threads, SimTime duration, bool with_chaos,
                   SimTime telemetry_window) {

@@ -52,17 +52,17 @@ PoolLoad scan_pools(core::System& system, const core::TopologyConfig& topo) {
   return load;
 }
 
-std::vector<trace::TraceRecord> make_offered(double rate_pps, SimTime window,
-                                             std::uint64_t population,
-                                             int regions) {
-  trace::ProcedureMix mix;
-  mix.service_request = 0.5;
-  mix.intra_handover = 0.1;  // attach gets the remaining 0.4
-  trace::UniformWorkload workload(rate_pps, window, mix, /*seed=*/23);
-  return workload.generate(population, regions);
+std::vector<traffic::TraceRecord> make_offered(double rate_pps,
+                                               SimTime window,
+                                               std::uint64_t population,
+                                               int regions) {
+  // Attach gets the remaining 0.4.
+  return traffic::uniform(rate_pps, window,
+                          {.service_request = 0.5, .intra_handover = 0.1},
+                          population, regions, /*seed=*/23);
 }
 
-std::uint64_t count_attaches(const std::vector<trace::TraceRecord>& t) {
+std::uint64_t count_attaches(const std::vector<traffic::TraceRecord>& t) {
   std::uint64_t n = 0;
   for (const auto& rec : t) {
     if (rec.type == core::ProcedureType::kAttach) ++n;

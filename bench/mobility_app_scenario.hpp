@@ -26,18 +26,17 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
       cfg.topo.latency = testbed_latencies();
       cfg.preattached_ues = users + 1;
       // Background signaling: one service request per active user across
-      // the window (the load mobility competes with).
-      trace::ProcedureMix mix{.service_request = 1.0};
-      // Load runs for the whole drive so every handover competes with it
-      // (the paper's 60 s runs keep load and mobility concurrent).
-      trace::UniformWorkload background(static_cast<double>(users), window,
-                                        mix, /*seed=*/42);
-      auto t = background.generate(users, cfg.topo.total_regions());
+      // the window (the load mobility competes with). Load runs for the
+      // whole drive so every handover competes with it (the paper's 60 s
+      // runs keep load and mobility concurrent).
+      auto t = traffic::uniform(static_cast<double>(users), window,
+                                {.service_request = 1.0}, users,
+                                cfg.topo.total_regions(), /*seed=*/42);
 
       // (at, ue, type) total order: a non-stable sort keyed on `at` alone
       // leaves equal-timestamp records in unspecified order, breaking the
       // bitwise-determinism contract.
-      trace::sort_records(t);
+      traffic::sort_records(t);
 
       // The observed vehicle/headset: UE id `users`. The paper's 5-minute
       // 60 mph drive (Fig. 12) is time-compressed into the simulated

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   // Build the offered trace. Default: the two-wave storm — attach burst,
   // then a service-request storm — byte-identical to what this bench has
   // always offered when --scenario= is unset.
-  std::vector<trace::TraceRecord> t;
+  std::vector<traffic::TraceRecord> t;
   std::optional<traffic::GeneratedTraffic> scen_traffic;
   if (scen != nullptr) {
     screq.regions = static_cast<int>(core::TopologyConfig{}.total_regions());
@@ -80,23 +80,13 @@ int main(int argc, char** argv) {
     t = scen_traffic->records;
     bench::echo_scenario_config(report.config(), *scen, screq);
   } else {
-    trace::BurstyWorkload attaches(n_ues, attach_window, /*seed=*/42);
-    t = attaches.generate();
-    t.reserve(t.size() * 2);
-    Rng rng(1337);
-    const SimTime base = attach_window + wave_gap;
-    const std::size_t n_attach = t.size();
-    for (std::uint64_t ue = 0; ue < n_ues; ++ue) {
-      trace::TraceRecord rec;
-      rec.at = base + SimTime::nanoseconds(static_cast<std::int64_t>(
-                          rng.next_double() *
-                          static_cast<double>(attach_window.ns())));
-      rec.ue = UeId(ue);
-      rec.type = core::ProcedureType::kServiceRequest;
-      t.push_back(rec);
-    }
-    std::sort(t.begin() + static_cast<std::ptrdiff_t>(n_attach), t.end(),
-              trace::record_before);
+    t = traffic::wave(n_ues, core::ProcedureType::kAttach, SimTime{},
+                      attach_window, /*seed=*/42);
+    t.reserve(2 * t.size());
+    const auto requests =
+        traffic::wave(n_ues, core::ProcedureType::kServiceRequest,
+                      attach_window + wave_gap, attach_window, /*seed=*/1337);
+    t.insert(t.end(), requests.begin(), requests.end());
   }
 
   obs::RssMeter rss_meter;
@@ -191,7 +181,7 @@ int main(int argc, char** argv) {
       sharded_traffic = traffic::generate_scenario(opts.scenario, screq);
       cfg.preattached_ues = scen->preattach ? n_ues : 0;
     }
-    const std::vector<trace::TraceRecord>& ts =
+    const std::vector<traffic::TraceRecord>& ts =
         sharded_traffic ? sharded_traffic->records : t;
     report.config()["shards"] = shards;
     report.config()["sharded_regions"] = cfg.topo.total_regions();

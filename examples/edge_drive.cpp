@@ -10,7 +10,7 @@
 #include "core/system.hpp"
 #include "geo/region_plan.hpp"
 #include "trace/mobility.hpp"
-#include "trace/workload.hpp"
+#include "traffic/engine.hpp"
 
 using namespace neutrino;
 
@@ -50,10 +50,13 @@ void run(const core::CorePolicy& policy, const core::MeasuredCostModel& costs,
         static_cast<std::uint32_t>(ue % static_cast<std::uint64_t>(
                                             topo.total_regions())));
   }
-  trace::ProcedureMix mix{.service_request = 1.0};
-  trace::UniformWorkload background(kUsers, SimTime::milliseconds(1500), mix,
-                                    42);
-  trace::replay(system, background.generate(kUsers, topo.total_regions()));
+  std::vector<core::System::Arrival> background;
+  for (const auto& rec : traffic::uniform(
+           kUsers, SimTime::milliseconds(1500), {.service_request = 1.0},
+           kUsers, topo.total_regions(), /*seed=*/42)) {
+    background.push_back(core::System::Arrival::of(rec));
+  }
+  system.replay(std::move(background));
 
   // The car: five region-crossing handovers, one every 200 ms
   // (time-compressed from the Fig. 12 drive).

@@ -2,7 +2,6 @@
 //
 //   tracegen uniform <rate_pps> <seconds> <out.csv>   # Poisson mix
 //   tracegen bursty <users> <window_ms> <out.csv>     # synchronized IoT
-//   tracegen devices <n> <seconds> <out.csv>          # §2.2 per-device model
 //   tracegen describe <trace.csv>                     # summary statistics
 //   tracegen replay <trace.csv> [epc|neutrino]        # run it, print PCTs
 #include <cstdio>
@@ -12,6 +11,7 @@
 #include "core/cost_model.hpp"
 #include "core/system.hpp"
 #include "trace/trace_io.hpp"
+#include "traffic/engine.hpp"
 
 using namespace neutrino;
 
@@ -22,7 +22,6 @@ int usage() {
                "usage:\n"
                "  tracegen uniform <rate_pps> <seconds> <out.csv>\n"
                "  tracegen bursty <users> <window_ms> <out.csv>\n"
-               "  tracegen devices <n> <seconds> <out.csv>\n"
                "  tracegen describe <trace.csv>\n"
                "  tracegen replay <trace.csv> [epc|neutrino]\n");
   return 2;
@@ -72,7 +71,11 @@ int replay(const char* path, const char* which) {
                     rec.ue.value() % static_cast<std::uint64_t>(
                                          topo.total_regions())));
   }
-  trace::replay(system, *records);
+  std::vector<core::System::Arrival> arrivals;
+  for (const auto& rec : *records) {
+    arrivals.push_back(core::System::Arrival::of(rec));
+  }
+  system.replay(std::move(arrivals));
   loop.run_until(records->back().at + SimTime::seconds(30));
 
   std::printf("%s: %llu/%llu procedures completed, %llu RYW violations\n",
@@ -101,21 +104,17 @@ int main(int argc, char** argv) {
   if (cmd == "replay") return replay(argv[2], argc > 3 ? argv[3] : nullptr);
   if (argc < 5 && cmd != "describe") return usage();
 
-  std::vector<trace::TraceRecord> records;
+  std::vector<traffic::TraceRecord> records;
   if (cmd == "uniform") {
-    trace::ProcedureMix mix{.service_request = 0.7, .handover = 0.1,
-                            .intra_handover = 0.1};
-    trace::UniformWorkload w(std::atof(argv[2]),
-                             SimTime::seconds(std::atoll(argv[3])), mix);
-    records = w.generate(10'000'000, 4);
+    records = traffic::uniform(
+        std::atof(argv[2]), SimTime::seconds(std::atoll(argv[3])),
+        {.service_request = 0.7, .handover = 0.1, .intra_handover = 0.1},
+        10'000'000, 4, /*seed=*/1);
   } else if (cmd == "bursty") {
-    trace::BurstyWorkload w(std::strtoull(argv[2], nullptr, 10),
-                            SimTime::milliseconds(std::atoll(argv[3])));
-    records = w.generate();
-  } else if (cmd == "devices") {
-    trace::DeviceModelWorkload w(std::strtoull(argv[2], nullptr, 10),
-                                 SimTime::seconds(std::atoll(argv[3])));
-    records = w.generate(4);
+    records = traffic::wave(std::strtoull(argv[2], nullptr, 10),
+                            core::ProcedureType::kAttach, SimTime{},
+                            SimTime::milliseconds(std::atoll(argv[3])),
+                            /*seed=*/1);
   } else {
     return usage();
   }

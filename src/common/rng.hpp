@@ -59,48 +59,7 @@ class Rng {
 
   bool next_bool(double p_true) { return next_double() < p_true; }
 
-  /// Advance the state by 2^128 steps (xoshiro256** reference polynomial)
-  /// without generating the intermediate outputs. Seeding one Rng and
-  /// calling jump() once per shard yields streams whose next 2^128 outputs
-  /// provably never overlap — the basis for per-shard determinism in the
-  /// parallel runtime. The state transition is linear, so jump() commutes
-  /// with next_u64() stepping (tested in rng_stream_test).
-  void jump() {
-    static constexpr std::uint64_t kJump[] = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-        0x39abdc4529b1661cULL};
-    apply_jump(kJump);
-  }
-
-  /// Advance by 2^192 steps: separates *groups* of jump()-spaced streams
-  /// (e.g. one long_jump per experiment, jumps per shard within it).
-  void long_jump() {
-    static constexpr std::uint64_t kLongJump[] = {
-        0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-        0x39109bb02acbe635ULL};
-    apply_jump(kLongJump);
-  }
-
  private:
-  void apply_jump(const std::uint64_t (&poly)[4]) {
-    std::uint64_t s[4] = {};
-    for (const std::uint64_t word : poly) {
-      for (int b = 0; b < 64; ++b) {
-        if (word & (1ULL << b)) {
-          s[0] ^= state_[0];
-          s[1] ^= state_[1];
-          s[2] ^= state_[2];
-          s[3] ^= state_[3];
-        }
-        next_u64();
-      }
-    }
-    state_[0] = s[0];
-    state_[1] = s[1];
-    state_[2] = s[2];
-    state_[3] = s[3];
-  }
-
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -375,11 +375,6 @@ void Cpf::handle_handover_source(Msg& msg) {
 void Cpf::handle_handover_notify(Msg& msg) {
   // Runs at the target CPF when the UE arrives on its new cell.
   ProcCtx& ctx = procs_[msg.ue];
-#ifdef NEUTRINO_RYW_DEBUG
-  fprintf(stderr, "[NOTIFY] t=%ld cpf=%u ue=%lu seq=%lu prev=%u exp=%lu\n",
-          system_->loop().now().ns(), id_.value(), msg.ue.value(),
-          msg.proc_seq, msg.prev_region, msg.expected_proc);
-#endif
   ctx.target_region = msg.target_region;
   if (system_->policy().handover == HandoverMode::kMigrate) {
     // Relocated context: re-establish NAS security before the path switch
@@ -414,11 +409,6 @@ void Cpf::handle_handover_notify(Msg& msg) {
   }
   ++system_->metrics().state_fetches;
   park_pending_fetch(msg);
-#ifdef NEUTRINO_RYW_DEBUG
-  fprintf(stderr, "[FETCH] t=%ld cpf=%u ue=%lu -> holder=%u\n",
-          system_->loop().now().ns(), id_.value(), msg.ue.value(),
-          holder.value());
-#endif
   Msg fetch = msg;
   fetch.kind = MsgKind::kStateFetch;
   fetch.state.reset();
@@ -514,11 +504,6 @@ void Cpf::handle_replication(Msg& msg) {
   switch (msg.kind) {
     case MsgKind::kStateCheckpoint: {
       Entry& entry = store_[msg.ue];
-#ifdef NEUTRINO_RYW_DEBUG
-      fprintf(stderr, "[CKP] t=%ld cpf=%u ue=%lu proc=%lu lclk=%lu req=%lu\n",
-              system_->loop().now().ns(), id_.value(), msg.ue.value(),
-              msg.proc_seq, msg.lclock, entry.required_lclock);
-#endif
       // §4.2.4: a state update at or beyond the outdated-marker clock
       // makes the replica current again; older updates are ignored.
       if (msg.lclock >= entry.required_lclock) {
@@ -851,18 +836,6 @@ bool Cpf::context_matches(const Msg& request) const {
 }
 
 void Cpf::ask_reattach(const Msg& request) {
-#ifdef NEUTRINO_RYW_DEBUG
-  const auto it = store_.find(request.ue);
-  fprintf(stderr,
-          "[REATT] t=%ld cpf=%u ue=%lu kind=%d have=%d utd=%d sp=%lu exp=%lu\n",
-          system_->loop().now().ns(), id_.value(), request.ue.value(),
-          (int)request.kind, it != store_.end(),
-          it != store_.end() && it->second.up_to_date,
-          (it != store_.end() && it->second.state)
-              ? it->second.state->last_completed_proc
-              : 0,
-          request.expected_proc);
-#endif
   Msg reply = request;
   reply.kind = MsgKind::kReattachCommand;
   reply.src_cpf = id_;
@@ -886,10 +859,6 @@ void Cpf::send_to_upf(const Msg& request, MsgKind kind) {
 }
 
 void Cpf::crash() {
-#ifdef NEUTRINO_RYW_DEBUG
-  fprintf(stderr, "[CRASH] t=%ld cpf=%u\n", system_->loop().now().ns(),
-          id_.value());
-#endif
   alive_ = false;
   ++epoch_;
   ++system_->metrics().registry.counter(
@@ -902,10 +871,6 @@ void Cpf::crash() {
 }
 
 void Cpf::restore() {
-#ifdef NEUTRINO_RYW_DEBUG
-  fprintf(stderr, "[RESTORE] t=%ld cpf=%u\n", system_->loop().now().ns(),
-          id_.value());
-#endif
   alive_ = true;
 }
 

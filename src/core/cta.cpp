@@ -441,17 +441,10 @@ void Cta::on_cpf_failure(CpfId failed) {
     }
   }
   // Drive recovery for every UE this CTA was routing to the failed CPF.
-  for (const UeId ue : affected) recover_ue(ue, ues_[ue], failed);
+  for (const UeId ue : affected) recover_ue(ue, ues_[ue]);
 }
 
-void Cta::recover_ue(UeId ue, UeRecord& rec, CpfId failed) {
-#ifdef NEUTRINO_RYW_DEBUG
-  fprintf(stderr, "[REC] t=%ld ue=%lu failed=%u nprocs=%zu pending=%d\n",
-          system_->loop().now().ns(), ue.value(), failed.value(),
-          rec.procedures.size(), rec.pending_request.has_value());
-#else
-  (void)failed;
-#endif
+void Cta::recover_ue(UeId ue, UeRecord& rec) {
   Metrics& metrics = system_->metrics();
   const CorePolicy& policy = system_->policy();
   // Which recovery scenario actually fired, labeled per region — recovery
@@ -541,11 +534,6 @@ void Cta::recover_ue(UeId ue, UeRecord& rec, CpfId failed) {
           continue;            // try another backup
         }
         rec.override_route = b;
-#ifdef NEUTRINO_RYW_DEBUG
-        fprintf(stderr, "[REC] t=%ld ue=%lu -> backup=%u replay=%zu\n",
-                system_->loop().now().ns(), ue.value(), b.value(),
-                to_replay.size());
-#endif
         if (to_replay.empty()) {
           // Scenario 1: the backup already holds the full state — nothing
           // to replay, so nothing regenerates a response. Promote it and

@@ -349,14 +349,6 @@ void Frontend::check_ryw(UeCtx& ctx, const Msg& msg) {
     if (obs::ProcTracer* tr = system_->tracer()) {
       tr->mark_violation(msg.ue);
     }
-#ifdef NEUTRINO_RYW_DEBUG
-    fprintf(stderr,
-            "[RYW] t=%ld ue=%lu kind=%d proc_type=%d seq=%lu served=%lu "
-            "expected=%lu\n",
-            system_->loop().now().ns(), msg.ue.value(), (int)msg.kind,
-            (int)ctx.proc_type, ctx.proc_seq, msg.served_proc,
-            ctx.last_completed_seq);
-#endif
   }
 }
 

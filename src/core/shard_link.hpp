@@ -10,7 +10,9 @@
 // link latency as usual and hands the message to the CrossShardSink as a
 // ShardEnvelope instead of scheduling locally; the runtime ferries it
 // through an SPSC channel and the owning shard's System re-schedules it
-// at the precomputed arrival time (System::deliver_envelope).
+// at the precomputed arrival time (System::deliver_envelope). No node
+// draws a random number, so a shard carries no RNG stream: a run's
+// randomness is all in its trace, generated before the run (src/traffic).
 //
 // Messages cross by value, as they travel on every hop; only the Msg's
 // `state` snapshot is shared. Its control block uses atomic refcounts and

@@ -33,7 +33,6 @@ ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
   rc.shards = config.shards;
   rc.threads = config.threads;
   rc.lookahead = lookahead_for(config.topo, config.shards);
-  rc.loop = config.loop;
   // Sharding splits the event stream N ways, so each shard's wheel sees
   // ~1/N the event density of the legacy loop. Shrink the SLOT COUNT
   // with the shard count at unchanged tick width: at threads=1 one
@@ -48,18 +47,11 @@ ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
   // thrashing bucket headers on every window. Wheel geometry never
   // affects event ordering — only where an event waits — so this is
   // invisible to determinism and to the 1-shard ≡ legacy equivalence.
-  // Applied only when the caller left the loop config at its defaults;
-  // explicit geometry is respected.
-  const sim::EventLoop::Config defaults;
-  if (config.shards > 1 &&
-      config.loop.wheel_granularity_ns == defaults.wheel_granularity_ns &&
-      config.loop.wheel_slots == defaults.wheel_slots) {
+  if (config.shards > 1) {
     const std::size_t scale = std::bit_ceil(static_cast<std::size_t>(
         config.shards > 16 ? 16 : config.shards));
-    rc.loop.wheel_slots = defaults.wheel_slots / scale;
+    rc.loop.wheel_slots /= scale;
   }
-  rc.rng_seed = config.rng_seed;
-  rc.channel_capacity = config.channel_capacity;
   return rc;
 }
 

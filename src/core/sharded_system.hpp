@@ -62,10 +62,7 @@ class ShardedSystem {
     ProtocolConfig proto;
     std::uint32_t shards = 1;
     std::uint32_t threads = 1;
-    sim::EventLoop::Config loop;
-    std::uint64_t rng_seed = 1;
     bool streaming_pct = false;
-    std::size_t channel_capacity = 1024;
   };
 
   ShardedSystem(const Config& config, const CostModel& costs);
@@ -104,8 +101,8 @@ class ShardedSystem {
   /// Partition a trace across shards by UE home region: each shard
   /// replays its records, in trace order, as one event stream
   /// (System::replay), so its queue holds one arrival at a time.
-  /// Templated on the record type (trace::TraceRecord-shaped) to keep
-  /// core below trace in the layering.
+  /// Templated on the record type (traffic::TraceRecord-shaped) to keep
+  /// core below traffic in the layering.
   template <class Record>
   void replay(const std::vector<Record>& trace) {
     std::vector<std::vector<System::Arrival>> streams(shards_.size());

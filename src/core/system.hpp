@@ -350,7 +350,7 @@ class Cta {
   }
   void arm_scan();               // schedule the next §4.2.4 timeout scan
   void scan_log();
-  void recover_ue(UeId ue, UeRecord& rec, CpfId failed);
+  void recover_ue(UeId ue, UeRecord& rec);
   void account_log(std::ptrdiff_t delta_bytes, std::ptrdiff_t delta_msgs);
   void prune_procedure(UeRecord& rec, std::uint64_t proc_seq);
   void notify_outdated(UeId ue, const ProcedureLog& plog,
@@ -544,7 +544,7 @@ class System {
     std::uint32_t offset = 0;  // position in trace order; set by replay()
     ProcedureType type = ProcedureType::kAttach;
 
-    /// From a trace::TraceRecord-shaped record (core sits below trace).
+    /// From a traffic::TraceRecord-shaped record (core sits below traffic).
     template <class Record>
     static Arrival of(const Record& rec) {
       return {rec.at, rec.ue, rec.target_region, 0, rec.type};

@@ -1,8 +1,8 @@
 // Sharded discrete-event runtime: conservative time windows over N shards.
 //
 // Each shard owns a full EventLoop (and, at the core layer, its slice of
-// the topology, an RNG stream, and per-shard metrics). Shards
-// advance in lock-step windows
+// the topology and per-shard metrics). Shards advance in lock-step
+// windows
 //
 //     [W, W + lookahead]   where W = min over shards of next_time()
 //
@@ -38,8 +38,9 @@
 // messages only between windows, in fixed (src shard, FIFO) order — the
 // order one thread draining every channel in (dst, src, FIFO) order would
 // give it — so it assigns them the same seq numbers however lanes
-// interleave, and (c) per-shard RNG streams are fixed 2^128-jumps of one
-// seed. Window plans and Stats read only sim state, never thread identity.
+// interleave. No shard draws a random number: a run's randomness is fixed
+// in its trace before the run starts. Window plans and Stats read only sim
+// state, never thread identity.
 // With one shard there are no windows to split on (lookahead = ∞ ⇒ one
 // window to the horizon), so the run is one plain EventLoop run.
 #pragma once
@@ -57,7 +58,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/rng.hpp"
 #include "obs/profiler.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/parallel/barrier.hpp"
@@ -76,7 +76,6 @@ class ShardedRuntime {
     /// means "no cross-shard traffic allowed": one window to the horizon.
     SimTime lookahead = SimTime::max();
     EventLoop::Config loop;
-    std::uint64_t rng_seed = 1;
     std::size_t channel_capacity = 1024;
   };
 
@@ -110,14 +109,8 @@ class ShardedRuntime {
     next_times_.assign(n_, SimTime{});
     drained_.assign(n_, 0);
     loops_.reserve(n_);
-    rngs_.reserve(n_);
     channels_.reserve(n_ * n_);
-    Rng stream(config.rng_seed);
-    for (std::size_t i = 0; i < n_; ++i) {
-      loops_.emplace_back(config.loop);
-      rngs_.push_back(stream);  // shard i = seed jumped i times
-      stream.jump();
-    }
+    for (std::size_t i = 0; i < n_; ++i) loops_.emplace_back(config.loop);
     for (std::size_t i = 0; i < n_ * n_; ++i) {
       channels_.emplace_back(config.channel_capacity);
     }
@@ -126,7 +119,6 @@ class ShardedRuntime {
   [[nodiscard]] std::size_t shards() const { return n_; }
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
   EventLoop& loop(std::size_t shard) { return loops_[shard]; }
-  Rng& rng(std::size_t shard) { return rngs_[shard]; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Attach a wall-clock phase profiler (null detaches). Lanes: dispatch
@@ -324,7 +316,6 @@ class ShardedRuntime {
   const std::size_t lanes_;  // min(threads, shards); shard i → lane i % lanes_
   const SimTime lookahead_;
   std::vector<EventLoop> loops_;
-  std::vector<Rng> rngs_;
   std::vector<SpscChannel<Entry>> channels_;  // [src * n_ + dst]
 
   PhaseBarrier start_;

@@ -7,12 +7,14 @@
 //
 // Past the saturation knee a real node does not queue forever: its ingress
 // queue is bounded and excess work is dropped at admission. set_capacity()
-// turns that on (DESIGN.md §13): try_submit() then rejects jobs once the
-// pool holds `capacity` jobs — and rejects *new attaches* earlier, at
+// turns that on (DESIGN.md §13): admits() then refuses jobs once the pool
+// holds `capacity` jobs — and refuses *new attaches* earlier, at
 // `attach_limit`, so the outage-sensitive classes (handover, service
 // request, in-flight procedure traffic) keep headroom the way §3's
-// sensitivity ordering demands. submit() stays unconditional for work that
-// must never be shed (responses, replication).
+// sensitivity ordering demands. The caller asks admits() before it builds
+// a job and records a refusal with count_drop() (System::admit does both
+// for the CTA and CPF ingresses); submit() itself never rejects, so work
+// that must never be shed (responses, replication) skips the question.
 #pragma once
 
 #include <algorithm>
@@ -62,25 +64,13 @@ class ServerPool {
     return inflight_ < limit;
   }
 
-  /// Bounded admission: enqueue like submit() if the class is admitted,
-  /// otherwise count the drop and destroy `done` (releasing whatever it
-  /// owns — e.g. its message). Returns whether the job was accepted.
-  bool try_submit(SimTime service, JobClass cls, EventLoop::Callback done) {
-    if (!admits(cls)) {
-      count_drop(cls);
-      return false;
-    }
-    submit(service, std::move(done));
-    return true;
-  }
-
   /// Record a rejection decided by the caller (admits() checked first so
   /// the job — and its tracing — is never materialized).
   void count_drop(JobClass cls) { ++drops_[static_cast<std::size_t>(cls)]; }
 
   /// Enqueue a job taking `service` time; `done` fires at completion.
-  /// Returns the completion time. Never rejects — use try_submit for
-  /// load-sheddable work.
+  /// Returns the completion time. Never rejects — check admits() first
+  /// for load-sheddable work.
   SimTime submit(SimTime service, EventLoop::Callback done) {
     // Earliest-free core serves the job (FIFO across the pool).
     auto it = std::min_element(core_free_.begin(), core_free_.end());

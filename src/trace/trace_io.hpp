@@ -8,24 +8,27 @@
 //   time_ns,ue,type,target_region
 #pragma once
 
+#include <array>
 #include <charconv>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "common/result.hpp"
-#include "trace/workload.hpp"
+#include "traffic/record.hpp"
 
 namespace neutrino::trace {
 
-inline Status save_trace(const std::vector<TraceRecord>& records,
+inline Status save_trace(const std::vector<traffic::TraceRecord>& records,
                          const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     return make_error(StatusCode::kUnavailable, "cannot open " + path);
   }
   out << "time_ns,ue,type,target_region\n";
-  for (const TraceRecord& rec : records) {
+  for (const traffic::TraceRecord& rec : records) {
     out << rec.at.ns() << ',' << rec.ue.value() << ','
         << static_cast<int>(rec.type) << ',' << rec.target_region << '\n';
   }
@@ -33,19 +36,20 @@ inline Status save_trace(const std::vector<TraceRecord>& records,
              : make_error(StatusCode::kUnavailable, "write failed");
 }
 
-inline Result<std::vector<TraceRecord>> load_trace(const std::string& path) {
+inline Result<std::vector<traffic::TraceRecord>> load_trace(
+    const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return make_error(StatusCode::kNotFound, "cannot open " + path);
   }
-  std::vector<TraceRecord> records;
+  std::vector<traffic::TraceRecord> records;
   std::string line;
   std::getline(in, line);  // header
   std::size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    TraceRecord rec;
+    traffic::TraceRecord rec;
     std::int64_t time_ns = 0;
     std::uint64_t ue = 0;
     int type = 0;
@@ -82,11 +86,12 @@ struct TraceSummary {
   std::array<std::size_t, 7> by_type{};
 };
 
-inline TraceSummary summarize(const std::vector<TraceRecord>& records) {
+inline TraceSummary summarize(
+    const std::vector<traffic::TraceRecord>& records) {
   TraceSummary s;
   s.records = records.size();
   std::unordered_set<std::uint64_t> ues;
-  for (const TraceRecord& rec : records) {
+  for (const traffic::TraceRecord& rec : records) {
     ues.insert(rec.ue.value());
     s.by_type[static_cast<std::size_t>(rec.type)]++;
   }

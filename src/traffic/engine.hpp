@@ -1,10 +1,14 @@
-// Empirically-grounded generative traffic engine (DESIGN.md §17).
+// The record-stream generators (DESIGN.md §17): every trace the simulator
+// replays is made here, by one of two families.
 //
-// The synthetic workloads in trace/workload.hpp reproduce the paper's §6.1
-// evaluation inputs (uniform Poisson, synchronized bursts). Real cellular
-// control-plane traffic looks different — *Characterizing and Modeling
-// Control-Plane Traffic for Mobile Core Network* (arXiv 2212.13248) measures
-// three structural properties this engine reproduces:
+// The paper's §6.1 evaluation inputs: uniform() — Poisson arrivals with an
+// i.i.d. procedure mix — and wave() — a synchronized burst, one procedure
+// per UE inside a short window. Each draws from one Rng in a fixed order.
+//
+// The empirically grounded engine, generate(). Real cellular control-plane
+// traffic looks different from §6.1's — *Characterizing and Modeling
+// Control-Plane Traffic for Mobile Core Network* (arXiv 2212.13248)
+// measures three structural properties this engine reproduces:
 //
 //  * Heavy-tailed per-device inter-arrivals: device "think times" are a
 //    log-normal body with a Pareto tail mixed in, not exponential — a few
@@ -15,7 +19,7 @@
 //    envelope's cumulative integral.
 //  * Procedure dependency chains: each device walks a Markov chain over
 //    procedure types (attach → service-request → handover ...), replacing
-//    the i.i.d. mix dice of UniformWorkload.
+//    the i.i.d. mix dice of uniform().
 //
 // Device classes (smartphone vs massive-IoT) differ in think-time shape,
 // chain, and duty cycling: an IoT class with a duty period snaps every
@@ -26,10 +30,11 @@
 // Determinism: every device draws from its own Rng seeded by a SplitMix64
 // hash of (seed, class, device), so generation order is irrelevant and a
 // fixed EngineConfig always yields a byte-identical record stream. Class
-// streams are merged with trace::merge_sorted_records under the documented
+// streams are merged with merge_sorted_records under the documented
 // (at, ue, type) total order. Generation is single-threaded and up front;
 // replay determinism across shard/thread counts is the runtime's existing
-// guarantee (DESIGN.md §11).
+// guarantee (DESIGN.md §11). The generators are the only source of
+// randomness a run has, apart from the chaos schedule generator.
 #pragma once
 
 #include <algorithm>
@@ -41,9 +46,110 @@
 
 #include "common/rng.hpp"
 #include "core/system.hpp"
-#include "trace/workload.hpp"
+#include "traffic/record.hpp"
 
 namespace neutrino::traffic {
+
+/// The region a `type` procedure from `ue` targets: the region after the
+/// UE's home (ue % regions) for an inter-region handover, the home for an
+/// intra-region one, 0 for everything else.
+inline std::uint32_t target_region_of(core::ProcedureType type, UeId ue,
+                                      std::uint32_t regions) {
+  const auto home = static_cast<std::uint32_t>(ue.value() % regions);
+  switch (type) {
+    case core::ProcedureType::kHandover:
+      return (home + 1) % regions;
+    case core::ProcedureType::kIntraHandover:
+      return home;
+    default:
+      return 0;
+  }
+}
+
+/// Procedure mix of uniform() (fractions; attach gets the remainder).
+struct ProcedureMix {
+  double service_request = 0.0;
+  double handover = 0.0;
+  double intra_handover = 0.0;
+};
+
+/// §6.1 "uniform traffic to emulate a pre-specified number of control
+/// procedure requests per second": Poisson arrivals at `rate_pps` up to
+/// `duration`, each from the next UE of a population cycling through
+/// `ue_population` ids, all drawn from one Rng(seed). Records come in
+/// arrival order: two landing on the same nanosecond keep their
+/// round-robin UE order, so a caller that needs the (at, ue, type) order
+/// sorts.
+///
+/// Mix contract: the fractions apply as configured whenever the topology
+/// can express them. Inter-region handover needs `regions > 1`; on a
+/// single-region topology the handover mass is *renormalized into
+/// intra-handover* (the nearest expressible procedure) rather than
+/// silently falling through to whatever branch the dice land in — the
+/// effective mix is therefore {service_request, 0, handover +
+/// intra_handover} with attach keeping exactly its configured remainder.
+inline std::vector<TraceRecord> uniform(double rate_pps, SimTime duration,
+                                        ProcedureMix mix,
+                                        std::uint64_t ue_population,
+                                        int regions, std::uint64_t seed) {
+  if (regions <= 1) {
+    mix.intra_handover += mix.handover;
+    mix.handover = 0.0;
+  }
+  const auto r = static_cast<std::uint32_t>(regions);
+  Rng rng(seed);
+  std::vector<TraceRecord> out;
+  out.reserve(static_cast<std::size_t>(rate_pps * duration.sec() * 1.1));
+  double t = 0.0;
+  std::uint64_t next_ue = 0;
+  while (true) {
+    t += rng.next_exponential(1.0 / rate_pps);
+    const auto at = SimTime::nanoseconds(static_cast<std::int64_t>(t * 1e9));
+    if (at > duration) break;
+    TraceRecord rec;
+    rec.at = at;
+    rec.ue = UeId(next_ue);
+    next_ue = (next_ue + 1) % ue_population;
+    const double dice = rng.next_double();
+    if (dice < mix.service_request) {
+      rec.type = core::ProcedureType::kServiceRequest;
+    } else if (dice < mix.service_request + mix.handover) {
+      rec.type = core::ProcedureType::kHandover;
+    } else if (dice < mix.service_request + mix.handover +
+                          mix.intra_handover) {
+      rec.type = core::ProcedureType::kIntraHandover;
+    }
+    rec.target_region = target_region_of(rec.type, rec.ue, r);
+    out.push_back(rec);
+  }
+  return out;
+}
+
+/// §6.1 "bursty traffic to emulate a large number of IoT devices sending
+/// requests in a synchronized pattern": UEs 0..n-1 each issue one `type`
+/// procedure at a uniform time in [start, start + window), drawn in UE
+/// order from one Rng(seed) (a power-restoration or periodic-report
+/// synchronization event). Returned in (at, ue, type) order; handover
+/// targets follow target_region_of over `regions`.
+inline std::vector<TraceRecord> wave(std::uint64_t n, core::ProcedureType type,
+                                     SimTime start, SimTime window,
+                                     std::uint64_t seed, int regions = 1) {
+  const auto r = static_cast<std::uint32_t>(regions);
+  Rng rng(seed);
+  std::vector<TraceRecord> out;
+  out.reserve(n);
+  for (std::uint64_t ue = 0; ue < n; ++ue) {
+    TraceRecord rec;
+    rec.at = start + SimTime::nanoseconds(static_cast<std::int64_t>(
+                         rng.next_double() * static_cast<double>(window.ns())));
+    rec.ue = UeId(ue);
+    rec.type = type;
+    rec.target_region = target_region_of(type, rec.ue, r);
+    out.push_back(rec);
+  }
+  sort_records(out);
+  return out;
+}
 
 /// SplitMix64-style hash for per-device independent streams: the stream
 /// identity is (experiment seed, class index, device index), so devices
@@ -291,7 +397,7 @@ struct ClassArrivals {
 };
 
 struct GeneratedTraffic {
-  std::vector<trace::TraceRecord> records;  // (at, ue, type)-sorted
+  std::vector<TraceRecord> records;  // (at, ue, type)-sorted
   std::vector<ClassArrivals> per_class;
 
   [[nodiscard]] std::uint64_t total() const {
@@ -321,7 +427,7 @@ inline GeneratedTraffic generate(const EngineConfig& cfg) {
   if (pop_total <= 0.0 || rate_total <= 0.0) return out;
 
   const auto regions = static_cast<std::uint32_t>(std::max(1, cfg.regions));
-  std::vector<std::vector<trace::TraceRecord>> streams;
+  std::vector<std::vector<TraceRecord>> streams;
   streams.reserve(cfg.classes.size());
   std::uint64_t ue_base = 0;
   for (std::size_t ci = 0; ci < cfg.classes.size(); ++ci) {
@@ -341,7 +447,7 @@ inline GeneratedTraffic generate(const EngineConfig& cfg) {
     acct.name = cls.name;
     acct.ue_base = ue_base;
     acct.ue_count = n_devices;
-    std::vector<trace::TraceRecord> stream;
+    std::vector<TraceRecord> stream;
     if (n_devices > 0) {
       const double class_pps =
           cfg.target_pps * std::max(0.0, cls.rate_share) / rate_total;
@@ -360,7 +466,6 @@ inline GeneratedTraffic generate(const EngineConfig& cfg) {
         for (std::uint64_t d = 0; d < n_devices; ++d) {
           Rng rng(device_seed(cfg.seed, ci, d));
           const UeId ue{ue_base + d};
-          const auto home = static_cast<std::uint32_t>(ue.value() % regions);
           ProcState state = cls.initial;
           // Random-phase start: the first arrival lands uniformly inside
           // one mean gap of activity time, so a window much shorter than
@@ -387,7 +492,7 @@ inline GeneratedTraffic generate(const EngineConfig& cfg) {
               at = SimTime::nanoseconds(
                   static_cast<std::int64_t>(snapped * 1e9) + 1);
             }
-            trace::TraceRecord rec;
+            TraceRecord rec;
             rec.at = at;
             rec.ue = ue;
             switch (state) {
@@ -398,22 +503,18 @@ inline GeneratedTraffic generate(const EngineConfig& cfg) {
                 rec.type = core::ProcedureType::kServiceRequest;
                 break;
               case ProcState::kHandover:
-                if (cfg.allow_inter_region && regions > 1) {
-                  rec.type = core::ProcedureType::kHandover;
-                  rec.target_region = (home + 1) % regions;
-                } else {
-                  rec.type = core::ProcedureType::kIntraHandover;
-                  rec.target_region = home;
-                }
+                rec.type = cfg.allow_inter_region && regions > 1
+                               ? core::ProcedureType::kHandover
+                               : core::ProcedureType::kIntraHandover;
                 break;
               case ProcState::kIntraHandover:
                 rec.type = core::ProcedureType::kIntraHandover;
-                rec.target_region = home;
                 break;
               case ProcState::kTau:
                 rec.type = core::ProcedureType::kTau;
                 break;
             }
+            rec.target_region = target_region_of(rec.type, ue, regions);
             stream.push_back(rec);
             state = cls.chain.next(state, rng);
             s += sample_think(cls.think, median, rng);
@@ -421,13 +522,13 @@ inline GeneratedTraffic generate(const EngineConfig& cfg) {
         }
       }
     }
-    trace::sort_records(stream);
+    sort_records(stream);
     acct.count = stream.size();
     out.per_class.push_back(std::move(acct));
     streams.push_back(std::move(stream));
     ue_base += n_devices;
   }
-  out.records = trace::merge_sorted_records(std::move(streams));
+  out.records = merge_sorted_records(std::move(streams));
   return out;
 }
 

@@ -24,7 +24,7 @@
 //    back (a ping-pong pair), shallower ones are absorbed (counted as
 //    suppressed_excursions).
 //
-// A trajectory emits trace::TraceRecord{at, ue, kHandover, target} exactly
+// A trajectory emits TraceRecord{at, ue, kHandover, target} exactly
 // when it exits the serving cell's hysteresis-expanded rectangle — the
 // point is then >= hysteresis_m inside the neighbor, the standard A3-offset
 // construction. Records are (at, ue, type)-sorted, so the stream merges
@@ -76,7 +76,7 @@
 
 #include "common/rng.hpp"
 #include "traffic/engine.hpp"
-#include "trace/workload.hpp"
+#include "traffic/record.hpp"
 
 namespace neutrino::traffic {
 
@@ -243,7 +243,7 @@ struct MobilityStats {
 };
 
 struct MobilityTraffic {
-  std::vector<trace::TraceRecord> records;  // (at, ue, type)-sorted
+  std::vector<TraceRecord> records;  // (at, ue, type)-sorted
   MobilityStats stats;
 };
 
@@ -261,7 +261,7 @@ class MobilityWalker {
  public:
   MobilityWalker(const MobilityGrid& grid, double hysteresis_m,
                  double duration_s, double pingpong_s, UeId ue,
-                 std::vector<trace::TraceRecord>& out)
+                 std::vector<TraceRecord>& out)
       : grid_(grid),
         h_(hysteresis_m),
         duration_s_(duration_s),
@@ -331,7 +331,7 @@ class MobilityWalker {
       const std::uint32_t from = grid_.index_of(srow_, scol_);
       const std::uint32_t target = grid_.index_of(nrow, ncol);
       if (t_cross < duration_s_) {
-        trace::TraceRecord rec;
+        TraceRecord rec;
         rec.at = SimTime::nanoseconds(
             static_cast<std::int64_t>(t_cross * 1e9) + 1);
         rec.ue = ue_;
@@ -361,7 +361,7 @@ class MobilityWalker {
   double duration_s_;
   double pingpong_s_;
   UeId ue_;
-  std::vector<trace::TraceRecord>& out_;
+  std::vector<TraceRecord>& out_;
   double x_ = 0.0, y_ = 0.0;
   std::uint32_t srow_ = 0, scol_ = 0;
   std::uint32_t prev_region_ = 0xffffffffu;
@@ -496,7 +496,7 @@ inline MobilityTraffic generate_mobility(const MobilityConfig& cfg) {
   stats.expected_leg_m = detail::rect_mean_dist(
       block_box[0].x_hi - block_box[0].x_lo - 2.0 * margin,
       block_box[0].y_hi - block_box[0].y_lo - 2.0 * margin);
-  std::vector<trace::TraceRecord> records;
+  std::vector<TraceRecord> records;
   records.reserve(static_cast<std::size_t>(moving) * 4);
 
   for (std::uint64_t u = 0; u < moving; ++u) {
@@ -637,7 +637,7 @@ inline MobilityTraffic generate_mobility(const MobilityConfig& cfg) {
                       c.mean_leg_m() >= 0.6 * stats.expected_leg_m;
   }
 
-  trace::sort_records(records);
+  sort_records(records);
   out.records = std::move(records);
   return out;
 }

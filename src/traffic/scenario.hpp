@@ -7,9 +7,9 @@
 // EngineConfig presets:
 //
 //   legacy-uniform            the paper's uniform Poisson mix (via
-//                             UniformWorkload; compatibility baseline)
+//                             uniform(); compatibility baseline)
 //   legacy-bursty             the paper's synchronized attach burst (via
-//                             BurstyWorkload; compatibility baseline)
+//                             wave(); compatibility baseline)
 //   commuter-morning          smartphones through a rising AM ramp;
 //                             service-request-heavy chain with mobility
 //   stadium-egress            flat load, then a 3x mobility/TAU spike as
@@ -165,20 +165,13 @@ inline MarkovChain reconnect_chain() {
 }
 
 inline GeneratedTraffic legacy_uniform(const ScenarioRequest& req) {
-  trace::ProcedureMix mix;
-  mix.service_request = 0.5;
-  mix.intra_handover = 0.1;  // attach gets the remaining 0.4
-  trace::UniformWorkload workload(req.target_pps, req.duration, mix,
-                                  req.seed);
+  // Attach gets the remaining 0.4.
+  const ProcedureMix mix{.service_request = 0.5, .intra_handover = 0.1};
   GeneratedTraffic out;
-  out.records = workload.generate(req.population, req.regions);
-  trace::sort_records(out.records);
-  ClassArrivals acct;
-  acct.name = "uniform";
-  acct.ue_base = 0;
-  acct.ue_count = req.population;
-  acct.count = out.records.size();
-  out.per_class.push_back(std::move(acct));
+  out.records = uniform(req.target_pps, req.duration, mix, req.population,
+                        req.regions, req.seed);
+  sort_records(out.records);
+  out.per_class.push_back({"uniform", 0, req.population, out.records.size()});
   return out;
 }
 
@@ -187,16 +180,10 @@ inline GeneratedTraffic legacy_bursty(const ScenarioRequest& req) {
       req.target_pps * req.duration.sec() + 0.5);
   const std::uint64_t n_users =
       std::max<std::uint64_t>(1, std::min(req.population, wanted));
-  trace::BurstyWorkload workload(n_users, req.duration, req.seed);
   GeneratedTraffic out;
-  out.records = workload.generate();
-  trace::sort_records(out.records);
-  ClassArrivals acct;
-  acct.name = "bursty-attach";
-  acct.ue_base = 0;
-  acct.ue_count = n_users;
-  acct.count = out.records.size();
-  out.per_class.push_back(std::move(acct));
+  out.records = wave(n_users, core::ProcedureType::kAttach, SimTime{},
+                     req.duration, req.seed);
+  out.per_class.push_back({"bursty-attach", 0, n_users, out.records.size()});
   return out;
 }
 
@@ -309,10 +296,10 @@ inline GeneratedTraffic merge_mobility(GeneratedTraffic base,
   acct.ue_count = mob.stats.moving_ues;
   acct.count = mob.records.size();
   base.per_class.push_back(std::move(acct));
-  std::vector<std::vector<trace::TraceRecord>> streams;
+  std::vector<std::vector<TraceRecord>> streams;
   streams.push_back(std::move(base.records));
   streams.push_back(std::move(mob.records));
-  base.records = trace::merge_sorted_records(std::move(streams));
+  base.records = merge_sorted_records(std::move(streams));
   return base;
 }
 

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
-#include "trace/workload.hpp"
+#include "traffic/engine.hpp"
 
 namespace neutrino::core {
 namespace {
+
+void replay(System& system, const std::vector<traffic::TraceRecord>& t) {
+  std::vector<System::Arrival> arrivals;
+  for (const auto& rec : t) arrivals.push_back(System::Arrival::of(rec));
+  system.replay(std::move(arrivals));
+}
 
 struct Harness {
   explicit Harness(CorePolicy policy, TopologyConfig topo = {}) {
@@ -74,14 +80,15 @@ TEST(LogBoundedness, DrainedSystemHasEmptyLogs) {
   TopologyConfig topo;
   topo.l1_per_l2 = 2;
   Harness h(neutrino_policy(), topo);
-  trace::ProcedureMix mix{.service_request = 0.5, .handover = 0.2};
-  trace::UniformWorkload w(5'000.0, SimTime::milliseconds(500), mix, 11);
-  const auto t = w.generate(2'000, topo.total_regions());
+  const auto t = traffic::uniform(
+      5'000.0, SimTime::milliseconds(500),
+      {.service_request = 0.5, .handover = 0.2}, 2'000,
+      topo.total_regions(), /*seed=*/11);
   for (std::uint64_t u = 0; u < 2'000; ++u) {
     h.system->frontend().preattach(UeId{u},
                                    static_cast<std::uint32_t>(u % 2));
   }
-  trace::replay(*h.system, t);
+  replay(*h.system, t);
   h.loop.run_until(SimTime::seconds(30));
 
   EXPECT_EQ(h.metrics.ryw_violations, 0u);
@@ -97,16 +104,17 @@ TEST(Determinism, IdenticalRunsProduceIdenticalMetrics) {
     TopologyConfig topo;
     topo.l1_per_l2 = 2;
     Harness h(neutrino_policy(), topo);
-    trace::ProcedureMix mix{.service_request = 0.6, .handover = 0.2};
-    trace::UniformWorkload w(8'000.0, SimTime::milliseconds(400), mix, 3);
-    const auto t = w.generate(3'000, topo.total_regions());
+    const auto t = traffic::uniform(
+        8'000.0, SimTime::milliseconds(400),
+        {.service_request = 0.6, .handover = 0.2}, 3'000,
+        topo.total_regions(), /*seed=*/3);
     for (std::uint64_t u = 0; u < 3'000; ++u) {
       h.system->frontend().preattach(UeId{u},
                                      static_cast<std::uint32_t>(u % 2));
     }
     h.loop.schedule_at(SimTime::milliseconds(200),
                        [&] { h.system->crash_cpf(CpfId{3}); });
-    trace::replay(*h.system, t);
+    replay(*h.system, t);
     h.loop.run_until(SimTime::seconds(20));
     return std::tuple{h.metrics.procedures_completed, h.metrics.reattaches,
                       h.metrics.replays, h.metrics.checkpoints_sent,
@@ -122,8 +130,9 @@ TEST(Saturation, OfferedLoadBeyondCapacityStillCompletesEventually) {
   // Liveness under a finite overload burst: everything completes once the
   // arrivals stop, and consistency holds throughout.
   Harness h(neutrino_policy());
-  trace::BurstyWorkload w(5'000, SimTime::milliseconds(10), 5);
-  trace::replay(*h.system, w.generate());
+  replay(*h.system,
+         traffic::wave(5'000, ProcedureType::kAttach, SimTime{},
+                       SimTime::milliseconds(10), /*seed=*/5));
   h.loop.run_until(SimTime::seconds(120));
   EXPECT_EQ(h.metrics.procedures_completed, 5'000u);
   EXPECT_EQ(h.metrics.ryw_violations, 0u);

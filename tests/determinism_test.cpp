@@ -20,7 +20,7 @@
 #include "core/system.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_loop.hpp"
-#include "trace/workload.hpp"
+#include "traffic/engine.hpp"
 
 namespace neutrino {
 namespace {
@@ -393,14 +393,14 @@ CoreRun run_core_workload(const sim::EventLoop::Config& cfg) {
   obs::ProcTracer tracer(tc, &metrics.registry);
   system.attach_tracer(tracer);
 
-  trace::ProcedureMix mix;
-  mix.service_request = 0.5;
-  mix.handover = 0.1;
-  trace::UniformWorkload workload(/*rate_pps=*/1000,
-                                  SimTime::milliseconds(500), mix,
-                                  /*seed=*/11);
-  const auto t = workload.generate(/*ue_population=*/120, /*regions=*/2);
-  trace::replay(system, t);
+  std::vector<core::System::Arrival> arrivals;
+  for (const auto& rec : traffic::uniform(
+           /*rate_pps=*/1000, SimTime::milliseconds(500),
+           {.service_request = 0.5, .handover = 0.1},
+           /*ue_population=*/120, /*regions=*/2, /*seed=*/11)) {
+    arrivals.push_back(core::System::Arrival::of(rec));
+  }
+  system.replay(std::move(arrivals));
 
   // Mid-storm crash of a loaded CPF, restored shortly after: exercises
   // replay recovery and checkpoint retransmission under both loops.

@@ -74,7 +74,7 @@ TEST(MobilityGrid, MortonIndicesMatchRegionPlan) {
 
 struct WalkerHarness {
   MobilityGrid grid = MobilityGrid::make(16, 1000.0);
-  std::vector<trace::TraceRecord> records;
+  std::vector<TraceRecord> records;
   detail::MobilityWalker walker;
   explicit WalkerHarness(double h, double duration_s = 1000.0,
                          double pingpong_s = 20.0)
@@ -158,15 +158,15 @@ TEST(MobilityStream, DeterministicAndSeedSensitive) {
     EXPECT_EQ(a.records[i].target_region, b.records[i].target_region) << i;
   }
   EXPECT_TRUE(std::is_sorted(a.records.begin(), a.records.end(),
-                             trace::record_before));
+                             record_before));
   MobilityConfig other = small_config();
   other.seed = 6;
   const MobilityTraffic c = generate_mobility(other);
   EXPECT_TRUE(c.records.size() != a.records.size() ||
               !std::equal(a.records.begin(), a.records.end(),
                           c.records.begin(),
-                          [](const trace::TraceRecord& x,
-                             const trace::TraceRecord& y) {
+                          [](const TraceRecord& x,
+                             const TraceRecord& y) {
                             return x.at == y.at && x.ue == y.ue &&
                                    x.target_region == y.target_region;
                           }));
@@ -175,7 +175,7 @@ TEST(MobilityStream, DeterministicAndSeedSensitive) {
 TEST(MobilityStream, TrajectoriesConfinedToShardBlocks) {
   const MobilityTraffic t = generate_mobility(small_config());
   ASSERT_FALSE(t.records.empty());
-  for (const trace::TraceRecord& rec : t.records) {
+  for (const TraceRecord& rec : t.records) {
     const std::uint32_t home =
         static_cast<std::uint32_t>(rec.ue.value() % 16);
     EXPECT_EQ(home / 8, rec.target_region / 8)
@@ -251,7 +251,7 @@ TEST(MobilityScenario, CommuterCrossingMergesMovementIntoBackground) {
   ASSERT_TRUE(gen.has_value());
   ASSERT_FALSE(gen->records.empty());
   EXPECT_TRUE(std::is_sorted(gen->records.begin(), gen->records.end(),
-                             trace::record_before));
+                             record_before));
   EXPECT_GT(stats.moving_ues, 0u);
   EXPECT_GT(stats.crossings, 0u);
   const auto mobility_class = std::find_if(
@@ -261,7 +261,7 @@ TEST(MobilityScenario, CommuterCrossingMergesMovementIntoBackground) {
   EXPECT_EQ(mobility_class->count, stats.crossings);
   const auto handovers = std::count_if(
       gen->records.begin(), gen->records.end(),
-      [](const trace::TraceRecord& r) {
+      [](const TraceRecord& r) {
         return r.type == core::ProcedureType::kHandover;
       });
   EXPECT_GE(static_cast<std::uint64_t>(handovers), stats.crossings);

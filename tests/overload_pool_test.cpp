@@ -5,7 +5,7 @@
 // incarnation fenced off by the generation counter.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 
 #include "common/clock.hpp"
 #include "sim/event_loop.hpp"
@@ -20,12 +20,24 @@ using sim::ServerPool;
 
 const SimTime kService = SimTime::microseconds(10);
 
+/// Offer a job the way the ingresses do (System::admit): submit it if
+/// its class is admitted, otherwise count the drop. Returns whether the
+/// job was accepted.
+bool offer(ServerPool& pool, JobClass cls, EventLoop::Callback done) {
+  if (!pool.admits(cls)) {
+    pool.count_drop(cls);
+    return false;
+  }
+  pool.submit(kService, std::move(done));
+  return true;
+}
+
 TEST(OverloadPool, UnboundedByDefault) {
   EventLoop loop;
   ServerPool pool(loop, 1);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(pool.admits(JobClass::kAttach));
-    EXPECT_TRUE(pool.try_submit(kService, JobClass::kAttach, [] {}));
+    EXPECT_TRUE(offer(pool, JobClass::kAttach, [] {}));
   }
   EXPECT_EQ(pool.dropped_total(), 0u);
   EXPECT_EQ(pool.queue_depth(), 100u);
@@ -39,7 +51,7 @@ TEST(OverloadPool, CapacityBoundsAdmissionPerClass) {
   pool.set_capacity(4, 2);  // attaches shed once 2 jobs are in flight
   int done = 0;
   auto submit = [&](JobClass cls) {
-    return pool.try_submit(kService, cls, [&] { ++done; });
+    return offer(pool, cls, [&] { ++done; });
   };
   ASSERT_TRUE(submit(JobClass::kAttach));
   ASSERT_TRUE(submit(JobClass::kAttach));
@@ -66,9 +78,9 @@ TEST(OverloadPool, AttachLimitClampedToCapacity) {
   EventLoop loop;
   ServerPool pool(loop, 1);
   pool.set_capacity(2, 10);  // limit above capacity is meaningless
-  EXPECT_TRUE(pool.try_submit(kService, JobClass::kAttach, [] {}));
-  EXPECT_TRUE(pool.try_submit(kService, JobClass::kAttach, [] {}));
-  EXPECT_FALSE(pool.try_submit(kService, JobClass::kAttach, [] {}));
+  EXPECT_TRUE(offer(pool, JobClass::kAttach, [] {}));
+  EXPECT_TRUE(offer(pool, JobClass::kAttach, [] {}));
+  EXPECT_FALSE(offer(pool, JobClass::kAttach, [] {}));
   loop.run();
 }
 
@@ -96,9 +108,9 @@ TEST(OverloadPool, StatsSurviveCrashButWorkDies) {
   ServerPool pool(loop, 1);
   pool.set_capacity(2, 1);
   int done = 0;
-  ASSERT_TRUE(pool.try_submit(kService, JobClass::kAttach, [&] { ++done; }));
-  ASSERT_TRUE(pool.try_submit(kService, JobClass::kControl, [&] { ++done; }));
-  ASSERT_FALSE(pool.try_submit(kService, JobClass::kAttach, [&] { ++done; }));
+  ASSERT_TRUE(offer(pool, JobClass::kAttach, [&] { ++done; }));
+  ASSERT_TRUE(offer(pool, JobClass::kControl, [&] { ++done; }));
+  ASSERT_FALSE(offer(pool, JobClass::kAttach, [&] { ++done; }));
   EXPECT_EQ(pool.peak_depth(), 2u);
   pool.reset();
   // Queued work died with the crash...
@@ -110,24 +122,9 @@ TEST(OverloadPool, StatsSurviveCrashButWorkDies) {
   EXPECT_EQ(pool.drops(JobClass::kAttach), 1u);
   EXPECT_EQ(pool.peak_depth(), 2u);
   // The new incarnation admits work under the same bounds.
-  EXPECT_TRUE(pool.try_submit(kService, JobClass::kAttach, [&] { ++done; }));
+  EXPECT_TRUE(offer(pool, JobClass::kAttach, [&] { ++done; }));
   loop.run();
   EXPECT_EQ(done, 1);
-}
-
-TEST(OverloadPool, RejectedCallbackIsDestroyedNotLeaked) {
-  // try_submit must destroy the rejected callback so anything it owns
-  // (e.g. the message it carries) is released immediately.
-  EventLoop loop;
-  ServerPool pool(loop, 1);
-  pool.set_capacity(1, 1);
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = token;
-  ASSERT_TRUE(pool.try_submit(kService, JobClass::kControl, [] {}));
-  ASSERT_FALSE(pool.try_submit(kService, JobClass::kControl,
-                               [token = std::move(token)] { (void)*token; }));
-  EXPECT_TRUE(watch.expired());
-  loop.run();
 }
 
 }  // namespace

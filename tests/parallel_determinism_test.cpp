@@ -21,7 +21,6 @@
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_loop.hpp"
-#include "trace/workload.hpp"
 #include "traffic/scenario.hpp"
 
 namespace neutrino {
@@ -57,25 +56,20 @@ core::ProtocolConfig overload_test_proto() {
 /// with a mid-storm crash + restore of UE 0's primary CPF. Inter-region
 /// handovers are excluded (unsupported across shards — UE↔CTA links sit
 /// below the lookahead); intra-region handovers stay in the mix.
-std::vector<trace::TraceRecord> make_trace(int regions) {
-  trace::ProcedureMix mix;
-  mix.service_request = 0.5;
-  mix.intra_handover = 0.1;
-  trace::UniformWorkload workload(/*rate_pps=*/1000,
-                                  SimTime::milliseconds(500), mix,
-                                  /*seed=*/11);
-  return workload.generate(/*ue_population=*/200,
-                           /*regions=*/regions);
+std::vector<traffic::TraceRecord> make_trace(int regions) {
+  return traffic::uniform(/*rate_pps=*/1000, SimTime::milliseconds(500),
+                          {.service_request = 0.5, .intra_handover = 0.1},
+                          /*ue_population=*/200, regions, /*seed=*/11);
 }
 
 /// The overload scenario: the same mixed storm plus a synchronized
 /// IoT-style attach burst (§6.1 "bursty") of 80 fresh UEs at one instant,
 /// landing inside the crash window — the bounded queues must overflow and
 /// the shed uplinks retransmit across a failover.
-std::vector<trace::TraceRecord> make_storm_trace(int regions) {
-  std::vector<trace::TraceRecord> recs = make_trace(regions);
+std::vector<traffic::TraceRecord> make_storm_trace(int regions) {
+  std::vector<traffic::TraceRecord> recs = make_trace(regions);
   for (std::uint64_t u = 0; u < 80; ++u) {
-    trace::TraceRecord rec;
+    traffic::TraceRecord rec;
     rec.at = SimTime::milliseconds(150);
     rec.ue = UeId(300 + u);
     rec.type = core::ProcedureType::kAttach;
@@ -116,8 +110,8 @@ struct ShardRun {
 /// for System::replay: one schedule_at per record, in trace order, on the
 /// record's home shard.
 void eager_replay(core::ShardedSystem& sys,
-                  const std::vector<trace::TraceRecord>& trace) {
-  for (const trace::TraceRecord& rec : trace) {
+                  const std::vector<traffic::TraceRecord>& trace) {
+  for (const traffic::TraceRecord& rec : trace) {
     core::System& home = sys.system(sys.shard_of_ue(rec.ue));
     home.loop().schedule_at(rec.at, [&home, rec] {
       home.frontend().start_procedure(rec.ue, rec.type, rec.target_region);
@@ -129,7 +123,7 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
                 bool with_crash, std::uint64_t preattached,
                 const core::ProtocolConfig& proto = test_proto(),
                 bool storm = false,
-                const std::vector<trace::TraceRecord>* custom_trace =
+                const std::vector<traffic::TraceRecord>* custom_trace =
                     nullptr,
                 bool eager = false) {
   const core::FixedCostModel costs{SimTime::microseconds(10)};
@@ -248,7 +242,11 @@ TEST(ParallelDeterminism, OneShardMatchesLegacySystem) {
   legacy.attach_flight_recorder(legacy_flight);
   legacy.arm_telemetry(kTelemetryWindow, kHorizon);
   legacy_metrics.arm_slo(kTelemetryWindow, slo_targets());
-  trace::replay(legacy, make_trace(4));
+  std::vector<core::System::Arrival> arrivals;
+  for (const auto& rec : make_trace(4)) {
+    arrivals.push_back(core::System::Arrival::of(rec));
+  }
+  legacy.replay(std::move(arrivals));
   const CpfId doomed = legacy.primary_cpf_for(UeId{0}, 0);
   loop.schedule_at(SimTime::milliseconds(120),
                    [&legacy, doomed] { legacy.crash_cpf(doomed); });
@@ -452,7 +450,7 @@ TEST(ParallelDeterminism, ReplayQueuesOneEventPerStream) {
   cfg.proto = test_proto();
   cfg.shards = 4;
   core::ShardedSystem sys(cfg, costs);
-  const std::vector<trace::TraceRecord> trace = make_storm_trace(4);
+  const std::vector<traffic::TraceRecord> trace = make_storm_trace(4);
   sys.replay(trace);
   for (std::uint32_t s = 0; s < sys.shards(); ++s) {
     EXPECT_LE(sys.runtime().loop(s).pending(), 1u) << "shard " << s;
@@ -470,12 +468,12 @@ TEST(ParallelDeterminism, ReplayQueuesOneEventPerStream) {
 /// The storm trace (its 80 appended attaches already break time order)
 /// plus a repeat of every 9th record, a same-(time, UE) record of another
 /// procedure type after every 13th, and a reversed middle block.
-std::vector<trace::TraceRecord> unsorted_trace() {
-  std::vector<trace::TraceRecord> recs = make_storm_trace(4);
+std::vector<traffic::TraceRecord> unsorted_trace() {
+  std::vector<traffic::TraceRecord> recs = make_storm_trace(4);
   const std::size_t n = recs.size();
   for (std::size_t i = 0; i < n; i += 9) recs.push_back(recs[i]);
   for (std::size_t i = 0; i < n; i += 13) {
-    trace::TraceRecord other = recs[i];
+    traffic::TraceRecord other = recs[i];
     other.type = other.type == core::ProcedureType::kAttach
                      ? core::ProcedureType::kServiceRequest
                      : core::ProcedureType::kAttach;
@@ -487,10 +485,10 @@ std::vector<trace::TraceRecord> unsorted_trace() {
 }
 
 TEST(ParallelDeterminism, StreamReplayMatchesEagerReplayOnUnsortedTrace) {
-  const std::vector<trace::TraceRecord> trace = unsorted_trace();
+  const std::vector<traffic::TraceRecord> trace = unsorted_trace();
   ASSERT_FALSE(std::is_sorted(
       trace.begin(), trace.end(),
-      [](const trace::TraceRecord& a, const trace::TraceRecord& b) {
+      [](const traffic::TraceRecord& a, const traffic::TraceRecord& b) {
         return a.at < b.at;
       }));
   for (const std::uint32_t shards : {1u, 4u}) {
@@ -524,12 +522,12 @@ TEST(ParallelDeterminism, CrossShardHandoverAbortsInEveryBuild) {
     cfg.shards = 2;  // regions {0, 1} | {2, 3}
     core::ShardedSystem sys(cfg, costs);
     sys.preattach(UeId{0}, /*region=*/0);
-    trace::TraceRecord ho;
+    traffic::TraceRecord ho;
     ho.at = SimTime::milliseconds(1);
     ho.ue = UeId{0};
     ho.type = core::ProcedureType::kHandover;
     ho.target_region = 2;
-    sys.replay(std::vector<trace::TraceRecord>{ho});
+    sys.replay(std::vector<traffic::TraceRecord>{ho});
     sys.run_until(SimTime::seconds(1));
   };
   EXPECT_DEATH(hand_over_across_shards(),

@@ -48,8 +48,8 @@ struct HopPayload {
 };
 
 struct RingRun {
-  // Per shard: (sim time ns, hops_left, rng draw) for every hop executed.
-  std::vector<std::vector<std::tuple<std::int64_t, int, std::uint64_t>>> logs;
+  // Per shard: (sim time ns, hops_left) for every hop executed.
+  std::vector<std::vector<std::pair<std::int64_t, int>>> logs;
   std::uint64_t windows = 0;
   std::uint64_t cross_messages = 0;
   std::uint64_t events = 0;
@@ -61,7 +61,6 @@ RingRun run_ring(std::size_t shards, std::size_t threads, int hops) {
   config.shards = shards;
   config.threads = threads;
   config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
-  config.rng_seed = 7;
   Runtime rt(config);
 
   RingRun run;
@@ -70,8 +69,7 @@ RingRun run_ring(std::size_t shards, std::size_t threads, int hops) {
 
   // The hop body: log, then forward to the next shard in the ring.
   auto hop = [&](std::size_t shard, int hops_left, auto&& self) -> void {
-    run.logs[shard].emplace_back(rt.loop(shard).now().ns(), hops_left,
-                                 rt.rng(shard).next_u64());
+    run.logs[shard].emplace_back(rt.loop(shard).now().ns(), hops_left);
     if (hops_left > 0) {
       rt.post(shard, (shard + 1) % shards, rt.loop(shard).now() + link,
               HopPayload{hops_left - 1});
@@ -305,22 +303,6 @@ TEST(ShardedRuntime, CausalityViolationAbortsInEveryBuild) {
   EXPECT_DEATH(violate(2, 1),
                "window causality violated: shard 1 -> 0 arrival=500000ns "
                "<= window end=999999ns");
-}
-
-TEST(ShardedRuntime, PerShardRngStreamsAreJumps) {
-  using Runtime = ShardedRuntime<int>;
-  Runtime::Config config;
-  config.shards = 3;
-  config.rng_seed = 123;
-  Runtime rt(config);
-  Rng expect(123);
-  for (std::size_t s = 0; s < 3; ++s) {
-    Rng copy = expect;
-    for (int i = 0; i < 16; ++i) {
-      ASSERT_EQ(rt.rng(s).next_u64(), copy.next_u64());
-    }
-    expect.jump();
-  }
 }
 
 }  // namespace

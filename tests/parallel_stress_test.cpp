@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/parallel/runtime.hpp"
 
 namespace neutrino::sim::parallel {
@@ -53,16 +54,18 @@ StressRun run_stress(std::size_t threads) {
   config.threads = threads;
   config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
   config.channel_capacity = 2;
-  config.rng_seed = 42;
   Runtime rt(config);
   rt.enable_window_log(/*max_windows=*/1u << 20);
   StressRun run;
-  std::vector<std::uint32_t> sent(kShards, 0);  // each touched by its owner
+  // Each touched only by its shard's owning lane.
+  std::vector<std::uint32_t> sent(kShards, 0);
+  std::vector<Rng> rngs;
+  for (std::uint64_t s = 0; s < kShards; ++s) rngs.emplace_back(42 + s);
 
   // A relay sends kLeaves leaves to every other shard, then forwards
-  // itself to an RNG-chosen one.
+  // itself to one its shard's Rng picks.
   auto on_event = [&](std::size_t shard, const Msg& m) {
-    const std::uint64_t draw = rt.rng(shard).next_u64();
+    const std::uint64_t draw = rngs[shard].next_u64();
     const SimTime now = rt.loop(shard).now();
     run.log[shard].emplace_back(now.ns(), m.src, m.seq, m.hops_left, draw);
     if (m.hops_left <= 0) return;

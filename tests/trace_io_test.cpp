@@ -1,10 +1,13 @@
-// Trace file round trips and summaries.
+// src/trace: trace file round trips and summaries, and the Fig. 12 drive
+// model.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
+#include "trace/mobility.hpp"
 #include "trace/trace_io.hpp"
+#include "traffic/engine.hpp"
 
 namespace neutrino::trace {
 namespace {
@@ -14,9 +17,9 @@ std::string temp_path(const char* name) {
 }
 
 TEST(TraceIo, SaveLoadRoundTrip) {
-  trace::ProcedureMix mix{.service_request = 0.5, .handover = 0.2};
-  UniformWorkload w(5'000.0, SimTime::seconds(1), mix, 3);
-  const auto original = w.generate(100'000, 4);
+  const auto original = traffic::uniform(
+      5'000.0, SimTime::seconds(1),
+      {.service_request = 0.5, .handover = 0.2}, 100'000, 4, /*seed=*/3);
   const std::string path = temp_path("neutrino_trace_roundtrip.csv");
 
   ASSERT_TRUE(save_trace(original, path).is_ok());
@@ -65,14 +68,37 @@ TEST(TraceIo, OutOfRangeTypeRejected) {
 }
 
 TEST(TraceIo, SummaryStatistics) {
-  BurstyWorkload w(2'000, SimTime::milliseconds(500), 9);
-  const auto records = w.generate();
+  const auto records =
+      traffic::wave(2'000, core::ProcedureType::kAttach, SimTime{},
+                    SimTime::milliseconds(500), /*seed=*/9);
   const auto s = summarize(records);
   EXPECT_EQ(s.records, 2'000u);
   EXPECT_EQ(s.distinct_ues, 2'000u);
   EXPECT_LE(s.span, SimTime::milliseconds(500));
   EXPECT_EQ(s.by_type[static_cast<std::size_t>(core::ProcedureType::kAttach)],
             2'000u);
+}
+
+TEST(DriveModel, SixtyMphSpacingMatchesFig12) {
+  DriveModel drive;
+  const auto events = drive.handovers(SimTime::seconds(120));
+  ASSERT_GE(events.size(), 3u);
+  // First crossing: 700 m at 26.8 m/s ~ 26.1 s.
+  EXPECT_NEAR(events[0].at.sec(), 700.0 / 26.8, 0.1);
+  // Second: +1000 m.
+  EXPECT_NEAR(events[1].at.sec(), 1700.0 / 26.8, 0.1);
+  // Every fourth crossing changes region.
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].crosses_region, (i + 1) % 4 == 0) << i;
+  }
+}
+
+TEST(DriveModel, FiveMinuteDriveHandoverCount) {
+  // 5 min at 26.8 m/s = 8040 m; alternating 700/1000 m cells ~ 9 HOs.
+  DriveModel drive;
+  const auto events = drive.handovers(SimTime::seconds(300));
+  EXPECT_GE(events.size(), 8u);
+  EXPECT_LE(events.size(), 11u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// Traffic engine and named scenario library (DESIGN.md §17): statistical
-// shape of the generators (heavy tail, diurnal envelope, Markov chain,
-// duty cycling), bitwise determinism, and the scenario name registry.
+// Traffic generators and named scenario library (DESIGN.md §17):
+// statistical shape of the generators (heavy tail, diurnal envelope,
+// Markov chain, duty cycling, the §6.1 uniform mix and wave), bitwise
+// determinism, the record streams every caller replays pinned by hash, and
+// the scenario name registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,21 +14,23 @@
 #include <utility>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/hashing.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/scenario.hpp"
 
 namespace neutrino::traffic {
 namespace {
 
-bool records_equal(const trace::TraceRecord& a, const trace::TraceRecord& b) {
+bool records_equal(const TraceRecord& a, const TraceRecord& b) {
   return a.at == b.at && a.ue.value() == b.ue.value() && a.type == b.type &&
          a.target_region == b.target_region;
 }
 
-bool streams_equal(const std::vector<trace::TraceRecord>& a,
-                   const std::vector<trace::TraceRecord>& b) {
+bool streams_equal(const std::vector<TraceRecord>& a,
+                   const std::vector<TraceRecord>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (!records_equal(a[i], b[i])) return false;
@@ -265,7 +269,7 @@ TEST(Engine, RecordsValidAndSortedAndClassesTilePopulation) {
                 rec.ue.value() % static_cast<std::uint64_t>(cfg.regions));
     }
     if (i > 0) {
-      EXPECT_FALSE(trace::record_before(rec, out.records[i - 1])) << i;
+      EXPECT_FALSE(record_before(rec, out.records[i - 1])) << i;
     }
   }
 }
@@ -312,29 +316,232 @@ TEST(Engine, DutyCycledClassSnapsToSharedWakeupSlots) {
 
 TEST(RecordOrder, MergeSortedEqualsGlobalSort) {
   Rng rng(21);
-  std::vector<std::vector<trace::TraceRecord>> streams(3);
-  std::vector<trace::TraceRecord> all;
+  std::vector<std::vector<TraceRecord>> streams(3);
+  std::vector<TraceRecord> all;
   for (auto& stream : streams) {
     for (int i = 0; i < 500; ++i) {
-      trace::TraceRecord rec;
+      TraceRecord rec;
       rec.at = SimTime::nanoseconds(
           static_cast<std::int64_t>(rng.next_double() * 1e9));
       rec.ue = UeId(rng.next_u64() % 64);
       rec.type = static_cast<core::ProcedureType>(rng.next_u64() % 4);
       stream.push_back(rec);
     }
-    trace::sort_records(stream);
+    sort_records(stream);
     all.insert(all.end(), stream.begin(), stream.end());
   }
-  trace::sort_records(all);
-  const auto merged = trace::merge_sorted_records(std::move(streams));
+  sort_records(all);
+  const auto merged = merge_sorted_records(std::move(streams));
   ASSERT_EQ(merged.size(), all.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     // Keys equal position by position; ties in all three keys are
     // documented as interchangeable, so compare keys rather than bytes.
-    EXPECT_FALSE(trace::record_before(merged[i], all[i])) << i;
-    EXPECT_FALSE(trace::record_before(all[i], merged[i])) << i;
+    EXPECT_FALSE(record_before(merged[i], all[i])) << i;
+    EXPECT_FALSE(record_before(all[i], merged[i])) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// §6.1 generators: uniform() and wave().
+// ---------------------------------------------------------------------------
+
+/// Counts of {service request, handover, intra-handover, attach} in `t`.
+std::array<std::size_t, 4> mix_counts(const std::vector<TraceRecord>& t) {
+  std::array<std::size_t, 4> n{};
+  for (const auto& rec : t) {
+    switch (rec.type) {
+      case core::ProcedureType::kServiceRequest: ++n[0]; break;
+      case core::ProcedureType::kHandover: ++n[1]; break;
+      case core::ProcedureType::kIntraHandover: ++n[2]; break;
+      default: ++n[3]; break;
+    }
+  }
+  return n;
+}
+
+TEST(Uniform, RateAndOrdering) {
+  const auto t = uniform(50'000.0, SimTime::seconds(1), {}, 1'000'000, 1, 5);
+  // Poisson with lambda=50K over 1s: within 5%.
+  EXPECT_NEAR(static_cast<double>(t.size()), 50'000.0, 2'500.0);
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    EXPECT_LE(t[i - 1].at, t[i].at);
+  }
+}
+
+TEST(Uniform, MixFractionsRespected) {
+  const ProcedureMix mix{.service_request = 0.6, .handover = 0.2,
+                         .intra_handover = 0.1};
+  const auto t = uniform(20'000.0, SimTime::seconds(1), mix, 1'000'000, 4, 5);
+  const auto [sr, ho, intra, attach] = mix_counts(t);
+  const auto n = static_cast<double>(t.size());
+  EXPECT_NEAR(static_cast<double>(sr) / n, 0.6, 0.03);
+  EXPECT_NEAR(static_cast<double>(ho) / n, 0.2, 0.03);
+  EXPECT_NEAR(static_cast<double>(intra) / n, 0.1, 0.03);
+  EXPECT_NEAR(static_cast<double>(attach) / n, 0.1, 0.03);
+}
+
+TEST(Uniform, SingleRegionRenormalizesHandoverIntoIntra) {
+  // Mix contract (uniform()): on a single-region topology the
+  // inter-region handover mass folds into intra-handover — it must not
+  // fall through to attach, and attach keeps exactly its configured
+  // remainder (0.2 here).
+  const ProcedureMix mix{.service_request = 0.5, .handover = 0.2,
+                         .intra_handover = 0.1};
+  const auto t = uniform(20'000.0, SimTime::seconds(1), mix, 1'000'000, 1, 5);
+  const auto [sr, ho, intra, attach] = mix_counts(t);
+  EXPECT_EQ(ho, 0u);
+  const auto n = static_cast<double>(t.size());
+  EXPECT_NEAR(static_cast<double>(sr) / n, 0.5, 0.03);
+  EXPECT_NEAR(static_cast<double>(intra) / n, 0.3, 0.03);
+  EXPECT_NEAR(static_cast<double>(attach) / n, 0.2, 0.03);
+}
+
+TEST(Uniform, HandoverTargetsDifferFromHome) {
+  for (const auto& rec : uniform(5'000.0, SimTime::seconds(1),
+                                 {.handover = 1.0}, 100'000, 4, 9)) {
+    if (rec.type == core::ProcedureType::kHandover) {
+      EXPECT_NE(rec.target_region, rec.ue.value() % 4);
+    }
+  }
+}
+
+TEST(Wave, AllUsersWithinWindowOnce) {
+  const SimTime start = SimTime::seconds(2);
+  const SimTime window = SimTime::milliseconds(100);
+  const auto t =
+      wave(10'000, core::ProcedureType::kAttach, start, window, /*seed=*/3);
+  ASSERT_EQ(t.size(), 10'000u);
+  std::set<std::uint64_t> distinct;
+  for (const auto& rec : t) {
+    EXPECT_GE(rec.at, start);
+    EXPECT_LT(rec.at, start + window);
+    EXPECT_EQ(rec.type, core::ProcedureType::kAttach);
+    distinct.insert(rec.ue.value());
+  }
+  EXPECT_EQ(distinct.size(), 10'000u);
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    EXPECT_FALSE(record_before(t[i], t[i - 1])) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned streams: FNV-1a over every record's (at, ue, type, target_region),
+// taken from the generators these functions replaced. A hash that moves
+// means some bench, scenario or perfbench run replays a different trace.
+// ---------------------------------------------------------------------------
+
+std::uint64_t stream_hash(const std::vector<TraceRecord>& records) {
+  std::uint64_t h = fnv1a64("");
+  auto put = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      const char c = static_cast<char>(v >> (8 * i));
+      h = fnv1a64(std::string_view(&c, 1), h);
+    }
+  };
+  for (const TraceRecord& r : records) {
+    put(static_cast<std::uint64_t>(r.at.ns()), 8);
+    put(r.ue.value(), 8);
+    put(static_cast<std::uint64_t>(r.type), 1);
+    put(r.target_region, 4);
+  }
+  return h;
+}
+
+TEST(PinnedStreams, LegacyUniform) {
+  ScenarioRequest req;
+  req.target_pps = 2'000;
+  req.duration = SimTime::seconds(2);
+  req.population = 1'000;
+  req.regions = 4;
+  req.seed = 7;
+  const auto out = generate_scenario("legacy-uniform", req);
+  ASSERT_EQ(out->records.size(), 4'021u);
+  EXPECT_EQ(stream_hash(out->records), 0x47c9cac389bb34e6ULL);
+}
+
+TEST(PinnedStreams, LegacyBurstyAtPerfbenchStorm) {
+  // perfbench's storm request (seed 1): 300k UEs over a 19 s window.
+  ScenarioRequest req;
+  req.target_pps = 16'667;
+  req.duration = SimTime::seconds(19);
+  req.population = 300'000;
+  req.regions = 4;
+  req.seed = 1;
+  const auto out = generate_scenario("legacy-bursty", req);
+  ASSERT_EQ(out->records.size(), 300'000u);
+  EXPECT_EQ(stream_hash(out->records), 0x24340eb934676fa8ULL);
+}
+
+TEST(PinnedStreams, NamedScenarios) {
+  ScenarioRequest req;
+  req.target_pps = 2'000;
+  req.duration = SimTime::seconds(4);
+  req.population = 2'000;
+  req.regions = 16;
+  req.seed = 3;
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"commuter-morning", 0x1b29da4e5f1f51aaULL},
+      {"stadium-egress", 0x114ede518e732ac9ULL},
+      {"iot-firmware-push", 0xaafde3cef3a7bb86ULL},
+      {"region-blackout-reconnect", 0xc058d74edf62db10ULL},
+      {"commuter-crossing", 0xe1e10c55fa85a4dbULL},
+      {"edge-pingpong", 0xc1eeff6e9c7d0b78ULL},
+  };
+  for (const auto& [name, hash] : pins) {
+    const auto out = generate_scenario(name, req);
+    ASSERT_TRUE(out.has_value()) << name;
+    EXPECT_EQ(stream_hash(out->records), hash) << name;
+  }
+}
+
+TEST(PinnedStreams, UniformAtEveryBenchMix) {
+  struct Pin {
+    ProcedureMix mix;
+    int regions;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {{}, 4, 0xdb1a1e0fb6e82181ULL},
+      {{.handover = 1.0}, 4, 0xe61cbd100c4d6cfcULL},
+      {{.handover = 1.0}, 1, 0x00691d429fe6505fULL},
+      {{.service_request = 1.0}, 4, 0xc218fd26a001214bULL},
+      {{.service_request = 0.5, .intra_handover = 0.1}, 4,
+       0xb99d7bedbf02f21aULL},
+      {{.service_request = 0.7, .handover = 0.1, .intra_handover = 0.1}, 4,
+       0xb6ee49220e19744bULL},
+  };
+  for (const Pin& pin : pins) {
+    const auto t = uniform(5'000.0, SimTime::seconds(1), pin.mix, 3'000,
+                           pin.regions, /*seed=*/42);
+    ASSERT_EQ(t.size(), 4'926u);
+    EXPECT_EQ(stream_hash(t), pin.hash)
+        << pin.mix.service_request << ' ' << pin.mix.handover << ' '
+        << pin.mix.intra_handover << " regions " << pin.regions;
+  }
+}
+
+TEST(PinnedStreams, WaveAtBenchCallShapes) {
+  using PT = core::ProcedureType;
+  // scale_throughput --smoke: 100k attaches over 6 s, then 100k service
+  // requests over 6 s starting 5 s after the attach window.
+  const SimTime window = SimTime::seconds(6);
+  auto storm = wave(100'000, PT::kAttach, SimTime{}, window, 42);
+  EXPECT_EQ(stream_hash(storm), 0xd7c40a5ff565bf1cULL);
+  const auto requests = wave(100'000, PT::kServiceRequest,
+                             window + SimTime::seconds(5), window, 1337);
+  storm.insert(storm.end(), requests.begin(), requests.end());
+  EXPECT_EQ(stream_hash(storm), 0x39dd40118e4ad740ULL);
+  // fig09: 10k attaches inside 100 ms.
+  EXPECT_EQ(stream_hash(wave(10'000, PT::kAttach, SimTime{},
+                             SimTime::milliseconds(100), 42)),
+            0xa172fe19ef224bc0ULL);
+  // fig17: 10k attaches on one region, 10k handovers over four, in 1 s.
+  EXPECT_EQ(stream_hash(wave(10'000, PT::kAttach, SimTime{},
+                             SimTime::seconds(1), 42, 1)),
+            0xf8b97b39f9b8a092ULL);
+  EXPECT_EQ(stream_hash(wave(10'000, PT::kHandover, SimTime{},
+                             SimTime::seconds(1), 42, 4)),
+            0xded9964e3e700af4ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +564,7 @@ TEST(Scenarios, EveryNamedScenarioGeneratesValidTraffic) {
     EXPECT_EQ(out->total(), out->records.size());
     for (std::size_t i = 1; i < out->records.size(); ++i) {
       ASSERT_FALSE(
-          trace::record_before(out->records[i], out->records[i - 1]))
+          record_before(out->records[i], out->records[i - 1]))
           << i;
     }
     // Same request → byte-identical stream (what the benches' fixed-seed
