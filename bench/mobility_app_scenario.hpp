@@ -7,7 +7,6 @@
 
 #include "apps/deadline_app.hpp"
 #include "bench_util.hpp"
-#include "trace/mobility.hpp"
 
 namespace neutrino::bench {
 
@@ -41,8 +40,8 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
       // The observed vehicle/headset: UE id `users`. The paper's 5-minute
       // 60 mph drive (Fig. 12) is time-compressed into the simulated
       // window; handovers chain back-to-back (a saturated core delays the
-      // next crossing's completion, not its occurrence), alternating
-      // region crossings per the drive model.
+      // next crossing's completion, not its occurrence), every fourth one
+      // within the serving region.
       const UeId observed{users};
       apps::DeadlineApp app;
       app.deadline = deadline;

@@ -12,8 +12,10 @@
 // population scale. PCT accounting runs in constant-memory streaming mode
 // (no per-procedure sample retention). The run fails (non-zero exit) if
 // any procedure fails to complete or a Read-your-Writes violation occurs.
+#include <algorithm>
 #include <cinttypes>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -32,6 +34,11 @@ obs::Json streaming_summary(const LatencyRecorder& r) {
   j["max"] = r.empty() ? 0.0 : r.max();
   return j;
 }
+
+/// The three row kinds: the one-region storm per policy, the one-shard
+/// run over the partitioned topology (check.sh's shard-sync denominator)
+/// and the sharded runs, one per thread count.
+enum class RowKind { kOneRegion, kShardedBaseline, kSharded };
 
 }  // namespace
 
@@ -93,6 +100,83 @@ int main(int argc, char** argv) {
   report.config()["rss_baseline_bytes"] = rss_meter.baseline_bytes();
   report.config()["telemetry"] = opts.telemetry;
 
+  // One writer for every row: the TSV line, the report row and the
+  // completion/RYW check, which returns false on any incomplete procedure
+  // or RYW violation. The baseline row carries no procedure rate and no
+  // PCT summaries; sharded rows add windows, cross-shard traffic and the
+  // phase profiler. `scenario` is the replayed traffic in scenario mode.
+  const auto write_row = [&](RowKind kind, std::string_view policy,
+                             bench::ExperimentResult& result,
+                             std::size_t rss_delta,
+                             const traffic::GeneratedTraffic* scenario,
+                             const obs::PhaseProfiler* profiler) {
+    const bool baseline = kind == RowKind::kShardedBaseline;
+    const std::uint64_t started = result.metrics.procedures_started;
+    const std::uint64_t completed = result.metrics.procedures_completed;
+    const std::uint64_t ryw = result.metrics.ryw_violations;
+    const auto per_sec = [&](std::uint64_t n) {
+      return result.wall_seconds > 0
+                 ? static_cast<double>(n) / result.wall_seconds
+                 : 0.0;
+    };
+    const double events_per_sec = per_sec(result.events_executed);
+    const double procs_per_sec = per_sec(completed);
+    const std::size_t rss = obs::peak_rss_bytes();
+
+    std::string label(policy);
+    if (baseline) label += "\tsharded-topo-baseline";
+    if (kind == RowKind::kSharded) {
+      label += "\tshards=" + std::to_string(result.shards) +
+               "\tthreads=" + std::to_string(result.threads);
+    }
+    std::printf("scale\t%s\tues=%" PRIu64 "\tevents=%" PRIu64, label.c_str(),
+                n_ues, result.events_executed);
+    if (kind == RowKind::kSharded) {
+      std::printf("\twindows=%" PRIu64 "\tcross=%" PRIu64, result.windows,
+                  result.cross_shard_messages);
+    }
+    std::printf("\twall_s=%.3f\tevents_per_sec=%.0f", result.wall_seconds,
+                events_per_sec);
+    if (!baseline) {
+      std::printf("\tprocs_per_sec=%.0f\tpeak_rss_mb=%.1f\tcompleted=%" PRIu64
+                  "/%" PRIu64 "\tryw=%" PRIu64,
+                  procs_per_sec, static_cast<double>(rss) / (1024.0 * 1024.0),
+                  completed, started, ryw);
+    }
+    std::printf("\n");
+
+    obs::Json& row = report.new_row(policy);
+    row["ues"] = n_ues;
+    if (baseline) row["sharded_baseline"] = true;
+    row["events_executed"] = result.events_executed;
+    row["wall_seconds"] = result.wall_seconds;
+    row["events_per_sec"] = events_per_sec;
+    if (!baseline) row["procedures_per_sec"] = procs_per_sec;
+    row["peak_rss_bytes"] = rss;
+    row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
+    bench::Report::attach_table_bytes(row, result);
+    if (!baseline) {
+      row["attach_ms"] = streaming_summary(result.metrics.pct_for(
+          core::ProcedureType::kAttach));
+      row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
+          core::ProcedureType::kServiceRequest));
+      if (scenario != nullptr) {
+        row["scenario"] = opts.scenario;
+        bench::attach_arrivals(row, *scenario, screq.duration);
+      }
+    }
+    bench::Report::attach_result(row, result);
+    if (profiler != nullptr) bench::Report::attach_profiler(row, *profiler);
+
+    if (completed == started && ryw == 0) return true;
+    std::replace(label.begin(), label.end(), '\t', ' ');
+    std::fprintf(stderr,
+                 "scale_throughput: FAILED %s: completed %" PRIu64
+                 " of %" PRIu64 " procedures, ryw_violations=%" PRIu64 "\n",
+                 label.c_str(), completed, started, ryw);
+    return false;
+  };
+
   bool ok = true;
   for (const auto& policy :
        {core::existing_epc_policy(), core::neutrino_policy()}) {
@@ -104,57 +188,10 @@ int main(int argc, char** argv) {
     cfg.telemetry_window = opts.telemetry_window();
     if (scen != nullptr && scen->preattach) cfg.preattached_ues = n_ues;
     rss_meter.begin_run();
-    auto result = bench::run_experiment(cfg, t);  // pct_for is non-const
+    auto result = bench::run_experiment(cfg, t);
     const std::size_t rss_delta = rss_meter.run_delta_bytes();
-
-    const std::uint64_t started = result.metrics.procedures_started;
-    const std::uint64_t completed = result.metrics.procedures_completed;
-    const std::uint64_t ryw = result.metrics.ryw_violations;
-    const double events_per_sec =
-        result.wall_seconds > 0
-            ? static_cast<double>(result.events_executed) / result.wall_seconds
-            : 0.0;
-    const double procs_per_sec =
-        result.wall_seconds > 0
-            ? static_cast<double>(completed) / result.wall_seconds
-            : 0.0;
-    const std::size_t rss = obs::peak_rss_bytes();
-
-    std::printf("scale\t%s\tues=%" PRIu64 "\tevents=%" PRIu64
-                "\twall_s=%.3f\tevents_per_sec=%.0f\tprocs_per_sec=%.0f"
-                "\tpeak_rss_mb=%.1f\tcompleted=%" PRIu64 "/%" PRIu64
-                "\tryw=%" PRIu64 "\n",
-                std::string(policy.name).c_str(), n_ues,
-                result.events_executed, result.wall_seconds, events_per_sec,
-                procs_per_sec, static_cast<double>(rss) / (1024.0 * 1024.0),
-                completed, started, ryw);
-
-    obs::Json& row = report.new_row(policy.name);
-    row["ues"] = n_ues;
-    row["events_executed"] = result.events_executed;
-    row["wall_seconds"] = result.wall_seconds;
-    row["events_per_sec"] = events_per_sec;
-    row["procedures_per_sec"] = procs_per_sec;
-    row["peak_rss_bytes"] = rss;
-    row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-    bench::Report::attach_table_bytes(row, result);
-    row["attach_ms"] = streaming_summary(result.metrics.pct_for(
-        core::ProcedureType::kAttach));
-    row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
-        core::ProcedureType::kServiceRequest));
-    if (scen != nullptr) {
-      row["scenario"] = opts.scenario;
-      bench::attach_arrivals(row, *scen_traffic, screq.duration);
-    }
-    bench::Report::attach_result(row, result);
-
-    if (completed != started || ryw != 0) {
-      std::fprintf(stderr,
-                   "scale_throughput: FAILED for %s: completed %" PRIu64
-                   " of %" PRIu64 " procedures, ryw_violations=%" PRIu64 "\n",
-                   std::string(policy.name).c_str(), completed, started, ryw);
-      ok = false;
-    }
+    ok &= write_row(RowKind::kOneRegion, policy.name, result, rss_delta,
+                    scen_traffic ? &*scen_traffic : nullptr, nullptr);
   }
 
   // Multi-shard rows (--threads=1,2,..., optional --shards=N): the same
@@ -189,7 +226,7 @@ int main(int argc, char** argv) {
     // One shard over the *same partitioned topology*: the honest
     // denominator for shard-sync overhead. Comparing sharded rows against
     // the 1-region row above would conflate the topology change (more
-    // regions, remote backups) with the runtime's window/barrier/channel
+    // regions, remote backups) with the runtime's window/barrier/outbox
     // machinery; this row isolates the latter. check.sh's perf gate reads
     // it via "sharded_baseline": true.
     double baseline_wall = 0.0;
@@ -198,33 +235,8 @@ int main(int argc, char** argv) {
       auto result = bench::run_experiment(cfg, ts);
       const std::size_t rss_delta = rss_meter.run_delta_bytes();
       baseline_wall = result.wall_seconds;
-      const double events_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(result.events_executed) /
-                    result.wall_seconds
-              : 0.0;
-      std::printf("scale\t%s\tsharded-topo-baseline\tues=%" PRIu64
-                  "\tevents=%" PRIu64 "\twall_s=%.3f\tevents_per_sec=%.0f\n",
-                  std::string(cfg.policy.name).c_str(), n_ues,
-                  result.events_executed, result.wall_seconds,
-                  events_per_sec);
-      obs::Json& row = report.new_row(cfg.policy.name);
-      row["ues"] = n_ues;
-      row["sharded_baseline"] = true;
-      row["events_executed"] = result.events_executed;
-      row["wall_seconds"] = result.wall_seconds;
-      row["events_per_sec"] = events_per_sec;
-      row["peak_rss_bytes"] = obs::peak_rss_bytes();
-      row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      bench::Report::attach_table_bytes(row, result);
-      bench::Report::attach_result(row, result);
-      if (result.metrics.procedures_completed !=
-              result.metrics.procedures_started ||
-          result.metrics.ryw_violations != 0) {
-        std::fprintf(stderr, "scale_throughput: FAILED sharded-topo "
-                             "baseline\n");
-        ok = false;
-      }
+      ok &= write_row(RowKind::kShardedBaseline, cfg.policy.name, result,
+                      rss_delta, nullptr, nullptr);
     }
 
     cfg.shards = shards;
@@ -252,65 +264,13 @@ int main(int argc, char** argv) {
             obs::perfetto_trace(result.tracer.get(), result.window_log),
             &profiler);
       }
-      const std::uint64_t started = result.metrics.procedures_started;
-      const std::uint64_t completed = result.metrics.procedures_completed;
-      const std::uint64_t ryw = result.metrics.ryw_violations;
-      const double events_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(result.events_executed) /
-                    result.wall_seconds
-              : 0.0;
-      const double procs_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(completed) / result.wall_seconds
-              : 0.0;
-      const std::size_t rss = obs::peak_rss_bytes();
-
-      std::printf("scale\t%s\tshards=%u\tthreads=%u\tues=%" PRIu64
-                  "\tevents=%" PRIu64 "\twindows=%" PRIu64
-                  "\tcross=%" PRIu64
-                  "\twall_s=%.3f\tevents_per_sec=%.0f\tprocs_per_sec=%.0f"
-                  "\tpeak_rss_mb=%.1f\tcompleted=%" PRIu64 "/%" PRIu64
-                  "\tryw=%" PRIu64 "\n",
-                  std::string(cfg.policy.name).c_str(), shards, threads,
-                  n_ues, result.events_executed, result.windows,
-                  result.cross_shard_messages, result.wall_seconds,
-                  events_per_sec, procs_per_sec,
-                  static_cast<double>(rss) / (1024.0 * 1024.0), completed,
-                  started, ryw);
-
-      obs::Json& row = report.new_row(cfg.policy.name);
-      row["ues"] = n_ues;
-      row["events_executed"] = result.events_executed;
-      row["wall_seconds"] = result.wall_seconds;
-      row["events_per_sec"] = events_per_sec;
-      row["procedures_per_sec"] = procs_per_sec;
-      row["peak_rss_bytes"] = rss;
-      row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      bench::Report::attach_table_bytes(row, result);
-      row["attach_ms"] = streaming_summary(result.metrics.pct_for(
-          core::ProcedureType::kAttach));
-      row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
-          core::ProcedureType::kServiceRequest));
-      if (scen != nullptr) {
-        row["scenario"] = opts.scenario;
-        bench::attach_arrivals(row, *sharded_traffic, screq.duration);
-      }
-      bench::Report::attach_result(row, result);
-      bench::Report::attach_profiler(row, profiler);
+      ok &= write_row(RowKind::kSharded, cfg.policy.name, result, rss_delta,
+                      sharded_traffic ? &*sharded_traffic : nullptr,
+                      &profiler);
       if (threads == 1) threads1_wall = result.wall_seconds;
-
-      if (completed != started || ryw != 0) {
-        std::fprintf(stderr,
-                     "scale_throughput: FAILED sharded (shards=%u threads=%u)"
-                     ": completed %" PRIu64 " of %" PRIu64
-                     " procedures, ryw_violations=%" PRIu64 "\n",
-                     shards, threads, completed, started, ryw);
-        ok = false;
-      }
     }
     // Shard-sync overhead at one worker thread: the windows/barriers/
-    // channels cost with parallel execution factored out. ROADMAP open
+    // outboxes cost with parallel execution factored out. ROADMAP open
     // item 3 targets ≤15%; check.sh gates on this figure.
     if (threads1_wall > 0 && baseline_wall > 0) {
       const double overhead = threads1_wall / baseline_wall - 1.0;

@@ -9,7 +9,6 @@
 #include "core/cost_model.hpp"
 #include "core/system.hpp"
 #include "geo/region_plan.hpp"
-#include "trace/mobility.hpp"
 #include "traffic/engine.hpp"
 
 using namespace neutrino;

@@ -10,8 +10,8 @@
 
 #include "core/cost_model.hpp"
 #include "core/system.hpp"
-#include "trace/trace_io.hpp"
 #include "traffic/engine.hpp"
+#include "traffic/trace_io.hpp"
 
 using namespace neutrino;
 
@@ -28,12 +28,12 @@ int usage() {
 }
 
 int describe(const char* path) {
-  auto records = trace::load_trace(path);
+  auto records = traffic::load_trace(path);
   if (!records) {
     std::fprintf(stderr, "error: %s\n", records.status().message().c_str());
     return 1;
   }
-  const auto s = trace::summarize(*records);
+  const auto s = traffic::summarize(*records);
   std::printf("records:      %zu\n", s.records);
   std::printf("distinct UEs: %zu\n", s.distinct_ues);
   std::printf("span:         %.3f s\n", s.span.sec());
@@ -50,7 +50,7 @@ int describe(const char* path) {
 }
 
 int replay(const char* path, const char* which) {
-  auto records = trace::load_trace(path);
+  auto records = traffic::load_trace(path);
   if (!records) {
     std::fprintf(stderr, "error: %s\n", records.status().message().c_str());
     return 1;
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   } else {
     return usage();
   }
-  if (auto st = trace::save_trace(records, argv[4]); !st.is_ok()) {
+  if (auto st = traffic::save_trace(records, argv[4]); !st.is_ok()) {
     std::fprintf(stderr, "error: %s\n", st.message().c_str());
     return 1;
   }

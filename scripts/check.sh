@@ -65,7 +65,7 @@ out="$BUILD/bench/chaos_campaign.smoke-report.json"
 python3 scripts/validate_report.py "$out"
 
 # ThreadSanitizer pass over the multi-threaded sharded runtime (and the
-# event-loop/determinism suites it builds on): lanes hand shards' channels
+# event-loop/determinism suites it builds on): lanes hand shards' outboxes
 # to each other at every barrier, including uneven shard-to-lane splits
 # (parallel_stress_test). golden_vector_test encodes on four threads at
 # once, each through its own reused FlatBuffers builder. TSan and ASan
@@ -230,6 +230,28 @@ PY
   [[ "$batch" == 3 ]] || echo "-- batch $batch over the gate; pooling another batch"
 done
 [[ "$sync_ok" == 1 ]] || { echo "shard-sync overhead gate failed"; exit 1; }
+# Live-heap check on the same reports: cross-shard outboxes grow only with the
+# traffic each shard pair carries, so in every report the 8-shard
+# threads=1 row ends within 10% of the same-topology one-shard row's live
+# heap (heap_in_use_bytes, deterministic for a given build). Buffers
+# preallocated per shard pair would grow with shards² and fail it.
+python3 - "${SYNC_OUTS[@]}" <<'PY' || { echo "shard live-heap check failed"; exit 1; }
+import json, sys
+ok = True
+for path in sys.argv[1:]:
+    text = open(path).read()
+    doc = json.loads(text[text.find("{"):])
+    one_shard = [r["heap_in_use_bytes"] for r in doc["rows"]
+                 if r.get("sharded_baseline")]
+    sharded = [r["heap_in_use_bytes"] for r in doc["rows"]
+               if r.get("mode") == "sharded" and r.get("threads") == 1]
+    assert len(one_shard) == 1 and len(sharded) == 1, f"{path}: rows missing"
+    growth = sharded[0] / one_shard[0] - 1
+    print(f"  {path}: live heap {sharded[0] / 2**20:.1f} MiB at 8 shards vs "
+          f"{one_shard[0] / 2**20:.1f} MiB at one ({growth:+.1%}; gate: 10%)")
+    ok &= abs(growth) <= 0.10
+sys.exit(0 if ok else 1)
+PY
 
 # Parallel speedup floor (ROADMAP item 1): the storm over 4 shards must
 # run at least 1.5x faster on 4 worker threads than on 1. Same estimator

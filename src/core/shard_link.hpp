@@ -9,8 +9,9 @@
 // transport method targets a region another shard owns, it computes the
 // link latency as usual and hands the message to the CrossShardSink as a
 // ShardEnvelope instead of scheduling locally; the runtime ferries it
-// through an SPSC channel and the owning shard's System re-schedules it
-// at the precomputed arrival time (System::deliver_envelope). No node
+// through the (source, destination) shard pair's outbox and the owning
+// shard's System re-schedules it at the precomputed arrival time
+// (System::deliver_envelope). No node
 // draws a random number, so a shard carries no RNG stream: a run's
 // randomness is all in its trace, generated before the run (src/traffic).
 //
@@ -43,7 +44,7 @@ struct ShardEnvelope {
   Msg msg;
 };
 
-/// Implemented by ShardedSystem; posts into the runtime's SPSC channels.
+/// Implemented by ShardedSystem; posts into the runtime's per-pair outboxes.
 class CrossShardSink {
  public:
   virtual ~CrossShardSink() = default;

@@ -4,9 +4,11 @@
 #include <cassert>
 
 namespace neutrino::core {
+namespace {
 
-SimTime ShardedSystem::lookahead_for(const TopologyConfig& topo,
-                                     std::uint32_t shards) {
+/// The window length for `shards` shards over `topo`: min cross-shard
+/// cpf_link − 1ns, or SimTime::max() for one shard.
+SimTime lookahead_for(const TopologyConfig& topo, std::uint32_t shards) {
   if (shards <= 1) return SimTime::max();
   const auto regions = static_cast<std::uint32_t>(topo.total_regions());
   const std::uint32_t per_shard = (regions + shards - 1) / shards;
@@ -26,6 +28,8 @@ SimTime ShardedSystem::lookahead_for(const TopologyConfig& topo,
   assert(min_link.ns() > 1);
   return min_link - SimTime::nanoseconds(1);
 }
+
+}  // namespace
 
 ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
     const Config& config) {

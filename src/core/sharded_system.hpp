@@ -87,12 +87,6 @@ class ShardedSystem {
     return *shards_[shard].metrics;
   }
   [[nodiscard]] Runtime& runtime() { return runtime_; }
-  [[nodiscard]] SimTime lookahead() const { return runtime_.lookahead(); }
-
-  /// Derived window length for a hypothetical (topo, shards) pair:
-  /// min cross-shard cpf_link − 1ns, or SimTime::max() for one shard.
-  [[nodiscard]] static SimTime lookahead_for(const TopologyConfig& topo,
-                                             std::uint32_t shards);
 
   /// Sharded preattach: UE context on the home shard, replica state on
   /// each replica's owning shard (same placement as Frontend::preattach).

@@ -506,7 +506,6 @@ class System {
   /// Procedure tracing is off (and costs one null test per site) until a
   /// tracer is attached. The tracer must outlive the attachment.
   void attach_tracer(obs::ProcTracer& tracer) { tracer_ = &tracer; }
-  void detach_tracer() { tracer_ = nullptr; }
   [[nodiscard]] obs::ProcTracer* tracer() { return tracer_; }
 
   /// Flight recording is off (one null test per site) until a recorder is
@@ -515,7 +514,6 @@ class System {
   void attach_flight_recorder(obs::FlightRecorder& flight) {
     flight_ = &flight;
   }
-  void detach_flight_recorder() { flight_ = nullptr; }
   [[nodiscard]] obs::FlightRecorder* flight() { return flight_; }
 
   /// Chaos-harness attachment points (DESIGN.md §12): the online

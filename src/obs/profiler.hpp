@@ -1,10 +1,10 @@
 // In-process phase profiler for the sharded runtime (DESIGN.md §15).
 //
 // Attributes *wall-clock* time to runtime phases — window scheduling,
-// per-shard event dispatch, barrier waits, cross-shard channel drain,
+// per-shard event dispatch, barrier waits, cross-shard outbox drain,
 // codec/export work — answering "where does the sharded sync overhead
 // go?" (ROADMAP item 3). Lanes are shards for dispatch and threads for
-// barrier waits, channel drains and window planning; lane 0 is the thread
+// barrier waits, outbox drains and window planning; lane 0 is the thread
 // that called run_until().
 //
 // DETERMINISM RULE: everything here is wall-clock and therefore

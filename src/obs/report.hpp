@@ -79,19 +79,6 @@ inline Json gauges_json(const Registry& reg) {
   return j;
 }
 
-/// All histograms as {key: summary} (includes the PCT decomposition
-/// "core.pct_decomp_ms{component=...,proc=...}" entries when a
-/// decomposing tracer ran).
-inline Json histograms_json(const Registry& reg) {
-  Json j;
-  j.make_object();
-  reg.for_each_histogram(
-      [&j](const std::string& key, const LatencyRecorder& h) {
-        j[key] = summary_json(h);
-      });
-  return j;
-}
-
 /// Time series as {key: {max, n, points: [[t_ms, v], ...]}}, downsampled
 /// to at most `max_points` evenly spaced samples per series.
 inline Json time_series_json(const Registry& reg,

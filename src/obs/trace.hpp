@@ -215,10 +215,6 @@ class ProcTracer {
     retain(std::move(s));
   }
 
-  /// Drop an in-flight span without completing it (UE detached from the
-  /// trace's point of view, e.g. tests resetting between phases).
-  void abandon(UeId ue) { active_.erase(ue.value()); }
-
   // ---- hop recording (called by System / Cta / Cpf / Upf) ----
 
   void hop(const core::Msg& msg, HopClass cls, const char* node,

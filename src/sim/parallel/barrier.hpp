@@ -9,13 +9,14 @@
 // on a condvar.
 //
 // The generation handshake also carries the memory-ordering obligation of
-// the whole design: every write a lane made before arriving (events,
-// channel pushes, spill vectors, next times) happens-before the
-// completion step and everything any lane does after leaving — each
-// lane's drain of its own shards' channels, and the next window. Each
-// arrival is an acq_rel RMW on count_, so the last arriver has acquired
-// every earlier one before it runs the completion step; departure needs an
-// acquire load of gen_ that observes the release store made after it.
+// the whole design, and is the runtime's only synchronization: every write
+// a lane made before arriving (events, outbox appends, next times)
+// happens-before the completion step and everything any lane does after
+// leaving — each lane's drain of its own shards' outboxes, and the next
+// window. Each arrival is an acq_rel RMW on count_, so the last arriver
+// has acquired every earlier one before it runs the completion step;
+// departure needs an acquire load of gen_ that observes the release store
+// made after it.
 #pragma once
 
 #include <atomic>

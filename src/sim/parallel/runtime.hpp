@@ -12,8 +12,8 @@
 // arrival > W + lookahead, i.e. strictly after the window end (checked in
 // post() in every build). No shard can receive a message for a time it has
 // already executed past, so intra-window execution needs no
-// synchronization at all: plain single-threaded EventLoop runs, lock-free
-// SPSC pushes for cross-shard sends, and two barriers per window. Every
+// synchronization at all: plain single-threaded EventLoop runs, plain
+// vector appends for cross-shard sends, and two barriers per window. Every
 // shard runs to the same window end; a shard with nothing due before it
 // skips the window (Stats::dispatches_skipped), and W fast-forwards over
 // idle gaps. The window is static on purpose (DESIGN.md §16): wider
@@ -22,13 +22,22 @@
 // Thread model (owner computes): run_until() runs L = min(threads, shards)
 // lanes. The calling thread is lane 0 and spawns the other L − 1, so
 // threads=1 spawns nothing and never touches a barrier. Shard i belongs to
-// lane i mod L for the whole run, so its loop, nodes and channels stay in
-// one core's cache. Per window each lane runs its shards to the window
-// end, waits at the done barrier, drains its own shards' inbound channels
-// (each destination in ascending source order, FIFO within a channel) and
-// records their next event times; the last lane to reach the start
-// barrier then plans the next window from those times — an O(shards)
-// scan, the only serial step.
+// lane i mod L for the whole run, so its loop, nodes and inbound outboxes
+// stay in one core's cache. Per window each lane runs its shards to the
+// window end, waits at the done barrier, drains its own shards' inbound
+// outboxes (each destination in ascending source order, FIFO within an
+// outbox) and records their next event times; the last lane to reach the
+// start barrier then plans the next window from those times — an
+// O(shards) scan, the only serial step.
+//
+// Cross-shard messages travel through one plain vector per ordered shard
+// pair (src → dst). Producer and consumer never overlap: only src's lane
+// appends, during a window; only dst's lane drains, between the done and
+// start barriers. The barriers' happens-before edges publish the appends
+// to the drainer and the drain to the next window's appends, so the
+// barrier is the runtime's only synchronization. A drained outbox keeps
+// its capacity, so it follows the busiest window its pair has carried,
+// and a pair that never talks costs one empty vector.
 //
 // Determinism (the hard requirement, see DESIGN.md §11): for a fixed
 // shard count the results are bit-identical across runs *and across
@@ -36,7 +45,7 @@
 // is sequential on one lane with the same (when, seq) order whichever
 // lane owns it, (b) each destination loop receives its cross-shard
 // messages only between windows, in fixed (src shard, FIFO) order — the
-// order one thread draining every channel in (dst, src, FIFO) order would
+// order one thread draining every outbox in (dst, src, FIFO) order would
 // give it — so it assigns them the same seq numbers however lanes
 // interleave. No shard draws a random number: a run's randomness is fixed
 // in its trace before the run starts. Window plans and Stats read only sim
@@ -61,7 +70,6 @@
 #include "obs/profiler.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/parallel/barrier.hpp"
-#include "sim/parallel/spsc_queue.hpp"
 
 namespace neutrino::sim::parallel {
 
@@ -76,7 +84,6 @@ class ShardedRuntime {
     /// means "no cross-shard traffic allowed": one window to the horizon.
     SimTime lookahead = SimTime::max();
     EventLoop::Config loop;
-    std::size_t channel_capacity = 1024;
   };
 
   struct Stats {
@@ -109,27 +116,23 @@ class ShardedRuntime {
     next_times_.assign(n_, SimTime{});
     drained_.assign(n_, 0);
     loops_.reserve(n_);
-    channels_.reserve(n_ * n_);
     for (std::size_t i = 0; i < n_; ++i) loops_.emplace_back(config.loop);
-    for (std::size_t i = 0; i < n_ * n_; ++i) {
-      channels_.emplace_back(config.channel_capacity);
-    }
+    outboxes_.resize(n_ * n_);
   }
 
   [[nodiscard]] std::size_t shards() const { return n_; }
-  [[nodiscard]] SimTime lookahead() const { return lookahead_; }
   EventLoop& loop(std::size_t shard) { return loops_[shard]; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Attach a wall-clock phase profiler (null detaches). Lanes: dispatch
-  /// is attributed per shard; barrier waits, channel drains and window
+  /// is attributed per shard; barrier waits, outbox drains and window
   /// planning per thread lane (the calling thread = 0). The profiler must
   /// have ≥ max(shards, threads) lanes and outlive run_until(). Wall-clock
   /// only — never feeds any deterministic output (DESIGN.md §15).
   void set_profiler(obs::PhaseProfiler* profiler) { profiler_ = profiler; }
 
   /// Start recording per-window activity (bounded: recording stops after
-  /// `max_windows`; window_log_truncated() tells).
+  /// `max_windows`).
   void enable_window_log(std::size_t max_windows = 2048) {
     window_log_max_ = max_windows;
     window_log_.clear();
@@ -139,9 +142,6 @@ class ShardedRuntime {
   }
   [[nodiscard]] const std::vector<WindowRecord>& window_log() const {
     return window_log_;
-  }
-  [[nodiscard]] bool window_log_truncated() const {
-    return window_log_max_ > 0 && stats_.windows > window_log_.size();
   }
 
   /// Total events dispatched across all shard loops.
@@ -161,7 +161,8 @@ class ShardedRuntime {
     if (arrival <= window_end_) [[unlikely]] {
       causality_violation(from, to, arrival, window_end_);
     }
-    channels_[from * n_ + to].push(Entry{arrival, std::move(payload)});
+    outboxes_[from * n_ + to].entries.push_back(
+        Entry{arrival, std::move(payload)});
   }
 
   /// Run all shards to `horizon` (events at exactly `horizon` still run).
@@ -203,6 +204,11 @@ class ShardedRuntime {
   struct Entry {
     SimTime arrival;
     Payload payload;
+  };
+  // One cache line each, so lanes draining neighbouring destinations
+  // never write the same line.
+  struct alignas(64) Outbox {
+    std::vector<Entry> entries;
   };
 
   /// The window end outside run_until(): posts there are unchecked.
@@ -249,9 +255,12 @@ class ShardedRuntime {
           std::uint64_t drained = 0;
           for (std::size_t src = 0; src < n_; ++src) {
             if (src == dst) continue;
-            drained += channels_[src * n_ + dst].drain([&](Entry&& e) {
+            std::vector<Entry>& box = outboxes_[src * n_ + dst].entries;
+            for (Entry& e : box) {
               deliver(dst, e.arrival, std::move(e.payload));
-            });
+            }
+            drained += box.size();
+            box.clear();  // keeps the capacity for the next window
           }
           drained_[dst] = drained;
           next_times_[dst] = loops_[dst].next_time();
@@ -316,7 +325,7 @@ class ShardedRuntime {
   const std::size_t lanes_;  // min(threads, shards); shard i → lane i % lanes_
   const SimTime lookahead_;
   std::vector<EventLoop> loops_;
-  std::vector<SpscChannel<Entry>> channels_;  // [src * n_ + dst]
+  std::vector<Outbox> outboxes_;  // [src * n_ + dst]; the diagonal stays empty
 
   PhaseBarrier start_;
   PhaseBarrier done_;

@@ -304,7 +304,7 @@ TEST(ParallelDeterminism, OneShardMatchesLegacySystem) {
 TEST(ParallelDeterminism, FourShardsIdenticalAcrossThreadCounts) {
   const ShardRun t1 = run_sharded(4, 1, /*with_crash=*/true, 0);
 
-  // Sanity: cross-shard channels actually carried the checkpoint/ack and
+  // Sanity: cross-shard outboxes actually carried the checkpoint/ack and
   // recovery traffic (Neutrino's level-2 backups live on other shards).
   EXPECT_GT(t1.cross_messages, 0u);
   EXPECT_GT(t1.windows, 0u);

@@ -1,11 +1,10 @@
 // Owner-drain stress for the sharded runtime (sim/parallel/runtime.hpp):
 // lanes own uneven shard sets — 5 shards on 2 threads ({0,2,4} | {1,3}),
 // on 3 threads ({0,3} | {1,4} | {2}) and on 8 threads clamped to 5 lanes —
-// while every shard posts to every other through 2-slot channels, so each
-// boundary drains ring prefixes plus spill vectors on every lane at once.
-// Every outcome, Stats and the window log must match one thread owning
-// all five shards. Built for the ThreadSanitizer pass as well as the plain
-// suite.
+// while every shard posts to every other, so each boundary drains
+// several outboxes on every lane at once. Every outcome, Stats and the
+// window log must match one thread owning all five shards. Built for the
+// ThreadSanitizer pass as well as the plain suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +20,7 @@ namespace {
 constexpr std::size_t kShards = 5;
 constexpr std::uint64_t kTokens = 4;  // relay tokens per shard
 constexpr int kHops = 40;             // forwards per token
-constexpr int kLeaves = 3;            // per peer per relay; > capacity 2
+constexpr int kLeaves = 3;            // per peer per relay
 
 struct Msg {
   std::uint32_t src = 0;
@@ -53,7 +52,6 @@ StressRun run_stress(std::size_t threads) {
   config.shards = kShards;
   config.threads = threads;
   config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
-  config.channel_capacity = 2;
   Runtime rt(config);
   rt.enable_window_log(/*max_windows=*/1u << 20);
   StressRun run;

@@ -1,15 +1,13 @@
-// src/trace: trace file round trips and summaries, and the Fig. 12 drive
-// model.
+// traffic/trace_io.hpp: trace file round trips and summaries.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
-#include "trace/mobility.hpp"
-#include "trace/trace_io.hpp"
 #include "traffic/engine.hpp"
+#include "traffic/trace_io.hpp"
 
-namespace neutrino::trace {
+namespace neutrino::traffic {
 namespace {
 
 std::string temp_path(const char* name) {
@@ -79,27 +77,5 @@ TEST(TraceIo, SummaryStatistics) {
             2'000u);
 }
 
-TEST(DriveModel, SixtyMphSpacingMatchesFig12) {
-  DriveModel drive;
-  const auto events = drive.handovers(SimTime::seconds(120));
-  ASSERT_GE(events.size(), 3u);
-  // First crossing: 700 m at 26.8 m/s ~ 26.1 s.
-  EXPECT_NEAR(events[0].at.sec(), 700.0 / 26.8, 0.1);
-  // Second: +1000 m.
-  EXPECT_NEAR(events[1].at.sec(), 1700.0 / 26.8, 0.1);
-  // Every fourth crossing changes region.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].crosses_region, (i + 1) % 4 == 0) << i;
-  }
-}
-
-TEST(DriveModel, FiveMinuteDriveHandoverCount) {
-  // 5 min at 26.8 m/s = 8040 m; alternating 700/1000 m cells ~ 9 HOs.
-  DriveModel drive;
-  const auto events = drive.handovers(SimTime::seconds(300));
-  EXPECT_GE(events.size(), 8u);
-  EXPECT_LE(events.size(), 11u);
-}
-
 }  // namespace
-}  // namespace neutrino::trace
+}  // namespace neutrino::traffic
