@@ -68,9 +68,11 @@ python3 scripts/validate_report.py "$out"
 # event-loop/determinism suites it builds on): lanes hand shards' outboxes
 # to each other at every barrier, including uneven shard-to-lane splits
 # (parallel_stress_test). golden_vector_test encodes on four threads at
-# once, each through its own reused FlatBuffers builder. TSan and ASan
-# cannot share a build; this is a separate configuration so both always
-# run.
+# once, each through its own reused FlatBuffers builder. elastic_test
+# changes every shard's placement rings at one simulated time while two
+# shards run on 1/2/4/8 threads: no lane may read another shard's rings.
+# TSan and ASan cannot share a build; this is a separate configuration so
+# both always run.
 if [[ "${FAST:-0}" != "1" ]]; then
   echo "== build-tsan + parallel runtime tests"
   cmake -B build-tsan -S . \
@@ -78,7 +80,7 @@ if [[ "${FAST:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
   TSAN_TESTS=(sim_core_test parallel_runtime_test parallel_stress_test
-              parallel_determinism_test golden_vector_test)
+              parallel_determinism_test golden_vector_test elastic_test)
   cmake --build build-tsan -j --target "${TSAN_TESTS[@]}"
   for t in "${TSAN_TESTS[@]}"; do
     echo "-- tsan: $t"

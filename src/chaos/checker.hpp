@@ -14,9 +14,6 @@
 //    Cta::audit_log_invariants): no un-pruned entries below the pruning
 //    watermark, no fully-ACKed retained procedures, byte/message
 //    accounting matches the live log.
-//  * Ring membership (DESIGN.md §19): each CTA's level-1/level-2 rings
-//    agree with the system's elastic in-ring bitmap (audited alongside
-//    the log scan; catches a scale-out/drain that missed a CTA).
 //
 // One checker per System instance: under the sharded runtime each shard
 // gets its own (UEs partition by home shard, and observer callbacks must
@@ -117,9 +114,6 @@ class InvariantChecker final : public core::InvariantObserver {
     for (std::uint32_t r = 0; r < regions; ++r) {
       if (!system_->owns_region(r) || !system_->cta_alive(r)) continue;
       system_->cta(r).audit_log_invariants(found);
-      // Elastic churn (DESIGN.md §19): every CTA's rings must agree with
-      // the system's membership bitmap (catches a missed re-ring).
-      system_->cta(r).audit_ring_membership(found);
     }
     for (std::string& v : found) record(std::move(v), "cta_log");
   }

@@ -175,11 +175,6 @@ inline obs::Json to_json(const ScheduleArtifact& art) {
   j["horizon_ns"] = static_cast<std::int64_t>(s.horizon.ns());
   j["faults"]["cpf_stale_serves"] = art.faults.cpf_stale_serves;
   j["faults"]["cta_unaccounted_prunes"] = art.faults.cta_unaccounted_prunes;
-  // Written only when armed so every pre-elastic artifact stays
-  // byte-identical (the parser tolerates its absence either way).
-  if (art.faults.elastic_skip_rering != 0) {
-    j["faults"]["elastic_skip_rering"] = art.faults.elastic_skip_rering;
-  }
   obs::Json& events = j["events"];
   events.make_array();
   for (const Event& e : s.events) events.push_back(to_json(e));
@@ -246,10 +241,6 @@ inline std::optional<ScheduleArtifact> artifact_from_json(const JsonValue& j) {
     }
     if (const JsonValue* v = faults->find("cta_unaccounted_prunes")) {
       art.faults.cta_unaccounted_prunes =
-          static_cast<std::uint32_t>(v->int_or(0));
-    }
-    if (const JsonValue* v = faults->find("elastic_skip_rering")) {
-      art.faults.elastic_skip_rering =
           static_cast<std::uint32_t>(v->int_or(0));
     }
   }

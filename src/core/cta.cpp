@@ -8,38 +8,13 @@ Cta::Cta(System& system, CtaId id, std::uint32_t region)
     : system_(&system),
       id_(id),
       region_(region),
-      pool_(system.loop(), system.topo().cta_cores),
-      level1_ring_(system.topo().ring_vnodes),
-      level2_ring_(system.topo().ring_vnodes) {
+      pool_(system.loop(), system.topo().cta_cores) {
   if (const std::size_t cap = system.proto().cta_queue_capacity; cap > 0) {
     pool_.set_capacity(
         cap, static_cast<std::size_t>(
                  static_cast<double>(cap) *
                  system.proto().attach_admission_fraction));
   }
-  const auto& topo = system.topo();
-  // Level-1 ring: the CPFs of this region (primary selection).
-  for (int i = 0; i < topo.cpfs_per_region; ++i) {
-    const CpfId cpf = topo.cpf_at(region, i);
-    level1_ring_.add(cpf, ring_seed(cpf));
-  }
-  // Level-2 ring: CPFs of the *other* level-1 regions in the same level-2
-  // region — backups are placed outside the primary's region (§4.3:
-  // "N consecutive replicas on a level-2 ring (not included in the level-1
-  // ring)"), so a region-wide failure mode cannot take out all copies.
-  const std::uint32_t my_l2 = topo.l2_of(region);
-  for (std::uint32_t r = 0;
-       r < static_cast<std::uint32_t>(topo.total_regions()); ++r) {
-    if (r == region || topo.l2_of(r) != my_l2) continue;
-    for (int i = 0; i < topo.cpfs_per_region; ++i) {
-      const CpfId cpf = topo.cpf_at(r, i);
-      level2_ring_.add(cpf, ring_seed(cpf));
-    }
-  }
-}
-
-CpfId Cta::hashed_primary(UeId ue) const {
-  return level1_ring_.lookup(System::ue_key(ue));
 }
 
 void Cta::pin_in_flight() {
@@ -57,64 +32,6 @@ void Cta::pin_in_flight() {
   }
 }
 
-void Cta::elastic_add(CpfId cpf) {
-  const auto& topo = system_->topo();
-  const std::uint32_t r = topo.region_of_cpf(cpf);
-  if (r == region_) {
-    if (level1_ring_.contains(cpf)) return;
-    pin_in_flight();
-    level1_ring_.add(cpf, ring_seed(cpf));
-  } else if (topo.l2_of(r) == topo.l2_of(region_)) {
-    if (level2_ring_.contains(cpf)) return;
-    level2_ring_.add(cpf, ring_seed(cpf));
-  }
-  // Other level-2 regions: this CTA never routes to the CPF — nothing to do.
-}
-
-void Cta::elastic_remove(CpfId cpf) {
-  const auto& topo = system_->topo();
-  const std::uint32_t r = topo.region_of_cpf(cpf);
-  if (r == region_) {
-    if (!level1_ring_.contains(cpf)) return;
-    pin_in_flight();
-    level1_ring_.remove(cpf);
-  } else if (topo.l2_of(r) == topo.l2_of(region_)) {
-    level2_ring_.remove(cpf);
-  }
-}
-
-void Cta::audit_ring_membership(std::vector<std::string>& out) const {
-  const auto tag = [this](std::string what) {
-    return "cta[" + std::to_string(region_) + "] " + std::move(what);
-  };
-  const auto& topo = system_->topo();
-  // Expected memberships from the system's bitmap, ascending by id — the
-  // same order the rings' sorted node lists keep.
-  std::vector<CpfId> expect1;
-  for (int i = 0; i < topo.cpfs_per_region; ++i) {
-    const CpfId c = topo.cpf_at(region_, i);
-    if (system_->cpf_in_ring(c)) expect1.push_back(c);
-  }
-  std::vector<CpfId> expect2;
-  const std::uint32_t my_l2 = topo.l2_of(region_);
-  for (std::uint32_t r = 0;
-       r < static_cast<std::uint32_t>(topo.total_regions()); ++r) {
-    if (r == region_ || topo.l2_of(r) != my_l2) continue;
-    for (int i = 0; i < topo.cpfs_per_region; ++i) {
-      const CpfId c = topo.cpf_at(r, i);
-      if (system_->cpf_in_ring(c)) expect2.push_back(c);
-    }
-  }
-  if (expect1 != level1_ring_.nodes()) {
-    out.push_back(tag("level-1 ring membership disagrees with the system's "
-                      "in-ring set (missed re-ring?)"));
-  }
-  if (expect2 != level2_ring_.nodes()) {
-    out.push_back(tag("level-2 ring membership disagrees with the system's "
-                      "in-ring set (missed re-ring?)"));
-  }
-}
-
 CpfId Cta::route(UeId ue) const {
   if (const auto it = ues_.find(ue); it != ues_.end()) {
     if (it->second.override_route &&
@@ -129,34 +46,21 @@ CpfId Cta::route(UeId ue) const {
       return *it->second.pinned_route;
     }
   }
-  const CpfId primary = level1_ring_.lookup(System::ue_key(ue));
+  const CpfId primary = system_->hashed_primary_for(ue, region_);
   if (system_->cpf_alive(primary)) return primary;
   // Primary down: "an up-to-date CPF replica becomes primary" (§4.1) — the
   // replica set is where the state lives, so prefer it over ring walking.
-  for (const CpfId b : backups(ue)) {
+  for (const CpfId b : system_->backups_for(ue, region_)) {
     if (system_->cpf_alive(b)) return b;
   }
   // No replicas (EPC) or all dead: consistent hashing walks to the next
   // live CPF of the level-1 ring (which will demand a Re-Attach).
+  const auto& level1 = system_->level1_ring(region_);
   for (const CpfId candidate :
-       level1_ring_.successors(System::ue_key(ue),
-                               level1_ring_.node_count())) {
+       level1.successors(System::ue_key(ue), level1.node_count())) {
     if (system_->cpf_alive(candidate)) return candidate;
   }
   return primary;  // all dead: the send will be dropped
-}
-
-std::vector<CpfId> Cta::backups(UeId ue) const {
-  const auto n = static_cast<std::size_t>(system_->policy().num_backups);
-  if (n == 0) return {};
-  if (!level2_ring_.empty()) {
-    return level2_ring_.successors(System::ue_key(ue), n);
-  }
-  // Single-region deployment (the paper's 5-instance testbed): no level-2
-  // ring exists, so backups are the primary's ring successors in-region.
-  auto chain = level1_ring_.successors(System::ue_key(ue), n + 1);
-  chain.erase(chain.begin());  // drop the primary itself
-  return chain;
 }
 
 void Cta::deliver_uplink(Msg msg) {
@@ -396,7 +300,7 @@ void Cta::notify_outdated(UeId ue, const ProcedureLog& plog,
       plog.end_lclock != 0
           ? plog.end_lclock
           : (plog.entries.empty() ? 0 : plog.entries.back().msg.lclock);
-  const auto replica_set = backups(ue);
+  const auto replica_set = system_->backups_for(ue, region_);
   std::optional<CpfId> fetch_from;  // the first replica that ACKed
   for (const CpfId b : replica_set) {
     if (!fetch_from && plog.acked_by.contains(b.value())) fetch_from = b;
@@ -424,7 +328,7 @@ void Cta::on_cpf_failure(CpfId failed) {
     for (auto& [proc, plog] : rec.procedures) {
       plog.acked_by.erase(failed.value());
     }
-    const CpfId hashed = level1_ring_.lookup(System::ue_key(ue));
+    const CpfId hashed = system_->hashed_primary_for(ue, region_);
     const CpfId effective =
         rec.override_route
             ? *rec.override_route
@@ -482,7 +386,7 @@ void Cta::recover_ue(UeId ue, UeRecord& rec) {
     case RecoveryMode::kFailover: {
       // SkyCore: state was synced per message; promote a live backup and
       // resend the in-flight request.
-      for (const CpfId b : backups(ue)) {
+      for (const CpfId b : system_->backups_for(ue, region_)) {
         if (!system_->cpf_alive(b)) continue;
         rec.override_route = b;
         ++metrics.failovers;
@@ -503,7 +407,7 @@ void Cta::recover_ue(UeId ue, UeRecord& rec) {
       // current from the log, replaying what it is missing (§4.2.5,
       // scenarios 1 and 2).
       bool skipped_hole = false;
-      for (const CpfId b : backups(ue)) {
+      for (const CpfId b : system_->backups_for(ue, region_)) {
         if (!system_->cpf_alive(b)) continue;
         // A checkpoint ACK vouches for the full state through that
         // procedure, so the backup needs exactly the procedures after its
@@ -584,10 +488,7 @@ void Cta::probe_round() {
   // (the probe RTT is far below the interval); a dead one accumulates
   // misses until declared failed, which triggers the same recovery as an
   // operator notification would (§4.1).
-  auto probe_set = level1_ring_.nodes();
-  const auto& l2 = level2_ring_.nodes();
-  probe_set.insert(probe_set.end(), l2.begin(), l2.end());
-  for (const CpfId cpf : probe_set) {
+  for (const CpfId cpf : system_->routable_cpfs(region_)) {
     if (system_->cpf_alive(cpf)) {
       missed_probes_[cpf.value()] = 0;
       if (declared_failed_.erase(cpf.value()) > 0) {

@@ -1,7 +1,7 @@
 // Chaos-harness hook points (DESIGN.md §12): an observer interface the
 // online invariant checker attaches to a System, and the deliberate
-// fault-injection knobs the checker's "teeth" tests flip to prove a
-// planted bug is caught. Both are inert by default — an unattached
+// fault-injection knobs (a stale CPF serve, an unaccounted CTA log prune)
+// the checker's "teeth" tests flip to prove a planted bug is caught. Both are inert by default — an unattached
 // observer costs one pointer test per hook site, and zero-valued fault
 // counters leave every code path untouched.
 #pragma once
@@ -42,10 +42,6 @@ struct FaultInjection {
   /// CTA log prunes skip the byte/message accounting — models the
   /// accounting drift the audit's recomputation must catch.
   std::uint32_t cta_unaccounted_prunes = 0;
-  /// Elastic churn (DESIGN.md §19): the next N scale-out/drain operations
-  /// "forget" to re-ring one CTA, leaving its rings disagreeing with the
-  /// system's membership — the checker's ring audit must flag it.
-  std::uint32_t elastic_skip_rering = 0;
 };
 
 }  // namespace neutrino::core

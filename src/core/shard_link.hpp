@@ -3,9 +3,11 @@
 //
 // Under sharding, every shard constructs the *full* System object graph
 // (a few hundred nodes — negligible), but only executes the logic of the
-// nodes in the regions it owns; the rest are shadows that answer cheap
+// nodes in the regions it owns; the rest are shadows that answer only
 // liveness/epoch queries and are kept consistent by mirroring failure
-// injections on every shard (ShardedSystem::schedule_crash). When a
+// injections on every shard (ShardedSystem::schedule_crash). Placement
+// is not a shadow's: each System holds the hash rings once, and churn is
+// mirrored on every shard like a crash. When a
 // transport method targets a region another shard owns, it computes the
 // link latency as usual and hands the message to the CrossShardSink as a
 // ShardEnvelope instead of scheduling locally; the runtime ferries it

@@ -7,7 +7,9 @@
 // bench preattach round-robin). Every shard constructs the full topology
 // but executes only its own regions' node logic; the rest are liveness
 // shadows kept consistent by mirroring failure injections on all shards
-// at the same simulated time (schedule_crash/schedule_restore).
+// at the same simulated time (schedule_crash/schedule_restore). Each
+// shard's System holds the placement rings once; churn is mirrored the
+// same way (schedule_drain/schedule_scale_out), so all shards place alike.
 //
 // The lookahead window is derived from the topology: the minimum
 // cpf_link() latency over region pairs owned by different shards, minus
@@ -123,8 +125,9 @@ class ShardedSystem {
   /// same shard; System::ue_to_cta aborts if a reroute crosses shards.
   void schedule_cta_crash(SimTime at, std::uint32_t region);
   /// Elastic churn (DESIGN.md §19), mirrored like the failure injections:
-  /// every shard re-rings at the same simulated time, so shadow CTAs keep
-  /// routing exactly like the owner's (handoffs only run on the owner).
+  /// every shard changes its System's rings at the same simulated time, so
+  /// placement answers agree on every shard (handoffs only run on the
+  /// owner).
   void schedule_scale_out(SimTime at, CpfId id);
   void schedule_drain(SimTime at, CpfId id);
 

@@ -77,6 +77,13 @@ void Upf::preinstall(UeId ue) {
 // System
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// A CPF's position seed on every ring it joins.
+std::uint64_t ring_seed(CpfId cpf) { return 0x5a5a0000ULL + cpf.value(); }
+
+}  // namespace
+
 System::System(sim::EventLoop& loop, CorePolicy policy, TopologyConfig topo,
                ProtocolConfig proto, const CostModel& costs, Metrics& metrics,
                ShardSpec shard)
@@ -97,17 +104,20 @@ System::System(sim::EventLoop& loop, CorePolicy policy, TopologyConfig topo,
   ctas_.reserve(static_cast<std::size_t>(regions));
   upfs_.reserve(static_cast<std::size_t>(regions));
   cpfs_.reserve(static_cast<std::size_t>(topo_.total_cpfs()));
+  level1_rings_.resize(static_cast<std::size_t>(regions));
+  level2_rings_.resize(static_cast<std::size_t>(topo_.l2_regions));
   for (int cpf = 0; cpf < topo_.total_cpfs(); ++cpf) {
     const auto id = CpfId(static_cast<std::uint32_t>(cpf));
-    cpfs_.push_back(
-        std::make_unique<Cpf>(*this, id, topo_.region_of_cpf(id)));
+    const std::uint32_t region = topo_.region_of_cpf(id);
+    cpfs_.push_back(std::make_unique<Cpf>(*this, id, region));
+    level1_rings_[region].add(id, ring_seed(id));
+    level2_rings_[topo_.l2_of(region)].add(id, ring_seed(id));
   }
   for (int region = 0; region < regions; ++region) {
     const auto r = static_cast<std::uint32_t>(region);
     ctas_.push_back(std::make_unique<Cta>(*this, CtaId(r), r));
     upfs_.push_back(std::make_unique<Upf>(*this, UpfId(r), r));
   }
-  in_ring_.assign(static_cast<std::size_t>(topo_.total_cpfs()), 1);
   frontend_ = std::make_unique<Frontend>(*this);
 }
 
@@ -116,7 +126,31 @@ CpfId System::primary_cpf_for(UeId ue, std::uint32_t region) const {
 }
 
 std::vector<CpfId> System::backups_for(UeId ue, std::uint32_t region) const {
-  return ctas_[region]->backups(ue);
+  const auto n = static_cast<std::size_t>(policy_.num_backups);
+  if (n == 0) return {};
+  const auto& level1 = level1_rings_[region];
+  const auto& level2 = level2_rings_[topo_.l2_of(region)];
+  if (level2.node_count() > level1.node_count()) {
+    // §4.3: "N consecutive replicas on a level-2 ring (not included in the
+    // level-1 ring)" — backups live outside the primary's region, so a
+    // region-wide failure cannot take out every copy.
+    return level2.successors(ue_key(ue), n, [&](CpfId c) {
+      return topo_.region_of_cpf(c) == region;
+    });
+  }
+  // One level-1 region per level-2 region (the paper's 5-instance
+  // testbed): backups are the primary's ring successors in-region.
+  auto chain = level1.successors(ue_key(ue), n + 1);
+  chain.erase(chain.begin());  // drop the primary itself
+  return chain;
+}
+
+std::vector<CpfId> System::routable_cpfs(std::uint32_t region) const {
+  std::vector<CpfId> out = level1_rings_[region].nodes();
+  for (const CpfId c : level2_rings_[topo_.l2_of(region)].nodes()) {
+    if (topo_.region_of_cpf(c) != region) out.push_back(c);
+  }
+  return out;
 }
 
 void System::cross_shard_ue_link(const char* link,
@@ -316,29 +350,9 @@ void System::crash_cta(std::uint32_t region) {
   });
 }
 
-void System::rering_all(CpfId id, bool add) {
-  // One planted bug per armed operation: exactly one owned, alive CTA
-  // misses the membership change, so the ring audit has a drift to find.
-  bool skipped = false;
-  for (auto& cta : ctas_) {
-    if (!skipped && faults_.elastic_skip_rering > 0 && cta->alive() &&
-        owns_region(cta->region())) {
-      --faults_.elastic_skip_rering;
-      skipped = true;
-      continue;
-    }
-    if (add) {
-      cta->elastic_add(id);
-    } else {
-      cta->elastic_remove(id);
-    }
-  }
-}
-
 void System::scale_out_cpf(CpfId id) {
-  if (in_ring_[id.value()] != 0) return;  // already a member: no-op
+  if (cpf_in_ring(id)) return;  // already a member: no-op
   const std::uint32_t region = cpfs_[id.value()]->region();
-  in_ring_[id.value()] = 1;
   ++ring_epoch_;
   if (owns_region(region)) {
     ++metrics_->scale_outs;
@@ -356,37 +370,32 @@ void System::scale_out_cpf(CpfId id) {
   std::vector<std::pair<UeId, CpfId>> moved;
   if (owns_region(region)) {
     std::vector<UeId> served;
-    for (int i = 0; i < topo_.cpfs_per_region; ++i) {
-      const CpfId c = topo_.cpf_at(region, i);
-      if (c == id || in_ring_[c.value()] == 0) continue;
+    for (const CpfId c : level1_rings_[region].nodes()) {
       if (!cpfs_[c.value()]->alive()) continue;
       served.clear();
       cpfs_[c.value()]->collect_served(served);
       for (UeId ue : served) {
-        if (ctas_[region]->hashed_primary(ue) == c) moved.push_back({ue, c});
+        if (hashed_primary_for(ue, region) == c) moved.push_back({ue, c});
       }
     }
     std::sort(moved.begin(), moved.end());
   }
-  rering_all(id, /*add=*/true);
+  ctas_[region]->pin_in_flight();
+  level1_rings_[region].add(id, ring_seed(id));
+  level2_rings_[topo_.l2_of(region)].add(id, ring_seed(id));
   for (const auto& [ue, from] : moved) {
-    if (ctas_[region]->hashed_primary(ue) == id) {
+    if (hashed_primary_for(ue, region) == id) {
       cpfs_[from.value()]->handoff(ue, id);
     }
   }
 }
 
 void System::drain_cpf(CpfId id) {
-  if (in_ring_[id.value()] == 0) return;  // not a member: no-op
+  if (!cpf_in_ring(id)) return;  // not a member: no-op
   const std::uint32_t region = cpfs_[id.value()]->region();
   // Liveness guard: never drain a region's last ring member (a shrunken
   // chaos schedule may ask; refusing keeps every event subset valid).
-  int members = 0;
-  for (int i = 0; i < topo_.cpfs_per_region; ++i) {
-    members += in_ring_[topo_.cpf_at(region, i).value()] != 0 ? 1 : 0;
-  }
-  if (members <= 1) return;
-  in_ring_[id.value()] = 0;
+  if (level1_rings_[region].node_count() <= 1) return;
   ++ring_epoch_;
   if (owns_region(region)) {
     ++metrics_->drains;
@@ -402,20 +411,22 @@ void System::drain_cpf(CpfId id) {
     std::vector<UeId> served;
     cpfs_[id.value()]->collect_served(served);
     for (UeId ue : served) {
-      if (ctas_[region]->hashed_primary(ue) == id) moved.push_back(ue);
+      if (hashed_primary_for(ue, region) == id) moved.push_back(ue);
     }
     std::sort(moved.begin(), moved.end());
   }
-  rering_all(id, /*add=*/false);
+  ctas_[region]->pin_in_flight();
+  level1_rings_[region].remove(id);
+  level2_rings_[topo_.l2_of(region)].remove(id);
   for (UeId ue : moved) {
-    cpfs_[id.value()]->handoff(ue, ctas_[region]->hashed_primary(ue));
+    cpfs_[id.value()]->handoff(ue, hashed_primary_for(ue, region));
   }
   loop_->schedule_after(proto_.drain_grace, [this, id] { retire_cpf(id); });
 }
 
 void System::retire_cpf(CpfId id) {
   // A scale-out during the grace window re-admitted it: keep it running.
-  if (in_ring_[id.value()] != 0) return;
+  if (cpf_in_ring(id)) return;
   if (!cpfs_[id.value()]->alive()) return;  // crashed meanwhile
   const std::uint32_t region = cpfs_[id.value()]->region();
   if (flight_ && owns_region(region)) {

@@ -85,7 +85,6 @@ class Upf {
   void preinstall(UeId ue);
 
   [[nodiscard]] UpfId id() const { return id_; }
-  [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
   [[nodiscard]] std::size_t table_bytes() const {
     return sessions_.memory_bytes();
   }
@@ -138,13 +137,6 @@ class Cpf {
   [[nodiscard]] std::size_t table_bytes() const {
     return store_.memory_bytes() + procs_.memory_bytes() +
            pending_handover_.memory_bytes();
-  }
-  /// Diagnostics: worst queueing delay seen by each service pool.
-  [[nodiscard]] SimTime max_request_backlog() const {
-    return request_pool_.max_backlog();
-  }
-  [[nodiscard]] SimTime max_sync_backlog() const {
-    return sync_pool_.max_backlog();
   }
   /// Instantaneous pool occupancy (System::sample_occupancy).
   [[nodiscard]] sim::ServerPool::Occupancy request_occupancy() const {
@@ -252,33 +244,13 @@ class Cta {
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] std::uint32_t region() const { return region_; }
 
-  /// Primary CPF this CTA routes the UE to (hash + failover overrides).
+  /// Primary CPF this CTA routes the UE to (System's rings + failover
+  /// overrides and elastic pins).
   [[nodiscard]] CpfId route(UeId ue) const;
-  /// Level-2 backup set for a UE homed in this CTA's region (§4.3).
-  [[nodiscard]] std::vector<CpfId> backups(UeId ue) const;
-  /// Pure level-1 ring owner (no liveness, no overrides, no pins) — the
-  /// elastic handoff set is computed against this before and after churn.
-  [[nodiscard]] CpfId hashed_primary(UeId ue) const;
-
-  // -- elastic churn (DESIGN.md §19) ---------------------------------------
-  /// Re-ring for a CPF joining/leaving the system. The CTA places the CPF
-  /// on whichever of its rings covers the CPF's region (level-1 for its
-  /// own region, level-2 for sibling level-1 regions); level-1 changes
-  /// first pin every in-flight UE to its pre-churn route so an ownership
-  /// move never splits a procedure across two CPFs.
-  void elastic_add(CpfId cpf);
-  void elastic_remove(CpfId cpf);
-  /// Current ring membership (ascending CPF id; the elastic ring audit
-  /// compares these against the system's membership bitmap).
-  [[nodiscard]] const std::vector<CpfId>& level1_members() const {
-    return level1_ring_.nodes();
-  }
-  [[nodiscard]] const std::vector<CpfId>& level2_members() const {
-    return level2_ring_.nodes();
-  }
-  /// Chaos audit: appends a description for every disagreement between
-  /// this CTA's rings and the system's in-ring membership.
-  void audit_ring_membership(std::vector<std::string>& out) const;
+  /// Elastic churn (DESIGN.md §19): pin every in-flight UE to its current
+  /// route. System calls this before the region's level-1 ring changes, so
+  /// an ownership move never splits a procedure across two CPFs.
+  void pin_in_flight();
 
   [[nodiscard]] std::size_t log_bytes() const { return log_bytes_; }
   [[nodiscard]] std::size_t log_messages() const { return log_messages_; }
@@ -303,9 +275,6 @@ class Cta {
   /// calibration: busy seconds per completed procedure bound the
   /// sustainable arrival rate).
   [[nodiscard]] SimTime pool_busy_time() const { return pool_.busy_time(); }
-  [[nodiscard]] std::uint64_t pool_jobs_served() const {
-    return pool_.jobs_served();
-  }
   /// Per-class admission rejections (windowed shed telemetry).
   [[nodiscard]] std::uint64_t pool_drops(sim::JobClass cls) const {
     return pool_.drops(cls);
@@ -343,11 +312,6 @@ class Cta {
 
   void forward_uplink(Msg msg);  // after CTA service time
   void handle_ack(const Msg& msg);
-  /// Pin every in-flight UE to its current route (level-1 churn prologue).
-  void pin_in_flight();
-  [[nodiscard]] static std::uint64_t ring_seed(CpfId cpf) {
-    return 0x5a5a0000ULL + cpf.value();
-  }
   void arm_scan();               // schedule the next §4.2.4 timeout scan
   void scan_log();
   void recover_ue(UeId ue, UeRecord& rec);
@@ -362,8 +326,6 @@ class Cta {
   bool alive_ = true;
   sim::ServerPool pool_;
   LogicalClock lclock_;
-  geo::ConsistentHashRing<CpfId> level1_ring_;
-  geo::ConsistentHashRing<CpfId> level2_ring_;  // excludes level-1 members
   FlatHashMap<UeId, UeRecord> ues_;
   std::size_t log_bytes_ = 0;
   std::size_t log_messages_ = 0;
@@ -592,23 +554,37 @@ class System {
     return mix64(ue.value() * 0x9e3779b97f4a7c15ULL + 1);
   }
 
-  /// Primary CPF for a UE homed in `region` (ignores liveness/overrides;
-  /// the CTA applies those).
+  // -- placement (§4.3): the rings below are its only record ---------------
+  /// CPF the UE's region's CTA routes it to now (Cta::route: ring owner,
+  /// failover overrides, elastic pins, liveness).
   [[nodiscard]] CpfId primary_cpf_for(UeId ue, std::uint32_t region) const;
-  /// Level-2 backup set for a UE homed in `region`.
+  /// Backup set for a UE homed in `region`: the first policy().num_backups
+  /// CPFs of its level-2 ring that lie outside `region`, or, when its
+  /// level-2 region has no other member, the primary's level-1 successors.
   [[nodiscard]] std::vector<CpfId> backups_for(UeId ue,
                                                std::uint32_t region) const;
-  /// Pure ring owner for a UE homed in `region` (no liveness/overrides).
+  /// Pure level-1 ring owner for a UE homed in `region` (no liveness, no
+  /// overrides, no pins): the elastic handoff set is computed against this
+  /// before and after churn.
   [[nodiscard]] CpfId hashed_primary_for(UeId ue,
                                          std::uint32_t region) const {
-    return ctas_[region]->hashed_primary(ue);
+    return level1_rings_[region].lookup(ue_key(ue));
   }
+  /// The level-1 ring of `region`: its CPFs that are in the rings.
+  [[nodiscard]] const geo::ConsistentHashRing<CpfId>& level1_ring(
+      std::uint32_t region) const {
+    return level1_rings_[region];
+  }
+  /// Every CPF a CTA in `region` can route to: the region's ring members,
+  /// then the level-2 region's other ring members, each ascending by id.
+  [[nodiscard]] std::vector<CpfId> routable_cpfs(std::uint32_t region) const;
 
   // -- elastic churn (DESIGN.md §19) ---------------------------------------
-  /// Add a CPF to the rings at runtime. Re-rings every CTA, then ships
-  /// each affected UE's state from its pre-churn owner to the joiner via
-  /// the checkpoint machinery. No-op if the CPF is already a member (so
-  /// shrunken schedules with unmatched scale-out/drain pairs stay valid).
+  /// Add a CPF to the rings at runtime: pin the region CTA's in-flight UEs,
+  /// add the CPF to its level-1 and level-2 rings, then ship each affected
+  /// UE's state from its pre-churn owner to the joiner via the checkpoint
+  /// machinery. No-op if the CPF is already a member (so shrunken
+  /// schedules with unmatched scale-out/drain pairs stay valid).
   void scale_out_cpf(CpfId id);
   /// Remove a CPF from the rings at runtime: hand its UEs to their new
   /// ring owners, keep serving pinned in-flight procedures through
@@ -616,9 +592,8 @@ class System {
   /// through the ordinary failover/replay path). No-op for a non-member
   /// or for the region's last ring member (drain is liveness-preserving).
   void drain_cpf(CpfId id);
-  /// Membership bitmap the elastic ring audit treats as ground truth.
   [[nodiscard]] bool cpf_in_ring(CpfId id) const {
-    return in_ring_[id.value()] != 0;
+    return level1_rings_[topo_.region_of_cpf(id)].contains(id);
   }
   /// Bumped by every scale-out/drain; zero means the rings never churned
   /// (churn-free runs stay byte-identical to pre-elastic builds).
@@ -699,10 +674,6 @@ class System {
   /// for real (crash-style epoch bump + failure notification), unless a
   /// scale-out re-admitted it during the grace window.
   void retire_cpf(CpfId id);
-  /// Apply one membership change to every CTA's rings (shadow replicas
-  /// included, so sharded runs stay mirrored). Honors the
-  /// elastic_skip_rering fault knob on owned, alive CTAs.
-  void rering_all(CpfId id, bool add);
 
   /// A UE↔CTA hop for a region another shard owns: print the region, its
   /// owner and this shard, then abort (every build type).
@@ -722,10 +693,12 @@ class System {
   InvariantObserver* invariant_observer_ = nullptr;
   FaultInjection faults_;
 
-  /// Elastic ring membership (1 = in the rings), indexed by CpfId; all
-  /// ones at construction. Mirrored identically on every shard because
+  /// Placement rings (§4.3), indexed by region and by level-2 region. A
+  /// level-2 ring holds every CPF of its level-2 region; backups_for walks
+  /// it past the home region's. Every shard holds identical rings, since
   /// scale-out/drain calls are scheduled on all shards at the same time.
-  std::vector<std::uint8_t> in_ring_;
+  std::vector<geo::ConsistentHashRing<CpfId>> level1_rings_;
+  std::vector<geo::ConsistentHashRing<CpfId>> level2_rings_;
   std::uint64_t ring_epoch_ = 0;
 
   // Windowed-telemetry state (arm_telemetry): previous-tick counter

@@ -30,7 +30,6 @@ struct TopologyConfig {
   int cpf_sync_cores = 1;     // ...one for state synchronization
   int cta_cores = 2;
   int upf_cores = 4;
-  int ring_vnodes = 32;
   LatencyConfig latency;
 
   [[nodiscard]] int total_regions() const { return l2_regions * l1_per_l2; }

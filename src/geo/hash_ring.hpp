@@ -1,10 +1,11 @@
 // Consistent hash ring with virtual nodes.
 //
-// Each CTA keeps two of these (§4.3): the level-1 ring over the CPFs of its
-// own region (primary selection) and the level-2 ring over the CPFs of the
-// enclosing region (backup placement). Virtual nodes smooth the key
-// distribution; ring positions use a stable hash so placement is identical
-// across runs and standard libraries.
+// core::System keeps the §4.3 placement in these: a level-1 ring per
+// region over its CPFs (primary selection) and a level-2 ring per level-2
+// region over all of its CPFs (backup placement, walked past the home
+// region's CPFs). Virtual nodes smooth the key distribution; ring
+// positions use a stable hash so placement is identical across runs and
+// standard libraries.
 #pragma once
 
 #include <algorithm>
@@ -75,6 +76,15 @@ class ConsistentHashRing {
   /// used for "N consecutive replicas on a level-2 ring" (§4.3).
   [[nodiscard]] std::vector<NodeT> successors(std::uint64_t key,
                                               std::size_t n) const {
+    return successors(key, n, [](NodeT) { return false; });
+  }
+
+  /// successors() passing over every node for which `skip(node)` is true:
+  /// the same answer as a ring built without those nodes, since removing
+  /// nodes leaves the other virtual nodes in the same order.
+  template <typename Skip>
+  [[nodiscard]] std::vector<NodeT> successors(std::uint64_t key, std::size_t n,
+                                              Skip skip) const {
     std::vector<NodeT> out;
     if (ring_.empty()) return out;
     const std::uint64_t pos = mix64(key);
@@ -85,7 +95,8 @@ class ConsistentHashRing {
     for (std::size_t hops = 0; hops < ring_.size() && out.size() < n;
          ++hops) {
       if (it == ring_.end()) it = ring_.begin();
-      if (std::find(out.begin(), out.end(), it->node) == out.end()) {
+      if (!skip(it->node) &&
+          std::find(out.begin(), out.end(), it->node) == out.end()) {
         out.push_back(it->node);
       }
       ++it;

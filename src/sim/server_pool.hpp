@@ -104,8 +104,6 @@ class ServerPool {
       cb();
     });
     busy_accum_ += service;
-    ++jobs_;
-    max_backlog_ = std::max(max_backlog_, finish - loop_->now());
     return finish;
   }
 
@@ -154,9 +152,7 @@ class ServerPool {
   [[nodiscard]] int cores() const {
     return static_cast<int>(core_free_.size());
   }
-  [[nodiscard]] std::uint64_t jobs_served() const { return jobs_; }
   [[nodiscard]] SimTime busy_time() const { return busy_accum_; }
-  [[nodiscard]] SimTime max_backlog() const { return max_backlog_; }
 
  private:
   EventLoop* loop_;
@@ -169,9 +165,7 @@ class ServerPool {
   std::size_t capacity_ = 0;      // 0 = unbounded
   std::size_t attach_limit_ = 0;  // kAttach threshold when bounded
   std::array<std::uint64_t, kJobClasses> drops_{};
-  std::uint64_t jobs_ = 0;
   SimTime busy_accum_;
-  SimTime max_backlog_;
 };
 
 }  // namespace neutrino::sim

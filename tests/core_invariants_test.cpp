@@ -2,7 +2,13 @@
 // end-to-end determinism of the simulation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/sharded_system.hpp"
 #include "core/system.hpp"
+#include "geo/hash_ring.hpp"
+#include "obs/throughput.hpp"
 #include "traffic/engine.hpp"
 
 namespace neutrino::core {
@@ -72,6 +78,119 @@ TEST(Placement, StableAcrossSystemInstances) {
     EXPECT_EQ(a.system->backups_for(UeId{u}, 1),
               b.system->backups_for(UeId{u}, 1));
   }
+}
+
+/// Placement as each CTA computed it from its own two rings: a level-1
+/// ring over the home region's member CPFs and a level-2 ring over the
+/// members of the *other* level-1 regions of its level-2 region, with the
+/// primary's level-1 successors as backups when that ring is empty.
+class ReferencePlacement {
+ public:
+  ReferencePlacement(const TopologyConfig& topo,
+                     const std::vector<bool>& member, std::uint32_t home) {
+    for (int i = 0; i < topo.total_cpfs(); ++i) {
+      const CpfId c{static_cast<std::uint32_t>(i)};
+      if (!member[c.value()]) continue;
+      const std::uint32_t r = topo.region_of_cpf(c);
+      if (r == home) {
+        level1_.add(c, seed(c));
+      } else if (topo.l2_of(r) == topo.l2_of(home)) {
+        level2_.add(c, seed(c));
+      }
+    }
+  }
+
+  [[nodiscard]] CpfId primary(UeId ue) const {
+    return level1_.lookup(System::ue_key(ue));
+  }
+  [[nodiscard]] std::vector<CpfId> backups(UeId ue, std::size_t n) const {
+    if (!level2_.empty()) return level2_.successors(System::ue_key(ue), n);
+    auto chain = level1_.successors(System::ue_key(ue), n + 1);
+    chain.erase(chain.begin());
+    return chain;
+  }
+
+ private:
+  static std::uint64_t seed(CpfId c) { return 0x5a5a0000ULL + c.value(); }
+
+  geo::ConsistentHashRing<CpfId> level1_;
+  geo::ConsistentHashRing<CpfId> level2_;
+};
+
+TEST(Placement, SystemRingsMatchPerRegionReferenceThroughChurn) {
+  // (l2 regions, l1 regions per l2): the one-region fallback, one level-2
+  // region of 4 and of 16, and two multi-l2 shapes.
+  const std::vector<std::pair<int, int>> shapes{
+      {1, 1}, {1, 4}, {4, 4}, {1, 16}, {2, 8}};
+  for (const auto& [l2, l1] : shapes) {
+    for (int n = 1; n <= 3; ++n) {
+      TopologyConfig topo;
+      topo.l2_regions = l2;
+      topo.l1_per_l2 = l1;
+      CorePolicy policy = neutrino_policy();
+      policy.num_backups = n;
+      Harness h(policy, topo);
+      System& sys = *h.system;
+      std::vector<bool> member(static_cast<std::size_t>(topo.total_cpfs()),
+                               true);
+      const auto compare = [&](const char* phase) {
+        for (std::uint32_t r = 0;
+             r < static_cast<std::uint32_t>(topo.total_regions()); ++r) {
+          const ReferencePlacement ref(topo, member, r);
+          for (std::uint64_t u = 0; u < 64; ++u) {
+            const UeId ue{u};
+            ASSERT_EQ(sys.hashed_primary_for(ue, r), ref.primary(ue))
+                << l2 << "x" << l1 << " n=" << n << " " << phase
+                << " region " << r << " ue " << u;
+            ASSERT_EQ(sys.backups_for(ue, r),
+                      ref.backups(ue, static_cast<std::size_t>(n)))
+                << l2 << "x" << l1 << " n=" << n << " " << phase
+                << " region " << r << " ue " << u;
+          }
+        }
+      };
+      ASSERT_NO_FATAL_FAILURE(compare("before churn"));
+      // Seeded drains and scale-outs; a drain of a region's last member
+      // is refused, so the reference refuses it too.
+      Rng rng(static_cast<std::uint64_t>(97 * l2 + l1));
+      for (int op = 0; op < 3 * topo.total_regions() + 6; ++op) {
+        const CpfId c{static_cast<std::uint32_t>(
+            rng.next_below(static_cast<std::uint64_t>(topo.total_cpfs())))};
+        const std::uint32_t r = topo.region_of_cpf(c);
+        if (member[c.value()]) {
+          int members = 0;
+          for (int i = 0; i < topo.cpfs_per_region; ++i) {
+            members += member[topo.cpf_at(r, i).value()] ? 1 : 0;
+          }
+          if (members > 1) member[c.value()] = false;
+          sys.drain_cpf(c);
+        } else {
+          member[c.value()] = true;
+          sys.scale_out_cpf(c);
+        }
+        ASSERT_EQ(sys.cpf_in_ring(c), member[c.value()]) << "op " << op;
+      }
+      ASSERT_NO_FATAL_FAILURE(compare("after churn"));
+    }
+  }
+}
+
+TEST(Placement, ShardedConstructionHoldsRingsOncePerSystem) {
+  // Every shard's System holds one level-1 ring per region and one level-2
+  // ring per level-2 region. A level-2 ring per CTA instead would add about
+  // 1 MB per shard here and break the bound. mallinfo2 can read 0 under
+  // sanitizers, so the plain build is the one that checks it.
+  ShardedSystem::Config cfg;
+  cfg.policy = neutrino_policy();
+  cfg.topo.l1_per_l2 = 16;
+  cfg.shards = 16;
+  const FixedCostModel costs{SimTime::microseconds(10)};
+  const std::size_t before = obs::heap_in_use_bytes();
+  const auto sys = std::make_unique<ShardedSystem>(cfg, costs);
+  const std::size_t after = obs::heap_in_use_bytes();
+  ASSERT_EQ(sys->shards(), 16u);
+  EXPECT_LT(after - before, std::size_t{6} << 20)
+      << (after - before) << " bytes of live heap";
 }
 
 TEST(LogBoundedness, DrainedSystemHasEmptyLogs) {

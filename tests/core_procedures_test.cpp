@@ -247,7 +247,7 @@ TEST(Frontend, WatchedUeRecordsEveryOutageKind) {
     const std::uint32_t region = fe.region_of(ue);
     system.crash_cpf(system.cta(region).route(ue));
     if (!with_backups) return;
-    for (const CpfId b : system.cta(region).backups(ue)) system.crash_cpf(b);
+    for (const CpfId b : system.backups_for(ue, region)) system.crash_cpf(b);
   };
   // Attach, then an inter-region and an intra-region handover.
   at(ms(0), [&] { fe.start_procedure(ue, ProcedureType::kAttach); });

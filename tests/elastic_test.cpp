@@ -5,9 +5,8 @@
 // the old and the new owner, drains that collide with in-flight
 // procedures completing through the existing pin/replay machinery — plus
 // churn-under-chaos coverage: generated join/leave schedules clean on
-// every runtime, bit-identical across worker-thread counts {1, 2, 4, 8}
-// while churn collides with a crash window, and a teeth test proving a
-// planted missed re-ring is caught by the membership audit and shrunk.
+// every runtime, and bit-identical across worker-thread counts
+// {1, 2, 4, 8} while churn collides with a crash window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "chaos/generator.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
-#include "chaos/shrink.hpp"
 #include "core/system.hpp"
 
 namespace neutrino::chaos {
@@ -378,43 +376,6 @@ TEST(ParallelDeterminism, ElasticChurnIdenticalAcrossThreadCounts) {
     EXPECT_EQ(outs[0].handoff_ues, outs[i].handoff_ues) << "sweep " << i;
     EXPECT_EQ(outs[0].flight_json, outs[i].flight_json) << "sweep " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Teeth: a planted missed re-ring (one CTA skips the membership change)
-// is caught by the checker's ring-membership audit and shrinks to a small
-// reproducer that still contains the churn event.
-// ---------------------------------------------------------------------------
-
-TEST(ElasticTeeth, SkippedReringCaughtByMembershipAuditAndShrunk) {
-  GeneratorConfig gen;
-  gen.regions = 4;
-  gen.ues = 8;
-  gen.actions = 30;
-  gen.failure_bursts = 0;
-  gen.cta_crash_prob = 0.0;
-  gen.churn_events = 2;
-  RunConfig rc;
-  rc.faults.elastic_skip_rering = 1;
-  const auto fails = [&rc](const Schedule& trial) {
-    return run_schedule(trial, rc, costs()).violation_count > 0;
-  };
-  bool caught = false;
-  for (std::uint64_t seed = 1; seed <= 8 && !caught; ++seed) {
-    Schedule s = generate(gen, seed);
-    if (!fails(s)) continue;
-    caught = true;
-    const Schedule min = shrink_schedule(s, fails, 300);
-    EXPECT_LE(min.events.size(), 10u);
-    bool has_churn = false;
-    for (const Event& e : min.events) {
-      has_churn |= e.kind == EventKind::kScaleOut ||
-                   e.kind == EventKind::kDrain;
-    }
-    EXPECT_TRUE(has_churn)
-        << "minimal reproducer lost the churn event that plants the bug";
-  }
-  EXPECT_TRUE(caught) << "planted missed-re-ring bug survived 8 seeds";
 }
 
 }  // namespace
