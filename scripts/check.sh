@@ -71,6 +71,9 @@ python3 scripts/validate_report.py "$out"
 # once, each through its own reused FlatBuffers builder. elastic_test
 # changes every shard's placement rings at one simulated time while two
 # shards run on 1/2/4/8 threads: no lane may read another shard's rings.
+# UE state snapshots are shared across lanes through core::StateRef:
+# parallel_determinism_test releases them on whichever lane holds the
+# last handle, and state_ref_test releases one box on four threads.
 # TSan and ASan cannot share a build; this is a separate configuration so
 # both always run.
 if [[ "${FAST:-0}" != "1" ]]; then
@@ -80,7 +83,8 @@ if [[ "${FAST:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
   TSAN_TESTS=(sim_core_test parallel_runtime_test parallel_stress_test
-              parallel_determinism_test golden_vector_test elastic_test)
+              parallel_determinism_test golden_vector_test elastic_test
+              state_ref_test)
   cmake --build build-tsan -j --target "${TSAN_TESTS[@]}"
   for t in "${TSAN_TESTS[@]}"; do
     echo "-- tsan: $t"
@@ -98,12 +102,13 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
 cmake --build build-release -j --target scale_throughput sim_core_gbench \
   parallel_runtime_test parallel_determinism_test determinism_test \
-  core_procedures_test
+  core_procedures_test state_ref_test
 # The window-causality check, the cross-shard UE<->CTA guard, the
-# event-stream key order and the watched-outage contract must survive
-# -DNDEBUG: a message landing inside its destination's window, an
-# inter-shard handover, a stream whose keys go backwards, or an outage
-# query for a UE nobody watched aborts the run in Release too.
+# event-stream key order, the watched-outage contract and snapshot
+# immutability must survive -DNDEBUG: a message landing inside its
+# destination's window, an inter-shard handover, a stream whose keys go
+# backwards, an outage query for a UE nobody watched, or a write through
+# a shared UE state snapshot aborts the run in Release too.
 build-release/tests/parallel_runtime_test \
   --gtest_filter='ShardedRuntime.CausalityViolationAbortsInEveryBuild'
 build-release/tests/parallel_determinism_test \
@@ -112,6 +117,8 @@ build-release/tests/determinism_test \
   --gtest_filter='DeterminismStreams.DecreasingKeysAbortInEveryBuild'
 build-release/tests/core_procedures_test \
   --gtest_filter='Frontend.OutagesOfUnwatchedUeAbortInEveryBuild'
+build-release/tests/state_ref_test \
+  --gtest_filter='StateRef.MutateOfASharedSnapshotAbortsInEveryBuild'
 out=build-release/bench/scale_throughput.smoke-report.json
 build-release/bench/scale_throughput --smoke --threads=1,2 --shards=2 \
   --report="$out"
@@ -391,5 +398,26 @@ out=build-release/bench/chaos_campaign.smoke-report.json
 build-release/bench/chaos_campaign --seeds=50 --shards=4 --threads=2 \
   --churn=2 --repro-dir=build-release/bench --report="$out"
 python3 scripts/validate_report.py "$out"
+
+# Repo benchmark (perfbench/): its self-tests (which build it into
+# .bench_build/ as perfbench/run.py does), then the simulated fingerprints
+# every change must keep, each read from one run.py repetition.
+echo "== perfbench self-test + fingerprints (.bench_build)"
+python3 perfbench/selftest.py
+python3 - <<'PY'
+import sys
+sys.path.insert(0, "perfbench")
+import run
+PINS = [("storm", 1, "a80f037c71c26b21"), ("storm", 5, "96e5854e8c7a5e39"),
+        ("mobility-failover", 1, "8d6b79b8c541e8fd")]
+wrong = 0
+for workload, seed, want in PINS:
+    got = run.repetition(workload, seed, False)["fingerprint"]
+    print(f"-- {workload} seed {seed}: fingerprint {got}")
+    if got != want:
+        print(f"{workload} seed {seed}: fingerprint {got}, want {want}")
+        wrong += 1
+sys.exit(1 if wrong else 0)
+PY
 
 echo "check.sh: all green"

@@ -245,13 +245,10 @@ void Cpf::handle_downlink_notification(Msg& msg) {
 void Cpf::handle_attach_flow(Msg& msg) {
   switch (msg.kind) {
     case MsgKind::kAttachRequest: {
-      auto fresh = std::make_shared<UeState>();
-      fresh->ue = msg.ue;
-      fresh->imsi = 410'010'000'000'000ULL + msg.ue.value();
-      fresh->m_tmsi = static_cast<std::uint32_t>(msg.ue.value());
-      fresh->serving_region = region_;
-      fresh->last_completed_proc = 0;
-      store_[msg.ue] = Entry{std::move(fresh), true};
+      UeState fresh;
+      fresh.ue = msg.ue;
+      fresh.serving_region = region_;
+      store_[msg.ue] = Entry{StateRef(fresh), true};
       if (system_->policy().dpcm_device_state) {
         // DPCM [61]: the device supplies cached security state, so the
         // authentication and security-mode round trips are elided.
@@ -799,11 +796,10 @@ void Cpf::send_handoff_checkpoint(UeId ue, CpfId to, SimTime requested) {
 UeState& Cpf::mutable_state(UeId ue) {
   Entry& entry = store_[ue];
   // Checkpoints share immutable snapshots; copy-on-write before mutating.
-  auto owned = std::make_shared<UeState>(entry.state ? *entry.state
-                                                     : UeState{});
-  owned->ue = ue;
-  entry.state = owned;
-  return *owned;
+  entry.state = StateRef(entry.state ? *entry.state : UeState{});
+  UeState& owned = entry.state.mutate();
+  owned.ue = ue;
+  return owned;
 }
 
 void Cpf::reply_to_ue(const Msg& request, MsgKind kind) {
@@ -874,7 +870,7 @@ void Cpf::restore() {
   alive_ = true;
 }
 
-void Cpf::preinstall(std::shared_ptr<const UeState> state, bool /*role*/) {
+void Cpf::preinstall(StateRef state, bool /*role*/) {
   const UeId ue = state->ue;
   store_[ue] = Entry{std::move(state), true};
 }
@@ -882,7 +878,7 @@ void Cpf::preinstall(std::shared_ptr<const UeState> state, bool /*role*/) {
 bool Cpf::has_up_to_date(UeId ue) const {
   const auto it = store_.find(ue);
   return it != store_.end() && it->second.up_to_date &&
-         it->second.state != nullptr;
+         static_cast<bool>(it->second.state);
 }
 
 const UeState* Cpf::peek_state(UeId ue) const {

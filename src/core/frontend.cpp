@@ -362,24 +362,20 @@ void Frontend::preattach_context(UeId ue, std::uint32_t region) {
   ctx.next_proc_seq = 2;
 }
 
-std::shared_ptr<UeState> Frontend::make_preattached_state(
-    UeId ue, std::uint32_t region) {
-  auto state = std::make_shared<UeState>();
-  state->ue = ue;
-  state->imsi = 410'010'000'000'000ULL + ue.value();
-  state->m_tmsi = static_cast<std::uint32_t>(ue.value());
-  state->attached = true;
-  state->session_active = true;
-  state->serving_region = region;
-  state->upf = UpfId(region);
-  state->last_completed_proc = 1;
-  state->last_lclock = 0;
-  return state;
+StateRef Frontend::make_preattached_state(UeId ue, std::uint32_t region) {
+  UeState state;
+  state.ue = ue;
+  state.attached = true;
+  state.session_active = true;
+  state.serving_region = region;
+  state.upf = UpfId(region);
+  state.last_completed_proc = 1;
+  return StateRef(state);
 }
 
 void Frontend::preattach(UeId ue, std::uint32_t region) {
   preattach_context(ue, region);
-  auto state = make_preattached_state(ue, region);
+  const StateRef state = make_preattached_state(ue, region);
   system_->cpf(system_->primary_cpf_for(ue, region))
       .preinstall(state, /*as_primary=*/true);
   for (const CpfId b : system_->backups_for(ue, region)) {

@@ -6,12 +6,12 @@
 // simulator's service times and log sizes are grounded in the real codecs.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string_view>
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
+#include "core/ue_state.hpp"
 
 namespace neutrino::core {
 
@@ -141,15 +141,14 @@ constexpr std::string_view to_string(ProcedureType p) {
   return "?";
 }
 
-struct UeState;  // core/ue_state.hpp
-
 /// One simulated control message, owned by value by the event of its hop
-/// or the service-pool job it waits in. `state` is its only allocating
-/// member; fields run from widest to narrowest, so only the tail pads.
+/// or the service-pool job it waits in: 80 bytes. `state` is its only
+/// member with a destructor (it releases a snapshot reference); fields
+/// run from widest to narrowest, so only the tail pads.
 struct Msg {
   /// Replication payload (kStateCheckpoint / kStateFetchResponse /
-  /// kHandoverRequest with migration).
-  std::shared_ptr<const UeState> state;
+  /// kHandoverRequest with migration): a handle to an immutable snapshot.
+  StateRef state;
   UeId ue;
   std::uint64_t proc_seq = 0;  // per-UE procedure number
   LogicalClock::Value lclock = 0;  // stamped by the CTA (§4.2.3)
@@ -180,6 +179,6 @@ struct Msg {
   ProcedureType proc_type = ProcedureType::kAttach;
   bool is_replay = false;          // re-injected from the CTA log
 };
-static_assert(sizeof(Msg) <= 88);
+static_assert(sizeof(Msg) <= 80);
 
 }  // namespace neutrino::core

@@ -18,10 +18,12 @@
 // randomness is all in its trace, generated before the run (src/traffic).
 //
 // Messages cross by value, as they travel on every hop; only the Msg's
-// `state` snapshot is shared. Its control block uses atomic refcounts and
-// UeState snapshots are immutable after publication (Cpf::mutable_state
-// clones before writing), so the barrier's happens-before edge makes this
-// race-free.
+// `state` snapshot is shared, through a core::StateRef. Its box counts
+// handles atomically, so copies and releases on different lanes are safe,
+// and a box never changes once shared: Cpf::mutable_state clones before
+// writing, and StateRef::mutate aborts in every build on a box another
+// handle references. The barrier's happens-before edge publishes the
+// box's contents to the receiving lane, so this is race-free.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,7 @@ struct ShardEnvelope {
   std::uint32_t dest_id = 0;
   Msg msg;
 };
+static_assert(sizeof(ShardEnvelope) <= 88);
 
 /// Implemented by ShardedSystem; posts into the runtime's per-pair outboxes.
 class CrossShardSink {

@@ -525,18 +525,19 @@ void System::arm_telemetry(SimTime window, SimTime until) {
 
 namespace {
 
-static_assert(sizeof(System::Arrival) == 32);
+static_assert(sizeof(System::Arrival) == 24);
 
-/// A replayed trace as an event stream: arrival k starts its procedure.
+/// A replayed trace as an event stream: arrival k starts its procedure
+/// under offset k. Only the next arrival waits in the queue and every
+/// other event's sequence number lies outside the stream's block, so the
+/// offset only has to rise with k.
 struct ArrivalStream {
   System* system;
   std::vector<System::Arrival> arrivals;
 
   [[nodiscard]] std::uint64_t size() const { return arrivals.size(); }
   [[nodiscard]] SimTime when(std::uint64_t k) const { return arrivals[k].at; }
-  [[nodiscard]] std::uint64_t offset(std::uint64_t k) const {
-    return arrivals[k].offset;
-  }
+  [[nodiscard]] std::uint64_t offset(std::uint64_t k) const { return k; }
   void fire(std::uint64_t k) {
     const System::Arrival& a = arrivals[k];
     system->frontend().start_procedure(a.ue, a.type, a.target_region);
@@ -546,17 +547,12 @@ struct ArrivalStream {
 }  // namespace
 
 void System::replay(std::vector<Arrival> arrivals) {
-  assert(arrivals.size() <= UINT32_MAX);
-  bool sorted = true;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    arrivals[i].offset = static_cast<std::uint32_t>(i);
-    if (i > 0 && arrivals[i].at < arrivals[i - 1].at) sorted = false;
-  }
-  if (!sorted) {
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const Arrival& a, const Arrival& b) {
-                       return a.at < b.at;
-                     });
+  const auto earlier = [](const Arrival& a, const Arrival& b) {
+    return a.at < b.at;
+  };
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), earlier)) {
+    // Stable: equal times keep trace order.
+    std::stable_sort(arrivals.begin(), arrivals.end(), earlier);
   }
   loop_->schedule_stream(ArrivalStream{this, std::move(arrivals)});
 }

@@ -121,7 +121,7 @@ class Cpf {
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
   /// Test/bench hook: install state directly (pre-attached UE population).
-  void preinstall(std::shared_ptr<const UeState> state, bool as_primary);
+  void preinstall(StateRef state, bool as_primary);
 
   /// Elastic churn (DESIGN.md §19): UEs whose up-to-date state this CPF
   /// holds for its own region — the candidate set a scale-out/drain hands
@@ -160,18 +160,18 @@ class Cpf {
   [[nodiscard]] int request_cores() const { return request_pool_.cores(); }
 
  private:
-  /// One replica's copy of a UE: 24 bytes, 1 + N per attached UE. The
-  /// marker shares a word with its clock; `Entry{state, true}` fills the
-  /// fields in this order.
+  /// One replica's copy of a UE: 16 bytes, 1 + N per attached UE, all
+  /// sharing one snapshot. The marker shares a word with its clock;
+  /// `Entry{state, true}` fills the fields in this order.
   struct Entry {
-    std::shared_ptr<const UeState> state;
+    StateRef state;
     LogicalClock::Value up_to_date : 1 = 1;
     /// §4.2.4(1a-ii): once marked outdated, only a state update carrying at
     /// least this logical clock makes the replica current again. 63 bits:
     /// a CTA clock ticks once per logged message and never gets near 2^63.
     LogicalClock::Value required_lclock : 63 = 0;
   };
-  static_assert(sizeof(Entry) == 24);
+  static_assert(sizeof(Entry) == 16);
 
   /// Per-UE progress of the procedure this CPF is currently executing.
   struct ProcCtx {
@@ -309,6 +309,7 @@ class Cta {
     std::optional<CpfId> pinned_route;
     std::uint64_t pinned_seq = 0;
   };
+  static_assert(sizeof(UeRecord) <= 240);
 
   void forward_uplink(Msg msg);  // after CTA service time
   void handle_ack(const Msg& msg);
@@ -358,8 +359,8 @@ class Frontend {
   /// UE context, while each replica's *owning* shard runs the
   /// Cpf::preinstall calls (ShardedSystem::preattach drives both).
   void preattach_context(UeId ue, std::uint32_t region);
-  [[nodiscard]] static std::shared_ptr<UeState> make_preattached_state(
-      UeId ue, std::uint32_t region);
+  [[nodiscard]] static StateRef make_preattached_state(UeId ue,
+                                                      std::uint32_t region);
 
   /// Idle-mode mobility: the UE silently moves to another region; its next
   /// procedure (typically a kTau) runs through the new region's CTA.
@@ -496,18 +497,17 @@ class System {
   /// Table census of the nodes this System owns (shadows excluded).
   [[nodiscard]] TableBytes table_bytes() const;
 
-  /// One trace arrival as replay() keeps it until it fires (32 bytes).
+  /// One trace arrival as replay() keeps it until it fires (24 bytes).
   struct Arrival {
     SimTime at;
     UeId ue;
     std::uint32_t target_region = 0;
-    std::uint32_t offset = 0;  // position in trace order; set by replay()
     ProcedureType type = ProcedureType::kAttach;
 
     /// From a traffic::TraceRecord-shaped record (core sits below traffic).
     template <class Record>
     static Arrival of(const Record& rec) {
-      return {rec.at, rec.ue, rec.target_region, 0, rec.type};
+      return {rec.at, rec.ue, rec.target_region, rec.type};
     }
   };
 

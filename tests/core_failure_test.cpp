@@ -247,16 +247,15 @@ TEST(OutdatedMarking, MarkerClockAboveTwoToTheThirtyTwoHolds) {
   ASSERT_FALSE(h.system->cpf(replica).has_up_to_date(ue));
 
   const auto checkpoint = [&](LogicalClock::Value lclock, SimTime until) {
-    auto state = std::make_shared<UeState>(
-        *h.system->cpf(replica).peek_state(ue));
-    state->last_completed_proc = 2;
-    state->last_lclock = lclock;
+    UeState state = *h.system->cpf(replica).peek_state(ue);
+    state.last_completed_proc = 2;
+    state.last_lclock = lclock;
     Msg ckpt;
     ckpt.kind = MsgKind::kStateCheckpoint;
     ckpt.ue = ue;
     ckpt.proc_seq = 2;
     ckpt.lclock = lclock;
-    ckpt.state = std::move(state);
+    ckpt.state = StateRef(state);
     h.system->cpf(replica).deliver(std::move(ckpt));
     h.run_to(until);
   };

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -152,10 +151,10 @@ TEST(Transport, CpfCrashFreesTheSnapshotsItsQueuedMessagesHeld) {
   Node n(0, 1);
   const Msg checkpoint = probe_msg(MsgKind::kStateCheckpoint);
   Cpf& cpf = n.system.cpf(kFarCpf);
-  constexpr long kJobs = 4;
-  for (long i = 0; i < kJobs; ++i) cpf.deliver(checkpoint);
-  ASSERT_EQ(cpf.sync_occupancy().depth, static_cast<std::size_t>(kJobs));
-  const long held = checkpoint.state.use_count();
+  constexpr std::uint32_t kJobs = 4;
+  for (std::uint32_t i = 0; i < kJobs; ++i) cpf.deliver(checkpoint);
+  ASSERT_EQ(cpf.sync_occupancy().depth, std::size_t{kJobs});
+  const std::uint32_t held = checkpoint.state.use_count();
   EXPECT_EQ(held, 1 + kJobs);
   n.system.crash_cpf(kFarCpf);
   EXPECT_EQ(checkpoint.state.use_count(), held - kJobs);
