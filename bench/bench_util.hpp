@@ -101,7 +101,7 @@ struct ExperimentResult {
   std::unique_ptr<obs::ProcTracer> tracer;
   /// Per-window shard activity (runs with record_trace_events): the
   /// Perfetto shard tracks.
-  std::vector<obs::ShardWindowRecord> window_log;
+  std::vector<sim::parallel::WindowRecord> window_log;
   /// Live heap once the loops drain, before the system tears down
   /// (obs::heap_in_use_bytes). Per run, unlike the RSS watermark, which
   /// reads no growth for a run that stays under an earlier run's peak.
@@ -207,21 +207,22 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   const double wall_seconds = wall.seconds();
   const std::size_t heap = obs::heap_in_use_bytes();
   post(sys);
-  ExperimentResult result{sys.merged_metrics(), horizon.sec(),
-                          sys.events_executed(), wall_seconds, cfg.shards,
-                          cfg.threads};
-  result.windows = sys.stats().windows;
-  result.cross_shard_messages = sys.stats().cross_messages;
-  result.dispatches_skipped = sys.stats().dispatches_skipped;
-  result.shard_events = sys.shard_events();
-  result.heap_in_use_bytes = heap;
-  result.table_bytes = sys.table_bytes();
-  result.tracer = std::move(tracer);
-  for (const auto& w : sys.window_log()) {
-    result.window_log.push_back(
-        obs::ShardWindowRecord{w.start, w.end, w.cross_messages, w.executed});
-  }
-  return result;
+  return ExperimentResult{
+      .metrics = sys.merged_metrics(),
+      .sim_seconds = horizon.sec(),
+      .events_executed = sys.events_executed(),
+      .wall_seconds = wall_seconds,
+      .shards = cfg.shards,
+      .threads = cfg.threads,
+      .windows = sys.stats().windows,
+      .cross_shard_messages = sys.stats().cross_messages,
+      .dispatches_skipped = sys.stats().dispatches_skipped,
+      .shard_events = sys.shard_events(),
+      .tracer = std::move(tracer),
+      .window_log = sys.window_log(),
+      .heap_in_use_bytes = heap,
+      .table_bytes = sys.table_bytes(),
+  };
 }
 
 template <typename SetupFn>
@@ -515,7 +516,7 @@ class Report {
     return row;
   }
 
-  /// Counters, gauges, decomposition and occupancy series of a result.
+  /// Counters, decomposition and telemetry sections of a result.
   static void attach_result(obs::Json& row, const ExperimentResult& result) {
     const obs::Registry& reg = result.metrics.registry;
     row["sim_seconds"] = result.sim_seconds;
@@ -534,12 +535,8 @@ class Report {
     row["heap_in_use_bytes"] =
         static_cast<std::uint64_t>(result.heap_in_use_bytes);
     row["counters"] = obs::counters_json(reg);
-    obs::Json gauges = obs::gauges_json(reg);
-    if (gauges.size() > 0) row["gauges"] = std::move(gauges);
     obs::Json decomp = decomposition_json(reg);
     if (!decomp.is_null()) row["decomposition_ms"] = std::move(decomp);
-    obs::Json series = obs::time_series_json(reg);
-    if (series.size() > 0) row["time_series"] = std::move(series);
     // Schema v3 telemetry sections — present only when the run armed them.
     obs::Json windowed = obs::windowed_series_json(reg);
     if (windowed["series"].size() > 0) row["timeseries"] = std::move(windowed);

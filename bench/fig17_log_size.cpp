@@ -16,11 +16,13 @@ struct LogSizeRun {
 };
 
 LogSizeRun peak_log_bytes(const core::CorePolicy& policy,
-                          core::ProcedureType type, std::uint64_t users) {
+                          core::ProcedureType type, std::uint64_t users,
+                          SimTime telemetry_window) {
   bench::ExperimentConfig cfg;
   cfg.policy = policy;
   cfg.topo.l1_per_l2 = type == core::ProcedureType::kHandover ? 4 : 1;
   cfg.preattached_ues = type == core::ProcedureType::kHandover ? users : 0;
+  cfg.telemetry_window = telemetry_window;
 
   // All users act within one second (the paper's highest-pressure case).
   const auto t = traffic::wave(users, type, SimTime{}, SimTime::seconds(1),
@@ -30,15 +32,12 @@ LogSizeRun peak_log_bytes(const core::CorePolicy& policy,
   auto result = bench::run_experiment(
       cfg, t,
       [&](core::ShardedSystem& sys) {
-        // Sample log footprint + pool occupancy every 5 ms; the registry
-        // keeps the cta.log_bytes series the report exports.
+        // Sample the log footprint every 5 ms into its peak; --telemetry
+        // adds the windowed queue and busy series.
         core::System& system = sys.system(0);
         obs::PeriodicSampler::schedule(
             system.loop(), SimTime::milliseconds(5), SimTime::seconds(20),
-            [&system] {
-              system.sample_log_sizes();
-              system.sample_occupancy();
-            });
+            [&system] { system.sample_log_sizes(); });
       },
       [&](core::ShardedSystem& sys) {
         core::System& system = sys.system(0);
@@ -63,7 +62,8 @@ int main(int argc, char** argv) {
   for (const auto type :
        {core::ProcedureType::kAttach, core::ProcedureType::kHandover}) {
     for (const std::uint64_t users : user_counts) {
-      const auto run = peak_log_bytes(core::neutrino_policy(), type, users);
+      const auto run = peak_log_bytes(core::neutrino_policy(), type, users,
+                                      report.options().telemetry_window());
       const double peak_mb = static_cast<double>(run.peak_bytes) / 1e6;
       std::printf("fig17\t%s\t%llu\tpeak_log_mb=%.2f\n",
                   std::string(to_string(type)).c_str(),

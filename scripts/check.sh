@@ -36,6 +36,11 @@ for bench in fig07_service_request_pct fig08_attach_pct_uniform \
   "$BUILD/bench/$bench" --smoke --report="$out" >/dev/null
   REPORTS+=("$out")
 done
+# fig17 with telemetry armed: its time view comes from the windowed
+# series, the only time-indexed instrument.
+out="$BUILD/bench/fig17_log_size.smoke-report.json"
+"$BUILD/bench/fig17_log_size" --smoke --telemetry --report="$out" >/dev/null
+REPORTS+=("$out")
 python3 scripts/validate_report.py "${REPORTS[@]}"
 # A typo'd or removed flag must fail loudly, never run the default config.
 rc=0
@@ -97,9 +102,12 @@ fi
 # release optimization levels — sanitized builds measure the sanitizer.
 # The sharded rows re-run the storm over the partitioned topology on two
 # worker threads, exercising the cross-shard path at full optimization.
+# -Werror: the Release build is the warning gate (-Wall -Wextra), so a
+# new warning fails here instead of scrolling past.
 echo "== release build + scale smoke (build-release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
+  -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" -DCMAKE_CXX_FLAGS=-Werror \
+  >/dev/null
 cmake --build build-release -j --target scale_throughput sim_core_gbench \
   parallel_runtime_test parallel_determinism_test determinism_test \
   core_procedures_test state_ref_test

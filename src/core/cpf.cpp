@@ -5,13 +5,57 @@
 #include <algorithm>
 
 namespace neutrino::core {
+namespace {
+
+// §5: one core processing requests, one for state synchronization.
+constexpr int kRequestCores = 1;
+constexpr int kSyncCores = 1;
+
+/// The checkpoint that ships `state` from `from` to one replica, stamped
+/// with the clock of the procedure's final message (§4.2.3(2)).
+Msg state_checkpoint(UeId ue, const StateRef& state, CpfId from) {
+  Msg ckpt;
+  ckpt.kind = MsgKind::kStateCheckpoint;
+  ckpt.ue = ue;
+  ckpt.proc_seq = state->last_completed_proc;
+  ckpt.lclock = state->last_lclock;
+  ckpt.region = state->serving_region;
+  ckpt.src_cpf = from;
+  ckpt.state = state;
+  return ckpt;
+}
+
+/// A replica's ACK to the CTA: it holds the checkpoint of `proc_seq`.
+Msg checkpoint_ack(UeId ue, std::uint64_t proc_seq,
+                   LogicalClock::Value lclock, CpfId from,
+                   std::uint32_t epoch) {
+  Msg ack;
+  ack.kind = MsgKind::kCheckpointAck;
+  ack.ue = ue;
+  ack.proc_seq = proc_seq;
+  ack.lclock = lclock;
+  ack.src_cpf = from;
+  ack.sender_epoch = epoch;
+  return ack;
+}
+
+/// A request for the UE's state on behalf of the parked `original`.
+Msg state_fetch(const Msg& original, CpfId from) {
+  Msg fetch = original;
+  fetch.kind = MsgKind::kStateFetch;
+  fetch.state.reset();
+  fetch.src_cpf = from;
+  return fetch;
+}
+
+}  // namespace
 
 Cpf::Cpf(System& system, CpfId id, std::uint32_t region)
     : system_(&system),
       id_(id),
       region_(region),
-      request_pool_(system.loop(), system.topo().cpf_request_cores),
-      sync_pool_(system.loop(), system.topo().cpf_sync_cores) {
+      request_pool_(system.loop(), kRequestCores),
+      sync_pool_(system.loop(), kSyncCores) {
   if (const std::size_t cap = system.proto().cpf_queue_capacity; cap > 0) {
     request_pool_.set_capacity(
         cap, static_cast<std::size_t>(
@@ -202,24 +246,12 @@ void Cpf::handle_tau(Msg& msg) {
   }
   // Fetch from a replica of the UE's previous placement; Re-Attach if the
   // state is unreachable (§4.2.4 rule 3).
-  CpfId holder = id_;
-  for (const CpfId b : system_->backups_for(msg.ue, msg.prev_region)) {
-    if (b != id_ && system_->cpf_alive(b)) {
-      holder = b;
-      break;
-    }
-  }
+  const CpfId holder = live_replica(msg.ue, msg.prev_region);
   if (holder == id_) {
     ask_reattach(msg);
     return;
   }
-  ++system_->metrics().state_fetches;
-  park_pending_fetch(msg);
-  Msg fetch = msg;
-  fetch.kind = MsgKind::kStateFetch;
-  fetch.state.reset();
-  fetch.src_cpf = id_;
-  system_->cpf_to_cpf(id_, holder, std::move(fetch));
+  park_and_fetch(msg, holder);
 }
 
 void Cpf::handle_downlink_notification(Msg& msg) {
@@ -388,13 +420,7 @@ void Cpf::handle_handover_notify(Msg& msg) {
   }
   // Slow path: fetch from a replica of the UE's *source* region placement,
   // falling back to the source-side serving CPF (alive during a handover).
-  CpfId holder = id_;
-  for (const CpfId b : system_->backups_for(msg.ue, msg.prev_region)) {
-    if (b != id_ && system_->cpf_alive(b)) {
-      holder = b;
-      break;
-    }
-  }
+  CpfId holder = live_replica(msg.ue, msg.prev_region);
   if (holder == id_) {
     const CpfId source = system_->primary_cpf_for(msg.ue, msg.prev_region);
     if (source != id_ && system_->cpf_alive(source)) holder = source;
@@ -404,13 +430,7 @@ void Cpf::handle_handover_notify(Msg& msg) {
     ask_reattach(msg);
     return;
   }
-  ++system_->metrics().state_fetches;
-  park_pending_fetch(msg);
-  Msg fetch = msg;
-  fetch.kind = MsgKind::kStateFetch;
-  fetch.state.reset();
-  fetch.src_cpf = id_;
-  system_->cpf_to_cpf(id_, holder, std::move(fetch));
+  park_and_fetch(msg, holder);
 }
 
 void Cpf::handle_handover_target(Msg& msg) {
@@ -510,14 +530,9 @@ void Cpf::handle_replication(Msg& msg) {
                  msg.state->last_lclock > entry.state->last_lclock) {
         entry.state = msg.state;  // newer data, still short of the marker
       }
-      Msg ack;
-      ack.kind = MsgKind::kCheckpointAck;
-      ack.ue = msg.ue;
-      ack.proc_seq = msg.proc_seq;
-      ack.lclock = msg.lclock;
-      ack.src_cpf = id_;
-      ack.sender_epoch = epoch_;
-      system_->cpf_to_cta(id_, msg.region, std::move(ack));
+      system_->cpf_to_cta(
+          id_, msg.region,
+          checkpoint_ack(msg.ue, msg.proc_seq, msg.lclock, id_, epoch_));
       break;
     }
     case MsgKind::kStateFetch: {
@@ -562,11 +577,7 @@ void Cpf::handle_replication(Msg& msg) {
               system_->primary_cpf_for(msg.ue, original.prev_region);
           if (msg.src_cpf != source && source != id_ &&
               system_->cpf_alive(source)) {
-            Msg fetch = original;
-            fetch.kind = MsgKind::kStateFetch;
-            fetch.state.reset();
-            fetch.src_cpf = id_;
-            system_->cpf_to_cpf(id_, source, std::move(fetch));
+            system_->cpf_to_cpf(id_, source, state_fetch(original, id_));
             return;  // stays parked
           }
           pending_handover_.erase(msg.ue);
@@ -666,7 +677,15 @@ void Cpf::complete_procedure(Msg& msg) {
   }
 }
 
-void Cpf::park_pending_fetch(const Msg& original) {
+CpfId Cpf::live_replica(UeId ue, std::uint32_t region) const {
+  for (const CpfId b : system_->backups_for(ue, region)) {
+    if (b != id_ && system_->cpf_alive(b)) return b;
+  }
+  return id_;
+}
+
+void Cpf::park_and_fetch(const Msg& original, CpfId holder) {
+  ++system_->metrics().state_fetches;
   pending_handover_[original.ue] = original;
   // Bound the wait: if the fetch holder dies before replying, nothing
   // else unparks this UE — the CTA sees the *routed* CPF alive and never
@@ -687,6 +706,7 @@ void Cpf::park_pending_fetch(const Msg& original) {
         pending_handover_.erase(ue);
         ask_reattach(parked);
       });
+  system_->cpf_to_cpf(id_, holder, state_fetch(original, id_));
 }
 
 void Cpf::send_checkpoint(UeId ue) {
@@ -701,26 +721,13 @@ void Cpf::send_checkpoint(UeId ue) {
       // fallback placement): it trivially holds the state, so ACK
       // directly — otherwise the CTA could never fully ACK and prune the
       // procedure (§4.2.3).
-      Msg ack;
-      ack.kind = MsgKind::kCheckpointAck;
-      ack.ue = ue;
-      ack.proc_seq = state->last_completed_proc;
-      ack.lclock = state->last_lclock;
-      ack.src_cpf = id_;
-      ack.sender_epoch = epoch_;
-      system_->cpf_to_cta(id_, state->serving_region, std::move(ack));
+      system_->cpf_to_cta(id_, state->serving_region,
+                          checkpoint_ack(ue, state->last_completed_proc,
+                                         state->last_lclock, id_, epoch_));
       continue;
     }
-    Msg ckpt;
-    ckpt.kind = MsgKind::kStateCheckpoint;
-    ckpt.ue = ue;
-    ckpt.proc_seq = state->last_completed_proc;
-    ckpt.lclock = state->last_lclock;  // §4.2.3(2): end-of-procedure clock
-    ckpt.region = state->serving_region;
-    ckpt.src_cpf = id_;
-    ckpt.state = state;
     ++system_->metrics().checkpoints_sent;
-    system_->cpf_to_cpf(id_, b, std::move(ckpt));
+    system_->cpf_to_cpf(id_, b, state_checkpoint(ue, state, id_));
   }
   // Elastic churn (DESIGN.md §19): once the rings have ever churned, the
   // post-churn ring owner may differ from the CPF executing this (pinned)
@@ -732,16 +739,8 @@ void Cpf::send_checkpoint(UeId ue) {
         system_->hashed_primary_for(ue, state->serving_region);
     if (owner != id_ && system_->cpf_alive(owner) &&
         std::find(backups.begin(), backups.end(), owner) == backups.end()) {
-      Msg ckpt;
-      ckpt.kind = MsgKind::kStateCheckpoint;
-      ckpt.ue = ue;
-      ckpt.proc_seq = state->last_completed_proc;
-      ckpt.lclock = state->last_lclock;
-      ckpt.region = state->serving_region;
-      ckpt.src_cpf = id_;
-      ckpt.state = state;
       ++system_->metrics().checkpoints_sent;
-      system_->cpf_to_cpf(id_, owner, std::move(ckpt));
+      system_->cpf_to_cpf(id_, owner, state_checkpoint(ue, state, id_));
     }
   }
 }
@@ -773,15 +772,7 @@ void Cpf::send_handoff_checkpoint(UeId ue, CpfId to, SimTime requested) {
   if (it == store_.end() || !it->second.state || !it->second.up_to_date) {
     return;  // state moved on (crash/install race): nothing current to ship
   }
-  const auto& state = it->second.state;
-  Msg ckpt;
-  ckpt.kind = MsgKind::kStateCheckpoint;
-  ckpt.ue = ue;
-  ckpt.proc_seq = state->last_completed_proc;
-  ckpt.lclock = state->last_lclock;
-  ckpt.region = state->serving_region;
-  ckpt.src_cpf = id_;
-  ckpt.state = state;
+  Msg ckpt = state_checkpoint(ue, it->second.state, id_);
   ++system_->metrics().checkpoints_sent;
   ++system_->metrics().handoff_ues;
   system_->metrics().handoff_pct.add(
@@ -795,8 +786,12 @@ void Cpf::send_handoff_checkpoint(UeId ue, CpfId to, SimTime requested) {
 
 UeState& Cpf::mutable_state(UeId ue) {
   Entry& entry = store_[ue];
-  // Checkpoints share immutable snapshots; copy-on-write before mutating.
-  entry.state = StateRef(entry.state ? *entry.state : UeState{});
+  // Replicas and checkpoints share immutable snapshots: clone a shared one
+  // before writing, write an unshared one in place. use_count() is an
+  // acquire load, so a handle released on another lane reads as gone.
+  if (entry.state.use_count() != 1) {
+    entry.state = StateRef(entry.state ? *entry.state : UeState{});
+  }
   UeState& owned = entry.state.mutate();
   owned.ue = ue;
   return owned;

@@ -3,12 +3,21 @@
 #include "core/system.hpp"
 
 namespace neutrino::core {
+namespace {
+
+constexpr int kCores = 2;
+/// Per-message forwarding (DPDK ring + consistent-hash lookup).
+constexpr SimTime kForwardCost = SimTime::nanoseconds(700);
+/// In-memory log append (std::map insert, §5).
+constexpr SimTime kLogCost = SimTime::nanoseconds(250);
+
+}  // namespace
 
 Cta::Cta(System& system, CtaId id, std::uint32_t region)
     : system_(&system),
       id_(id),
       region_(region),
-      pool_(system.loop(), system.topo().cta_cores) {
+      pool_(system.loop(), kCores) {
   if (const std::size_t cap = system.proto().cta_queue_capacity; cap > 0) {
     pool_.set_capacity(
         cap, static_cast<std::size_t>(
@@ -64,10 +73,10 @@ CpfId Cta::route(UeId ue) const {
 }
 
 void Cta::deliver_uplink(Msg msg) {
-  SimTime cost = system_->proto().cta_forward_cost;
+  SimTime cost = kForwardCost;
   if (system_->policy().cta_message_logging &&
       is_ue_control_message(msg.kind)) {
-    cost += system_->proto().cta_log_cost;
+    cost += kLogCost;
   }
   // Bounded ingress (DESIGN.md §13): admission happens before the log and
   // before pending-request tracking, so to the protocol a shed message
@@ -161,12 +170,11 @@ void Cta::deliver_downlink(Msg msg) {
   if (obs::ProcTracer* tr = system_->tracer()) {
     const SimTime now = system_->loop().now();
     const SimTime queued = pool_.backlog();
-    const SimTime cost = system_->proto().cta_forward_cost;
     tr->hop(msg, obs::HopClass::kQueueing, "cta", region_, now, now + queued);
     tr->hop(msg, obs::HopClass::kService, "cta", region_, now + queued,
-            now + queued + cost);
+            now + queued + kForwardCost);
   }
-  pool_.submit(system_->proto().cta_forward_cost,
+  pool_.submit(kForwardCost,
                [this, msg = std::move(msg)]() mutable {
     if (msg.kind == MsgKind::kCheckpointAck) {
       handle_ack(msg);

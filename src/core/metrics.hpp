@@ -6,9 +6,10 @@
 // call site source-compatible. The registry also receives the labeled
 // extras the flat struct could never hold: per-procedure-type completion
 // counts, per-CPF crash/recovery counters, the PCT decomposition
-// histograms folded in by an attached obs::ProcTracer, and the
-// queue-depth / log-occupancy time series pushed by
-// System::sample_occupancy().
+// histograms folded in by an attached obs::ProcTracer, and the windowed
+// telemetry series System::sample_telemetry() records (DESIGN.md §15).
+// The Fig. 17 log peak is an exact watermark (cta_log_peak_bytes), not an
+// instrument.
 //
 // Metrics is movable (run_experiment moves it into ExperimentResult):
 // the references stay valid because registry instruments are std::map
@@ -87,9 +88,9 @@ struct Metrics {
   }
 
   /// Merge-on-join for sharded runs: fold one shard's metrics into this
-  /// (fresh) aggregate. Counters/histograms/series go via Registry::merge;
-  /// the named reference members pick the sums up automatically because
-  /// they alias this registry's map nodes.
+  /// (fresh) aggregate. Counters, histograms and windowed series go via
+  /// Registry::merge; the named reference members pick the sums up
+  /// automatically because they alias this registry's map nodes.
   void merge_from(const Metrics& other) {
     registry.merge(other.registry);
     for (std::size_t i = 0; i < kProcTypes; ++i) {

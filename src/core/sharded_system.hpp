@@ -169,7 +169,8 @@ class ShardedSystem {
   void enable_window_log(std::size_t max_windows = 2048) {
     runtime_.enable_window_log(max_windows);
   }
-  [[nodiscard]] const std::vector<Runtime::WindowRecord>& window_log() const {
+  [[nodiscard]] const std::vector<sim::parallel::WindowRecord>& window_log()
+      const {
     return runtime_.window_log();
   }
 

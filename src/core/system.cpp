@@ -10,6 +10,20 @@
 #include "obs/sampler.hpp"
 
 namespace neutrino::core {
+namespace {
+
+/// UE/BS emulator to the region's CTA, and the CTA and UPF links of a
+/// region (the paper's two directly-cabled DPDK servers: tens of
+/// microseconds end to end).
+constexpr SimTime kUeToCta = SimTime::microseconds(10);
+constexpr SimTime kCtaToCpf = SimTime::microseconds(5);
+constexpr SimTime kCpfToUpf = SimTime::microseconds(5);
+
+constexpr int kUpfCores = 4;
+/// UPF session-table operation.
+constexpr SimTime kUpfOpCost = SimTime::microseconds(2);
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Upf
@@ -19,18 +33,17 @@ Upf::Upf(System& system, UpfId id, std::uint32_t region)
     : system_(&system),
       id_(id),
       region_(region),
-      pool_(system.loop(), system.topo().upf_cores) {}
+      pool_(system.loop(), kUpfCores) {}
 
 void Upf::deliver(Msg msg) {
-  const SimTime cost = system_->proto().upf_op_cost;
   if (obs::ProcTracer* tr = system_->tracer()) {
     const SimTime now = system_->loop().now();
     const SimTime queued = pool_.backlog();
     tr->hop(msg, obs::HopClass::kQueueing, "upf", region_, now, now + queued);
     tr->hop(msg, obs::HopClass::kService, "upf", region_, now + queued,
-            now + queued + cost);
+            now + queued + kUpfOpCost);
   }
-  pool_.submit(cost,
+  pool_.submit(kUpfOpCost,
                [this, m = std::move(msg)]() mutable { handle(std::move(m)); });
 }
 
@@ -60,7 +73,7 @@ void Upf::handle(Msg msg) {
 }
 
 void Upf::notify_downlink(UeId ue) {
-  pool_.submit(system_->proto().upf_op_cost, [this, ue] {
+  pool_.submit(kUpfOpCost, [this, ue] {
     Msg ddn;
     ddn.kind = MsgKind::kDownlinkDataNotification;
     ddn.ue = ue;
@@ -172,8 +185,7 @@ void System::ue_to_cta(std::uint32_t region, Msg msg) {
   if (!owns_region(region)) [[unlikely]] {
     cross_shard_ue_link("UE->CTA", region);
   }
-  send(Dest::kCtaUplink, region, region, topo_.latency.ue_to_cta, "ue->cta",
-       std::move(msg));
+  send(Dest::kCtaUplink, region, region, kUeToCta, "ue->cta", std::move(msg));
 }
 
 void System::cta_to_ue(Msg msg) {
@@ -181,21 +193,19 @@ void System::cta_to_ue(Msg msg) {
   if (!owns_region(region)) [[unlikely]] {
     cross_shard_ue_link("CTA->UE", region);
   }
-  send(Dest::kUe, region, region, topo_.latency.ue_to_cta, "cta->ue",
-       std::move(msg));
+  send(Dest::kUe, region, region, kUeToCta, "cta->ue", std::move(msg));
 }
 
 void System::cta_to_cpf(std::uint32_t cta_region, CpfId cpf, Msg msg) {
   const std::uint32_t cpf_region = topo_.region_of_cpf(cpf);
   send(Dest::kCpf, cpf.value(), cpf_region,
-       link_latency(cta_region, cpf_region, topo_.latency.cta_to_cpf),
+       link_latency(cta_region, cpf_region, kCtaToCpf),
        "cta->cpf", std::move(msg));
 }
 
 void System::cpf_to_cta(CpfId from, std::uint32_t cta_region, Msg msg) {
   send(Dest::kCtaDownlink, cta_region, cta_region,
-       link_latency(topo_.region_of_cpf(from), cta_region,
-                    topo_.latency.cta_to_cpf),
+       link_latency(topo_.region_of_cpf(from), cta_region, kCtaToCpf),
        "cpf->cta", std::move(msg));
 }
 
@@ -208,21 +218,20 @@ void System::cpf_to_cpf(CpfId from, CpfId to, Msg msg) {
 
 void System::cpf_to_upf(CpfId from, std::uint32_t upf_region, Msg msg) {
   send(Dest::kUpf, upf_region, upf_region,
-       link_latency(topo_.region_of_cpf(from), upf_region,
-                    topo_.latency.cpf_to_upf),
+       link_latency(topo_.region_of_cpf(from), upf_region, kCpfToUpf),
        "cpf->upf", std::move(msg));
 }
 
 void System::upf_to_cpf(std::uint32_t upf_region, CpfId cpf, Msg msg) {
   const std::uint32_t cpf_region = topo_.region_of_cpf(cpf);
   send(Dest::kCpf, cpf.value(), cpf_region,
-       link_latency(upf_region, cpf_region, topo_.latency.cpf_to_upf),
+       link_latency(upf_region, cpf_region, kCpfToUpf),
        "upf->cpf", std::move(msg));
 }
 
 void System::upf_to_cta(std::uint32_t upf_region, Msg msg) {
-  send(Dest::kCtaUplink, upf_region, upf_region, topo_.latency.cpf_to_upf,
-       "upf->cta", std::move(msg));
+  send(Dest::kCtaUplink, upf_region, upf_region, kCpfToUpf, "upf->cta",
+       std::move(msg));
 }
 
 void System::trigger_downlink(UeId ue) {
@@ -466,48 +475,6 @@ void System::sample_log_sizes() {
   }
   metrics_->cta_log_peak_bytes =
       std::max(metrics_->cta_log_peak_bytes, total);
-  metrics_->registry.gauge("cta.log_peak_bytes")
-      .high_watermark(static_cast<double>(total));
-}
-
-void System::sample_occupancy() {
-  const SimTime now = loop_->now();
-  obs::Registry& reg = metrics_->registry;
-  for (std::size_t r = 0; r < ctas_.size(); ++r) {
-    // Shadow nodes carry no load; skipping them keeps each label series
-    // owned by exactly one shard, so Registry::merge concatenates cleanly.
-    if (!owns_region(static_cast<std::uint32_t>(r))) continue;
-    const obs::Labels labels{{"region", std::to_string(r)}};
-    reg.time_series("cta.log_bytes", labels)
-        .push(now, static_cast<double>(ctas_[r]->log_bytes()));
-    reg.time_series("cta.log_messages", labels)
-        .push(now, static_cast<double>(ctas_[r]->log_messages()));
-    const auto cta_occ = ctas_[r]->pool_occupancy();
-    reg.time_series("cta.pool_depth", labels)
-        .push(now, static_cast<double>(cta_occ.depth));
-    reg.histogram("cta.queue_depth", labels)
-        .add(static_cast<double>(cta_occ.depth));
-    reg.gauge("cta.queue_peak_depth", labels)
-        .high_watermark(static_cast<double>(ctas_[r]->pool_peak_depth()));
-  }
-  for (std::size_t c = 0; c < cpfs_.size(); ++c) {
-    if (!owns_region(cpfs_[c]->region())) continue;
-    const obs::Labels labels{{"cpf", std::to_string(c)}};
-    const auto req = cpfs_[c]->request_occupancy();
-    const auto sync = cpfs_[c]->sync_occupancy();
-    reg.time_series("cpf.request_depth", labels)
-        .push(now, static_cast<double>(req.depth));
-    reg.time_series("cpf.request_backlog_us", labels)
-        .push(now, static_cast<double>(req.backlog.ns()) / 1e3);
-    reg.time_series("cpf.sync_depth", labels)
-        .push(now, static_cast<double>(sync.depth));
-    reg.time_series("cpf.sync_backlog_us", labels)
-        .push(now, static_cast<double>(sync.backlog.ns()) / 1e3);
-    reg.histogram("cpf.request_queue_depth", labels)
-        .add(static_cast<double>(req.depth));
-    reg.gauge("cpf.request_queue_peak_depth", labels)
-        .high_watermark(static_cast<double>(cpfs_[c]->request_peak_depth()));
-  }
 }
 
 void System::arm_telemetry(SimTime window, SimTime until) {
@@ -601,7 +568,7 @@ void System::sample_telemetry() {
     const obs::Labels by_region{{"region", std::to_string(r)}};
     reg.windowed("ts.cta_queue_depth", window, obs::WindowAgg::kLast,
                  by_region)
-        .record(now, static_cast<double>(ctas_[r]->pool_occupancy().depth));
+        .record(now, static_cast<double>(ctas_[r]->pool_depth()));
     // Busy fraction of this window: service-time delta over core-time.
     const std::int64_t cta_busy = ctas_[r]->pool_busy_time().ns();
     const double cta_frac =
@@ -617,7 +584,7 @@ void System::sample_telemetry() {
     std::array<std::uint64_t, sim::kJobClasses> drops{};
     for (const auto& cpf : cpfs_) {
       if (cpf->region() != r) continue;
-      cpf_depth += cpf->request_occupancy().depth;
+      cpf_depth += cpf->request_depth();
       cpf_busy += cpf->request_busy_time().ns();
       cpf_core_ns += window.ns() * cpf->request_cores();
       for (std::size_t cls = 0; cls < sim::kJobClasses; ++cls) {

@@ -138,12 +138,12 @@ class Cpf {
     return store_.memory_bytes() + procs_.memory_bytes() +
            pending_handover_.memory_bytes();
   }
-  /// Instantaneous pool occupancy (System::sample_occupancy).
-  [[nodiscard]] sim::ServerPool::Occupancy request_occupancy() const {
-    return request_pool_.occupancy();
+  /// Jobs queued or in service on the request / sync core.
+  [[nodiscard]] std::size_t request_depth() const {
+    return request_pool_.queue_depth();
   }
-  [[nodiscard]] sim::ServerPool::Occupancy sync_occupancy() const {
-    return sync_pool_.occupancy();
+  [[nodiscard]] std::size_t sync_depth() const {
+    return sync_pool_.queue_depth();
   }
   /// Exact high-watermark of the request queue (overload reporting).
   [[nodiscard]] std::size_t request_peak_depth() const {
@@ -198,7 +198,11 @@ class Cpf {
   void handle_replication(Msg& msg);
 
   void complete_procedure(Msg& msg);
-  void park_pending_fetch(const Msg& original);
+  /// First live CPF of the UE's replica set in `region` other than this
+  /// one; id() when there is none.
+  [[nodiscard]] CpfId live_replica(UeId ue, std::uint32_t region) const;
+  /// §4.3 slow path: park `original` and ask `holder` for the UE's state.
+  void park_and_fetch(const Msg& original, CpfId holder);
   void send_checkpoint(UeId ue);
   void send_handoff_checkpoint(UeId ue, CpfId to, SimTime requested);
   [[nodiscard]] bool context_matches(const Msg& request) const;
@@ -264,9 +268,8 @@ class Cta {
   /// last_seq_logged, empty or fully-ACKed-but-unpruned procedure logs,
   /// and byte/message accounting that disagrees with a recount.
   void audit_log_invariants(std::vector<std::string>& out) const;
-  [[nodiscard]] sim::ServerPool::Occupancy pool_occupancy() const {
-    return pool_.occupancy();
-  }
+  /// Jobs queued or in service on the consumer pool.
+  [[nodiscard]] std::size_t pool_depth() const { return pool_.queue_depth(); }
   /// Exact high-watermark of the consumer pool (overload reporting).
   [[nodiscard]] std::size_t pool_peak_depth() const {
     return pool_.peak_depth();
@@ -628,14 +631,10 @@ class System {
   void restore_cpf(CpfId id);
   void crash_cta(std::uint32_t region);
 
-  /// Peak log usage across CTAs, folded into metrics.
-  void sample_log_sizes();
-
-  /// Push per-CTA log occupancy and per-CPF pool depth/backlog samples
-  /// into the metrics registry time series ("cta.log_bytes{region=..}",
-  /// "cpf.request_depth{cpf=..}", ...). Call from a bounded sampler
+  /// Total log bytes of the owned CTAs, folded into
+  /// Metrics::cta_log_peak_bytes (Fig. 17). Call from a bounded sampler
   /// (obs::PeriodicSampler); nothing is scheduled here.
-  void sample_occupancy();
+  void sample_log_sizes();
 
   /// Windowed telemetry (DESIGN.md §15): schedules a sample_telemetry()
   /// tick every `window` of sim-time up to `until` on this System's loop.

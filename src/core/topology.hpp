@@ -11,13 +11,13 @@
 
 namespace neutrino::core {
 
+/// CPF<->CPF within one region (the paper's two directly-cabled DPDK
+/// servers: tens of microseconds end to end). The UE, CTA and UPF links
+/// are constants of core/system.cpp.
+inline constexpr SimTime kIntraRegionLink = SimTime::microseconds(5);
+
+/// The links that cross region boundaries.
 struct LatencyConfig {
-  /// UE/BS emulator to the region's CTA (the paper's two directly-cabled
-  /// DPDK servers: tens of microseconds end to end).
-  SimTime ue_to_cta = SimTime::microseconds(10);
-  SimTime cta_to_cpf = SimTime::microseconds(5);
-  SimTime cpf_to_upf = SimTime::microseconds(5);
-  SimTime intra_region = SimTime::microseconds(5);   // CPF<->CPF, same region
   SimTime intra_l2 = SimTime::microseconds(400);     // across level-1 regions
   SimTime inter_l2 = SimTime::milliseconds(3);       // across level-2 regions
 };
@@ -26,10 +26,6 @@ struct TopologyConfig {
   int l2_regions = 1;
   int l1_per_l2 = 1;
   int cpfs_per_region = 5;  // the paper's five CPF instances
-  int cpf_request_cores = 1;  // §5: one core processing requests...
-  int cpf_sync_cores = 1;     // ...one for state synchronization
-  int cta_cores = 2;
-  int upf_cores = 4;
   LatencyConfig latency;
 
   [[nodiscard]] int total_regions() const { return l2_regions * l1_per_l2; }
@@ -50,7 +46,7 @@ struct TopologyConfig {
   /// CPF<->CPF (or CTA<->remote CPF) propagation latency by region pair.
   [[nodiscard]] SimTime cpf_link(std::uint32_t region_a,
                                  std::uint32_t region_b) const {
-    if (region_a == region_b) return latency.intra_region;
+    if (region_a == region_b) return kIntraRegionLink;
     if (l2_of(region_a) == l2_of(region_b)) return latency.intra_l2;
     return latency.inter_l2;
   }
@@ -63,12 +59,6 @@ struct ProtocolConfig {
   /// Failure detection time: excluded from PCT per §6.4 ("PCT does not
   /// include failure detection time"), so zero by default.
   SimTime failure_detection = SimTime::nanoseconds(0);
-  /// CTA per-message forwarding cost (DPDK ring + consistent-hash lookup).
-  SimTime cta_forward_cost = SimTime::nanoseconds(700);
-  /// CTA in-memory log append (std::map insert, §5).
-  SimTime cta_log_cost = SimTime::nanoseconds(250);
-  /// UPF session-table operation.
-  SimTime upf_op_cost = SimTime::microseconds(2);
   /// Inactivity window after which the CPF releases the UE's S1 context
   /// (connected -> idle). Drives SyncMode::kOnIdle checkpointing (§3.1's
   /// SCALE behaviour).

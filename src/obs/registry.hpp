@@ -1,10 +1,12 @@
 // Named, labeled metric instruments backing core::Metrics and the benches.
 //
-// The registry owns every instrument; handles returned from counter() /
-// gauge() / histogram() / time_series() are stable for the registry's
-// lifetime (std::map nodes never move), so hot paths look a metric up once
-// and keep the reference. Keys are `name` plus a sorted label set — the
-// same (name, labels) pair always yields the same instrument.
+// The registry owns every instrument: counters, histograms and windowed
+// series (obs/timeseries.hpp, the only time-indexed instrument). Handles
+// returned from counter() / histogram() / windowed() are stable for the
+// registry's lifetime (std::map nodes never move), so hot paths look a
+// metric up once and keep the reference. Keys are `name` plus a sorted
+// label set — the same (name, labels) pair always yields the same
+// instrument.
 //
 // Naming convention (see DESIGN.md §10): dotted lowercase path whose first
 // segment is the owning component — "core.procedures_completed",
@@ -60,40 +62,6 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Last-written scalar, with a convenience high-watermark update.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  /// Keep the maximum of the current and the offered value.
-  void high_watermark(double v) { value_ = value_ > v ? value_ : v; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Timestamped samples (queue depth, log occupancy) pushed by a sampler.
-class TimeSeries {
- public:
-  struct Point {
-    SimTime at;
-    double value = 0.0;
-  };
-
-  void push(SimTime at, double value) { points_.push_back({at, value}); }
-  [[nodiscard]] const std::vector<Point>& points() const { return points_; }
-  [[nodiscard]] bool empty() const { return points_.empty(); }
-  [[nodiscard]] double max() const {
-    double m = 0.0;
-    for (const Point& p : points_) m = p.value > m ? p.value : m;
-    return m;
-  }
-
- private:
-  std::vector<Point> points_;
-};
-
 /// Owns all instruments. Lookup creates on first use; instruments live as
 /// long as the registry (moving the registry moves map ownership, not the
 /// nodes, so outstanding references stay valid — core::Metrics relies on
@@ -103,14 +71,8 @@ class Registry {
   Counter& counter(std::string_view name, const Labels& labels = {}) {
     return counters_[key(name, labels)].instrument;
   }
-  Gauge& gauge(std::string_view name, const Labels& labels = {}) {
-    return gauges_[key(name, labels)].instrument;
-  }
   LatencyRecorder& histogram(std::string_view name, const Labels& labels = {}) {
     return histograms_[key(name, labels)].instrument;
-  }
-  TimeSeries& time_series(std::string_view name, const Labels& labels = {}) {
-    return series_[key(name, labels)].instrument;
   }
   /// Fixed-interval windowed series (DESIGN.md §15). `window`/`agg` apply
   /// on first use; later lookups must pass the same parameters.
@@ -130,10 +92,6 @@ class Registry {
       std::string_view name, const Labels& labels = {}) const {
     return find(histograms_, name, labels);
   }
-  [[nodiscard]] const TimeSeries* find_time_series(
-      std::string_view name, const Labels& labels = {}) const {
-    return find(series_, name, labels);
-  }
   [[nodiscard]] const WindowedSeries* find_windowed(
       std::string_view name, const Labels& labels = {}) const {
     return find(windowed_, name, labels);
@@ -146,16 +104,8 @@ class Registry {
     for (const auto& [k, cell] : counters_) f(k, cell.instrument);
   }
   template <class F>
-  void for_each_gauge(F&& f) const {
-    for (const auto& [k, cell] : gauges_) f(k, cell.instrument);
-  }
-  template <class F>
   void for_each_histogram(F&& f) const {
     for (const auto& [k, cell] : histograms_) f(k, cell.instrument);
-  }
-  template <class F>
-  void for_each_time_series(F&& f) const {
-    for (const auto& [k, cell] : series_) f(k, cell.instrument);
   }
   template <class F>
   void for_each_windowed(F&& f) const {
@@ -163,27 +113,14 @@ class Registry {
   }
 
   /// Fold another registry in (per-shard instruments joining at the end
-  /// of a sharded run): counters add, gauges keep the high watermark,
-  /// histograms merge distributions, time series concatenate, windowed
-  /// series combine same-index buckets by their aggregation kind. Each
-  /// label set is owned by exactly one shard (System::sample_occupancy
-  /// and sample_telemetry skip shadow nodes), so concatenation preserves
-  /// per-series time order.
+  /// of a sharded run): counters add, histograms merge distributions,
+  /// windowed series combine same-index buckets by their aggregation kind.
   void merge(const Registry& other) {
     for (const auto& [k, cell] : other.counters_) {
       counters_[k].instrument += cell.instrument.value();
     }
-    for (const auto& [k, cell] : other.gauges_) {
-      gauges_[k].instrument.high_watermark(cell.instrument.value());
-    }
     for (const auto& [k, cell] : other.histograms_) {
       histograms_[k].instrument.merge(cell.instrument);
-    }
-    for (const auto& [k, cell] : other.series_) {
-      TimeSeries& dst = series_[k].instrument;
-      for (const TimeSeries::Point& p : cell.instrument.points()) {
-        dst.push(p.at, p.value);
-      }
     }
     for (const auto& [k, cell] : other.windowed_) {
       windowed_[k].instrument.merge(cell.instrument);
@@ -222,9 +159,7 @@ class Registry {
   }
 
   std::map<std::string, Cell<Counter>> counters_;
-  std::map<std::string, Cell<Gauge>> gauges_;
   std::map<std::string, Cell<LatencyRecorder>> histograms_;
-  std::map<std::string, Cell<TimeSeries>> series_;
   std::map<std::string, Cell<WindowedSeries>> windowed_;
 };
 

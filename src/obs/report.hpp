@@ -1,6 +1,9 @@
 // JSON fragments shared by the structured exporter: recorder summaries,
-// registry dumps, and the versioned bench-report envelope (schema
-// documented in DESIGN.md §10).
+// the counter dump, the windowed series, and the versioned bench-report
+// envelope (schema documented in DESIGN.md §9). Time-indexed data reaches
+// a report only as windowed series (the "timeseries" section). Version 1's
+// optional "gauges" and "time_series" row sections are no longer written;
+// no reader required them, so dropping them keeps version 7.
 #pragma once
 
 #include <string_view>
@@ -66,40 +69,6 @@ inline Json counters_json(const Registry& reg) {
   j.make_object();
   reg.for_each_counter([&j](const std::string& key, const Counter& c) {
     j[key] = c.value();
-  });
-  return j;
-}
-
-/// All gauges as a flat {key: value} object.
-inline Json gauges_json(const Registry& reg) {
-  Json j;
-  j.make_object();
-  reg.for_each_gauge(
-      [&j](const std::string& key, const Gauge& g) { j[key] = g.value(); });
-  return j;
-}
-
-/// Time series as {key: {max, n, points: [[t_ms, v], ...]}}, downsampled
-/// to at most `max_points` evenly spaced samples per series.
-inline Json time_series_json(const Registry& reg,
-                             std::size_t max_points = 256) {
-  Json j;
-  j.make_object();
-  reg.for_each_time_series([&](const std::string& key, const TimeSeries& ts) {
-    Json& entry = j[key];
-    entry["n"] = ts.points().size();
-    entry["max"] = ts.max();
-    Json& pts = entry["points"];
-    pts.make_array();
-    const std::size_t n = ts.points().size();
-    const std::size_t stride = n > max_points ? (n + max_points - 1) / max_points : 1;
-    for (std::size_t i = 0; i < n; i += stride) {
-      const TimeSeries::Point& p = ts.points()[i];
-      Json pair;
-      pair.push_back(p.at.ms());
-      pair.push_back(p.value);
-      pts.push_back(std::move(pair));
-    }
   });
   return j;
 }

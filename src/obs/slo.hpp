@@ -13,9 +13,10 @@
 // standard SRE multi-window burn-rate formulation, applied to sim-time
 // windows so it is deterministic and mergeable across shards.
 //
-// All state is keyed by sim-time and procedure index: byte-identical
-// across worker-thread counts, merged on join like every other windowed
-// instrument (DESIGN.md §15).
+// Totals are kept per procedure; the per-window counts are two kSum
+// WindowedSeries per procedure (completions and p99 violations), so they
+// bucket and merge on join exactly like every other windowed instrument:
+// byte-identical across worker-thread counts (DESIGN.md §15).
 #pragma once
 
 #include <array>
@@ -49,8 +50,11 @@ class SloTracker {
   /// type index (core::ProcedureType); `name` labels the report section.
   void set_target(std::size_t index, std::string name, SloTarget target) {
     if (index >= procs_.size()) procs_.resize(index + 1);
-    procs_[index].name = std::move(name);
-    procs_[index].target = target;
+    Proc& p = procs_[index];
+    p.name = std::move(name);
+    p.target = target;
+    p.completions.configure(window_, WindowAgg::kSum);
+    p.p99_violations.configure(window_, WindowAgg::kSum);
   }
 
   [[nodiscard]] SimTime window() const { return window_; }
@@ -60,21 +64,15 @@ class SloTracker {
     if (index >= procs_.size()) return;
     Proc& p = procs_[index];
     if (!p.target.enabled()) return;
-    const std::int64_t idx = at.ns() / window_.ns();
-    if (p.windows.empty() || p.windows.back().index != idx) {
-      p.windows.push_back({idx, {}, {}});
-    }
-    Window& w = p.windows.back();
-    ++w.count;
     ++p.count;
     const std::array<double, kQuantiles> bounds{
         p.target.p50_ms, p.target.p95_ms, p.target.p99_ms};
     for (std::size_t q = 0; q < kQuantiles; ++q) {
-      if (pct_ms > bounds[q]) {
-        ++w.violations[q];
-        ++p.violations[q];
-      }
+      if (pct_ms > bounds[q]) ++p.violations[q];
     }
+    // Both series record every completion, so their buckets share indices.
+    p.completions.record(at, 1.0);
+    p.p99_violations.record(at, pct_ms > p.target.p99_ms ? 1.0 : 0.0);
   }
 
   /// Merge another shard's tracker (same window, same target table).
@@ -92,29 +90,8 @@ class SloTracker {
       for (std::size_t q = 0; q < kQuantiles; ++q) {
         dst.violations[q] += src.violations[q];
       }
-      // Two sorted-by-index window lists merge like WindowedSeries.
-      std::vector<Window> merged;
-      merged.reserve(dst.windows.size() + src.windows.size());
-      std::size_t a = 0;
-      std::size_t b = 0;
-      while (a < dst.windows.size() && b < src.windows.size()) {
-        if (dst.windows[a].index < src.windows[b].index) {
-          merged.push_back(dst.windows[a++]);
-        } else if (src.windows[b].index < dst.windows[a].index) {
-          merged.push_back(src.windows[b++]);
-        } else {
-          Window w = dst.windows[a++];
-          const Window& o = src.windows[b++];
-          w.count += o.count;
-          for (std::size_t q = 0; q < kQuantiles; ++q) {
-            w.violations[q] += o.violations[q];
-          }
-          merged.push_back(w);
-        }
-      }
-      while (a < dst.windows.size()) merged.push_back(dst.windows[a++]);
-      while (b < src.windows.size()) merged.push_back(src.windows[b++]);
-      dst.windows = std::move(merged);
+      dst.completions.merge(src.completions);
+      dst.p99_violations.merge(src.p99_violations);
     }
   }
 
@@ -152,14 +129,17 @@ class SloTracker {
       }
       Json& windows = entry["windows"];
       windows.make_array();
-      for (const Window& w : p.windows) {
+      const auto& counts = p.completions.buckets();
+      const auto& violations = p.p99_violations.buckets();
+      assert(counts.size() == violations.size());
+      for (std::size_t w = 0; w < counts.size(); ++w) {
+        const auto count = static_cast<std::uint64_t>(counts[w].value);
+        const auto violated = static_cast<std::uint64_t>(violations[w].value);
         Json row;
-        row.push_back(
-            SimTime::nanoseconds(w.index * window_.ns()).ms());
-        row.push_back(w.count);
-        row.push_back(w.violations[kQuantiles - 1]);
-        row.push_back(burn_rate(w.violations[kQuantiles - 1], w.count,
-                                kQ[kQuantiles - 1]));
+        row.push_back(p.completions.bucket_start(counts[w]).ms());
+        row.push_back(count);
+        row.push_back(violated);
+        row.push_back(burn_rate(violated, count, kQ[kQuantiles - 1]));
         windows.push_back(std::move(row));
       }
     }
@@ -174,17 +154,14 @@ class SloTracker {
   }
 
  private:
-  struct Window {
-    std::int64_t index = 0;
-    std::uint64_t count = 0;
-    std::array<std::uint64_t, kQuantiles> violations{};
-  };
   struct Proc {
     std::string name;
     SloTarget target;
     std::uint64_t count = 0;
     std::array<std::uint64_t, kQuantiles> violations{};
-    std::vector<Window> windows;  ///< sorted by index
+    /// Per window: completions, and how many of them exceeded p99.
+    WindowedSeries completions;
+    WindowedSeries p99_violations;
   };
 
   SimTime window_;

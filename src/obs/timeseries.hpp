@@ -1,12 +1,13 @@
 // Fixed-interval sim-time windowed series (DESIGN.md §15).
 //
 // A WindowedSeries buckets recordings into consecutive windows of a fixed
-// sim-time width: bucket index = at.ns() / window.ns(). Unlike the raw
-// TimeSeries (arbitrary timestamped points), windowed series from
-// different shards can be *merged deterministically*: two buckets with
-// the same index combine by the series' aggregation kind, so the merged
-// result is a pure function of sim-time data — byte-identical across
-// worker-thread counts and across runs.
+// sim-time width: bucket index = at.ns() / window.ns(). It is the only
+// time-indexed instrument (the registry's telemetry series, the SLO
+// tracker's per-window counts). Series from different shards *merge
+// deterministically*: two buckets with the same index combine by the
+// series' aggregation kind, so the merged result is a pure function of
+// sim-time data — byte-identical across worker-thread counts and across
+// runs.
 //
 // Aggregation kinds:
 //   kSum  — per-window deltas (sheds, retransmissions, events executed,

@@ -24,17 +24,9 @@
 #include "common/clock.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "sim/parallel/runtime.hpp"
 
 namespace neutrino::obs {
-
-/// One conservative window as logged by the sharded runtime: bounds,
-/// cross-shard messages drained at its barrier, per-shard events executed.
-struct ShardWindowRecord {
-  SimTime start;
-  SimTime end;
-  std::uint64_t cross_messages = 0;
-  std::vector<std::uint64_t> executed;  ///< per shard, this window
-};
 
 namespace detail {
 
@@ -72,9 +64,10 @@ inline Json complete_event(int pid, int tid, std::string name,
 /// first, then retained failed spans not already included) and, when a
 /// sharded run logged them, per-shard window tracks. Either input may be
 /// empty; the result is always a well-formed trace.
-inline Json perfetto_trace(const ProcTracer* tracer,
-                           const std::vector<ShardWindowRecord>& windows = {},
-                           std::size_t max_spans = 64) {
+inline Json perfetto_trace(
+    const ProcTracer* tracer,
+    const std::vector<sim::parallel::WindowRecord>& windows = {},
+    std::size_t max_spans = 64) {
   Json doc;
   doc["displayTimeUnit"] = "ms";
   Json& events = doc["traceEvents"];
@@ -142,7 +135,7 @@ inline Json perfetto_trace(const ProcTracer* tracer,
                                           "shard " + std::to_string(sh)));
     }
     std::uint64_t n = 0;
-    for (const ShardWindowRecord& w : windows) {
+    for (const sim::parallel::WindowRecord& w : windows) {
       ++n;
       for (std::size_t sh = 0; sh < shards && sh < w.executed.size(); ++sh) {
         if (w.executed[sh] == 0) continue;  // shard idle this window

@@ -73,6 +73,18 @@
 
 namespace neutrino::sim::parallel {
 
+/// One conservative window (sim-time bounds, cross-shard traffic, and
+/// per-shard events executed). Deterministic — derived purely from sim
+/// state — so it is safe to export (the Perfetto shard tracks in
+/// obs/trace_export.hpp) and to compare across thread counts. Collected
+/// only after ShardedRuntime::enable_window_log().
+struct WindowRecord {
+  SimTime start;
+  SimTime end;
+  std::uint64_t cross_messages = 0;     ///< drained at this boundary
+  std::vector<std::uint64_t> executed;  ///< per-shard events this window
+};
+
 template <class Payload>
 class ShardedRuntime {
  public:
@@ -91,18 +103,6 @@ class ShardedRuntime {
     std::uint64_t cross_messages = 0;   ///< envelopes drained at barriers
     /// Shard-windows skipped entirely (no event before the window end).
     std::uint64_t dispatches_skipped = 0;
-  };
-
-  /// One conservative window (sim-time bounds, cross-shard traffic, and
-  /// per-shard events executed). Deterministic — derived purely from sim
-  /// state — so it is safe to export (the Perfetto shard tracks in
-  /// obs/trace_export.hpp) and to compare across thread counts. Collected
-  /// only after enable_window_log().
-  struct WindowRecord {
-    SimTime start;
-    SimTime end;
-    std::uint64_t cross_messages = 0;       ///< drained at this boundary
-    std::vector<std::uint64_t> executed;    ///< per-shard events this window
   };
 
   explicit ShardedRuntime(const Config& config)

@@ -130,13 +130,6 @@ class ServerPool {
     return total;
   }
 
-  /// Snapshot for occupancy samplers (obs time series).
-  struct Occupancy {
-    std::size_t depth = 0;  // jobs queued or in service
-    SimTime backlog;        // delay a new arrival would see
-  };
-  [[nodiscard]] Occupancy occupancy() const { return {inflight_, backlog()}; }
-
   /// Drop all queued work, destroying its callbacks and what they own (a
   /// queued message), and invalidate in-flight completions (crash).
   /// Capacity limits and drop/peak statistics survive — only the work

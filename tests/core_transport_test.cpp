@@ -153,7 +153,7 @@ TEST(Transport, CpfCrashFreesTheSnapshotsItsQueuedMessagesHeld) {
   Cpf& cpf = n.system.cpf(kFarCpf);
   constexpr std::uint32_t kJobs = 4;
   for (std::uint32_t i = 0; i < kJobs; ++i) cpf.deliver(checkpoint);
-  ASSERT_EQ(cpf.sync_occupancy().depth, std::size_t{kJobs});
+  ASSERT_EQ(cpf.sync_depth(), std::size_t{kJobs});
   const std::uint32_t held = checkpoint.state.use_count();
   EXPECT_EQ(held, 1 + kJobs);
   n.system.crash_cpf(kFarCpf);

@@ -216,6 +216,60 @@ TEST(SloTracker, RecordsViolationsPerWindow) {
   EXPECT_NE(merged.find("\"p99\":50"), std::string::npos);  // burn (%.9g)
 }
 
+TEST(SloTracker, ShardTrackersMergeToTheOneTrackerReport) {
+  // The same completions split over two shard trackers: window 0 is only
+  // a's, windows 2 and 7 are only b's, windows 1 and 5 are shared, and
+  // the two interleave in time. Index 1 has no target and is ignored.
+  struct Completion {
+    std::int64_t at_ms;
+    std::size_t index;
+    double pct_ms;
+    bool on_a;
+  };
+  const std::vector<Completion> completions{
+      {1, 0, 0.5, true},   {12, 0, 5.0, true},  {13, 2, 7.0, true},
+      {15, 0, 4.0, false}, {22, 0, 9.0, false}, {24, 2, 1.0, false},
+      {35, 0, 3.0, true},  {51, 0, 4.5, true},  {52, 1, 9.0, true},
+      {58, 0, 0.1, false}, {71, 0, 6.0, false}, {72, 2, 2.0, false}};
+  const auto tracker = [] {
+    obs::SloTracker t(kWin);
+    t.set_target(0, "attach", {1.0, 2.0, 4.0});
+    t.set_target(2, "handover", {1.5, 3.0, 6.0});
+    return t;
+  };
+  obs::SloTracker one = tracker();
+  obs::SloTracker a = tracker();
+  obs::SloTracker b = tracker();
+  for (const Completion& c : completions) {
+    one.record(ms(c.at_ms), c.index, c.pct_ms);
+    (c.on_a ? a : b).record(ms(c.at_ms), c.index, c.pct_ms);
+  }
+  // What one tracker fed every completion reports, byte for byte as the
+  // tracker with hand-merged windows wrote it: counts are integers.
+  const std::string want =
+      R"({"window_ms":10,"procs":{"attach":{"targets_ms":{"p50":1,"p95":2,)"
+      R"("p99":4},"count":8,"violations":{"p50":6,"p95":6,"p99":4},)"
+      R"("burn":{"p50":1.5,"p95":15,"p99":50},"windows":[[0,1,0,0],)"
+      R"([10,2,1,50],[20,1,1,100],[30,1,0,0],[50,2,1,50],[70,1,1,100]]},)"
+      R"("handover":{"targets_ms":{"p50":1.5,"p95":3,"p99":6},"count":3,)"
+      R"("violations":{"p50":2,"p95":1,"p99":1},"burn":{"p50":1.33333333,)"
+      R"("p95":6.66666667,"p99":33.3333333},"windows":[[10,1,1,100],)"
+      R"([20,1,0,0],[70,1,0,0]]}}})";
+  EXPECT_EQ(one.json().dump(0), want);
+
+  obs::SloTracker ab = a;
+  ab.merge(b);
+  EXPECT_EQ(ab.json().dump(0), want);
+  obs::SloTracker ba = b;
+  ba.merge(a);
+  EXPECT_EQ(ba.json().dump(0), want);
+  // Metrics::merge_from folds every shard into a tracker with no targets.
+  obs::SloTracker joined(kWin);
+  joined.merge(a);
+  joined.merge(b);
+  EXPECT_EQ(joined.json().dump(0), want);
+}
+
 // ---------------------------------------------------------------------------
 // PhaseProfiler
 // ---------------------------------------------------------------------------
@@ -256,7 +310,7 @@ TEST(PhaseProfiler, NullScopeIsANoop) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceExport, ShardWindowsProduceWellFormedTrace) {
-  std::vector<obs::ShardWindowRecord> windows;
+  std::vector<sim::parallel::WindowRecord> windows;
   windows.push_back({ms(0), ms(1), 0, {10, 0}});   // shard 1 idle: skipped
   windows.push_back({ms(1), ms(2), 5, {7, 3}});
 

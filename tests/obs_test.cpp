@@ -87,17 +87,6 @@ TEST(Registry, ReferencesSurviveRegistryMove) {
   EXPECT_EQ(moved.find_counter("stable")->value(), 1u);
 }
 
-TEST(Registry, GaugeHighWatermarkAndTimeSeries) {
-  obs::Registry reg;
-  reg.gauge("g").high_watermark(5);
-  reg.gauge("g").high_watermark(3);  // lower value must not win
-  EXPECT_EQ(reg.gauge("g").value(), 5.0);
-  reg.time_series("t").push(SimTime::milliseconds(1), 7.0);
-  reg.time_series("t").push(SimTime::milliseconds(2), 4.0);
-  EXPECT_EQ(reg.time_series("t").points().size(), 2u);
-  EXPECT_EQ(reg.time_series("t").max(), 7.0);
-}
-
 TEST(Registry, VisitorsIterateInKeyOrder) {
   obs::Registry reg;
   reg.counter("b");
@@ -132,11 +121,11 @@ TEST(ServerPoolOccupancy, TracksDepthAndBacklog) {
   pool.submit(SimTime::microseconds(10), [&] { ++done; });
   pool.submit(SimTime::microseconds(10), [&] { ++done; });
   EXPECT_EQ(pool.queue_depth(), 2u);
-  EXPECT_EQ(pool.occupancy().backlog, SimTime::microseconds(20));
+  EXPECT_EQ(pool.backlog(), SimTime::microseconds(20));
   loop.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(pool.queue_depth(), 0u);
-  EXPECT_EQ(pool.occupancy().backlog, SimTime{});
+  EXPECT_EQ(pool.backlog(), SimTime{});
 }
 
 TEST(ServerPoolOccupancy, ResetDropsInflight) {

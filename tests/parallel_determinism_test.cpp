@@ -175,8 +175,14 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   }
   sys.run_until(kHorizon);
 
-  ShardRun run{sys.merged_metrics(), {}, sys.stats().windows,
-          sys.stats().cross_messages, sys.events_executed()};
+  ShardRun run{.metrics = sys.merged_metrics(),
+               .dumps = {},
+               .windows = sys.stats().windows,
+               .cross_messages = sys.stats().cross_messages,
+               .events = sys.events_executed(),
+               .telemetry_json = {},
+               .slo_json = {},
+               .flight_json = {}};
   for (auto& tracer : tracers) {
     run.dumps.push_back(tracer->dump_json().dump(0));
   }

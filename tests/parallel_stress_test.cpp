@@ -92,7 +92,7 @@ StressRun run_stress(std::size_t threads) {
                  rt.loop(dst).schedule_at(
                      arrival, [&on_event, dst, m] { on_event(dst, m); });
                });
-  for (const Runtime::WindowRecord& w : rt.window_log()) {
+  for (const WindowRecord& w : rt.window_log()) {
     run.windows_log.emplace_back(w.start.ns(), w.end.ns(), w.cross_messages,
                                  w.executed);
   }

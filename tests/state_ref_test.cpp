@@ -1,8 +1,9 @@
 // core::StateRef, the 8-byte handle every replica and replication message
 // holds a UE state snapshot by (core/ue_state.hpp): handle semantics, the
 // box's lifetime (a counting operator new, as in sim_core_test), and
-// copy-on-write at the CPF. The record sizes are pinned by static_asserts
-// beside their types.
+// copy-on-write at the CPF: a shared snapshot is cloned before a write,
+// an unshared one is written in place. The record sizes are pinned by
+// static_asserts beside their types.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,6 +220,55 @@ TEST(StateRef, CheckpointKeepsItsSnapshotAcrossThePrimarysNextWrite) {
   EXPECT_EQ(ckpt.state->serving_region, before.serving_region);
   EXPECT_EQ(ckpt.state->session_active, before.session_active);
   EXPECT_EQ(ckpt.proc_seq, ckpt.state->last_completed_proc);
+}
+
+TEST(StateRef, UnsharedSnapshotIsWrittenInPlace) {
+  // Two regions on two shards again: UE 8 homes in region 0 (8 mod 2)
+  // and its backups sit in region 1, so its checkpoints land in the sink.
+  sim::EventLoop loop;
+  FixedCostModel costs;
+  Metrics metrics;
+  RecordingSink sink;
+  System system(loop, neutrino_policy(),
+                TopologyConfig{.l1_per_l2 = 2, .latency = {}},
+                ProtocolConfig{}, costs, metrics, ShardSpec{0, 2, &sink});
+  const UeId ue{8};
+  const CpfId primary = system.primary_cpf_for(ue, 0);
+  const auto checkpoint = [&sink] {
+    return std::find_if(
+        sink.posts.begin(), sink.posts.end(), [](const auto& post) {
+          return std::get<2>(post).msg.kind == MsgKind::kStateCheckpoint;
+        });
+  };
+
+  // The attach request creates the snapshot; nothing else holds it until
+  // the checkpoint leaves, so both of the attach's writes (session
+  // created, attach complete) land in that same box.
+  system.frontend().start_procedure(ue, ProcedureType::kAttach);
+  const UeState* box = nullptr;
+  while (checkpoint() == sink.posts.end()) {
+    ASSERT_FALSE(loop.empty());
+    loop.run_until(loop.next_time());
+    const UeState* now = system.cpf(primary).peek_state(ue);
+    if (box == nullptr) box = now;
+    ASSERT_EQ(now, box) << "an unshared snapshot was cloned";
+  }
+  ASSERT_NE(box, nullptr);
+  EXPECT_TRUE(box->attached);
+  EXPECT_TRUE(box->session_active);
+  const Msg ckpt = std::get<2>(*checkpoint()).msg;
+  EXPECT_EQ(ckpt.state.get(), box);
+  ASSERT_GE(ckpt.state.use_count(), 2u);
+
+  // The checkpoint shares the box, so the next write clones it.
+  system.frontend().start_procedure(ue, ProcedureType::kServiceRequest);
+  loop.run_until(loop.now() + SimTime::milliseconds(50));
+  ASSERT_EQ(metrics.procedures_completed, 2u);
+  const UeState* now = system.cpf(primary).peek_state(ue);
+  ASSERT_NE(now, nullptr);
+  EXPECT_NE(now, box);
+  EXPECT_EQ(now->last_completed_proc, ckpt.proc_seq + 1);
+  EXPECT_EQ(ckpt.state->last_completed_proc, ckpt.proc_seq);
 }
 
 }  // namespace
