@@ -125,11 +125,11 @@ struct ExperimentConfig {
   /// Run this long past the last scheduled arrival.
   SimTime drain = SimTime::seconds(30);
   /// Attach a decomposition tracer for the run: every completed
-  /// procedure's latency is split by hop class into the result registry's
-  /// "core.pct_decomp_ms{component=..,proc=..}" histograms (components
-  /// tile the PCT exactly; "total" is recorded alongside). Off by
-  /// default — tracing then costs one null test per hop site. A tracer
-  /// is single-threaded, so it attaches to one-shard runs only.
+  /// procedure's latency is split by hop class into the tracer's
+  /// per-procedure table (components tile the PCT exactly; the total is
+  /// recorded alongside), which the row's "decomposition_ms" reports. Off
+  /// by default — tracing then costs one null test per hop site. A
+  /// tracer is single-threaded, so it attaches to one-shard runs only.
   bool trace_decomposition = false;
   /// Constant-memory PCT accounting (streaming mean/max, no retained
   /// samples) for storm-scale runs; percentile queries are then invalid.
@@ -185,8 +185,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     tc.record_events = cfg.record_trace_events;
     tc.keep_slowest = cfg.record_trace_events ? 16 : 8;
     tc.keep_failed = cfg.record_trace_events ? 16 : 0;
-    tracer = std::make_unique<obs::ProcTracer>(
-        tc, cfg.trace_decomposition ? &sys.metrics(0).registry : nullptr);
+    tc.decompose = cfg.trace_decomposition;
+    tracer = std::make_unique<obs::ProcTracer>(tc);
     sys.attach_tracer(0, *tracer);
   }
   if (cfg.record_trace_events) sys.enable_window_log();
@@ -259,6 +259,29 @@ inline void print_header(const char* figure, const char* title,
   std::printf("# paper: %s\n", paper_claim);
 }
 
+/// Write `text` to `path`, replacing the file; false when it cannot be
+/// written (each caller reports that in its own words).
+inline bool write_file(const std::string& path, std::string_view text) {
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const std::size_t wrote = std::fwrite(text.data(), 1, text.size(), f);
+  return std::fclose(f) == 0 && wrote == text.size();
+}
+
+/// A finished JSON report to stdout, or to `path` when one is given
+/// ("# report: PATH" on stdout). A path that cannot be written prints
+/// "cannot write report" and leaves the exit code to the run.
+inline void emit_report(const obs::Json& doc, const std::string& path) {
+  const std::string out = doc.dump(2);
+  if (path.empty()) {
+    std::printf("%s", out.c_str());
+  } else if (write_file(path, out)) {
+    std::printf("# report: %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "cannot write report to %s\n", path.c_str());
+  }
+}
+
 /// Serialize a Perfetto trace document to `path` (see obs/trace_export.hpp;
 /// load at https://ui.perfetto.dev). When `profiler` is non-null the
 /// serialization cost is attributed to its kCodec phase (lane 0).
@@ -270,13 +293,10 @@ inline bool write_trace_file(const std::string& path, const obs::Json& trace,
         obs::PhaseProfiler::scoped(profiler, 0, obs::Phase::kCodec);
     out = trace.dump(1);
   }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  if (!write_file(path, out)) {
     std::fprintf(stderr, "cannot write trace to %s\n", path.c_str());
     return false;
   }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
   std::printf("# trace: %s\n", path.c_str());
   return true;
 }
@@ -535,8 +555,10 @@ class Report {
     row["heap_in_use_bytes"] =
         static_cast<std::uint64_t>(result.heap_in_use_bytes);
     row["counters"] = obs::counters_json(reg);
-    obs::Json decomp = decomposition_json(reg);
-    if (!decomp.is_null()) row["decomposition_ms"] = std::move(decomp);
+    if (result.tracer) {
+      obs::Json decomp = decomposition_json(*result.tracer);
+      if (!decomp.is_null()) row["decomposition_ms"] = std::move(decomp);
+    }
     // Schema v3 telemetry sections — present only when the run armed them.
     obs::Json windowed = obs::windowed_series_json(reg);
     if (windowed["series"].size() > 0) row["timeseries"] = std::move(windowed);
@@ -564,35 +586,32 @@ class Report {
     row["profiler"] = p.json();
   }
 
-  /// Regroup the "core.pct_decomp_ms{component=..,proc=..}" histograms as
-  /// {proc: {component: {mean, p50, ...}}}; null when no tracer ran.
-  static obs::Json decomposition_json(const obs::Registry& reg) {
-    obs::Json decomp;
-    constexpr std::string_view kPrefix = "core.pct_decomp_ms{";
-    reg.for_each_histogram([&](const std::string& key,
-                               const LatencyRecorder& h) {
-      if (key.rfind(kPrefix, 0) != 0 || key.back() != '}') return;
-      // Parse "component=X,proc=Y" (labels are sorted in the key).
-      std::string_view labels{key};
-      labels.remove_prefix(kPrefix.size());
-      labels.remove_suffix(1);
-      std::string component, proc;
-      while (!labels.empty()) {
-        const std::size_t comma = labels.find(',');
-        const std::string_view pair = labels.substr(0, comma);
-        const std::size_t eq = pair.find('=');
-        if (eq != std::string_view::npos) {
-          const std::string_view k = pair.substr(0, eq);
-          const std::string_view v = pair.substr(eq + 1);
-          if (k == "component") component = std::string{v};
-          if (k == "proc") proc = std::string{v};
-        }
-        if (comma == std::string_view::npos) break;
-        labels.remove_prefix(comma + 1);
+  /// The tracer's decomposition as {proc: {component: {count, mean, ...}}}
+  /// over the procedure types with a folded span, procs and components
+  /// (the hop classes and "total") each in name order; null when none.
+  static obs::Json decomposition_json(const obs::ProcTracer& tracer) {
+    std::vector<std::pair<std::string_view, core::ProcedureType>> procs;
+    for (std::size_t t = 0; t < core::kProcTypes; ++t) {
+      const auto type = static_cast<core::ProcedureType>(t);
+      if (!tracer.decomposition(type).total.empty()) {
+        procs.emplace_back(core::to_string(type), type);
       }
-      if (component.empty() || proc.empty()) return;
-      decomp[proc][component] = obs::summary_json(h);
-    });
+    }
+    std::sort(procs.begin(), procs.end());
+    obs::Json decomp;
+    for (const auto& [proc, type] : procs) {
+      const obs::Decomposition& d = tracer.decomposition(type);
+      std::vector<std::pair<std::string_view, const LatencyRecorder*>> parts{
+          {"total", &d.total}};
+      for (std::size_t c = 0; c < obs::kHopClasses; ++c) {
+        parts.emplace_back(to_string(static_cast<obs::HopClass>(c)),
+                           &d.component[c]);
+      }
+      std::sort(parts.begin(), parts.end());
+      for (const auto& [name, recorder] : parts) {
+        decomp[proc][name] = obs::summary_json(*recorder);
+      }
+    }
     return decomp;
   }
 
@@ -603,19 +622,7 @@ class Report {
     if (detail::costs_measured) {
       config()["cost_model"] = cost_model_json(measured_costs());
     }
-    const std::string out = doc_.dump(2);
-    if (opts_.report_path.empty()) {
-      std::printf("%s", out.c_str());
-      return;
-    }
-    if (FILE* f = std::fopen(opts_.report_path.c_str(), "w")) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      std::printf("# report: %s\n", opts_.report_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write report to %s\n",
-                   opts_.report_path.c_str());
-    }
+    emit_report(doc_, opts_.report_path);
   }
 
  private:

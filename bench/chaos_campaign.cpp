@@ -124,13 +124,10 @@ std::string dump_artifact(const chaos::ScheduleArtifact& art,
                           const std::string& dir, const char* tag) {
   std::string path = dir + "/chaos_repro_" + tag + "_seed" +
                      std::to_string(art.schedule.seed) + ".json";
-  std::ofstream out(path);
-  if (!out) {
+  if (!bench::write_file(path, chaos::to_json(art).dump(2))) {
     std::fprintf(stderr, "chaos: cannot write reproducer to %s\n",
                  path.c_str());
-    return path;
   }
-  out << chaos::to_json(art).dump(2);
   return path;
 }
 
@@ -150,13 +147,10 @@ std::string write_flight_dump(const chaos::Schedule& s, chaos::RunConfig rc,
     path.resize(path.size() - suffix.size());
   }
   path += ".flight.json";
-  std::ofstream f(path);
-  if (!f) {
+  if (!bench::write_file(path, out.flight_json)) {
     std::fprintf(stderr, "chaos: cannot write flight dump to %s\n",
                  path.c_str());
-    return path;
   }
-  f << out.flight_json;
   return path;
 }
 
@@ -491,17 +485,7 @@ int main(int argc, char** argv) {
     if (!f.flight.empty()) row["flight"] = f.flight;
     if (!f.first.empty()) row["first_violation"] = f.first;
   }
-  const std::string out = doc.dump(2);
-  if (opts.report_path.empty()) {
-    std::printf("%s", out.c_str());
-  } else if (FILE* fp = std::fopen(opts.report_path.c_str(), "w")) {
-    std::fwrite(out.data(), 1, out.size(), fp);
-    std::fclose(fp);
-    std::printf("# report: %s\n", opts.report_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write report to %s\n",
-                 opts.report_path.c_str());
-  }
+  bench::emit_report(doc, opts.report_path);
 
   if (!failures.empty() || mismatches != 0) {
     std::fprintf(

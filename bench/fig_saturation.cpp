@@ -22,35 +22,12 @@
 #include <optional>
 
 #include "bench_util.hpp"
+#include "knee_probe.hpp"
 #include "obs/throughput.hpp"
 
 using namespace neutrino;
 
 namespace {
-
-struct PoolLoad {
-  double cta_busy_sec = 0;
-  double cpf_busy_sec = 0;
-  std::size_t peak_cta_depth = 0;
-  std::size_t peak_cpf_depth = 0;
-};
-
-PoolLoad scan_pools(core::System& system, const core::TopologyConfig& topo) {
-  PoolLoad load;
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    load.cta_busy_sec += system.cta(r).pool_busy_time().sec();
-    load.peak_cta_depth =
-        std::max(load.peak_cta_depth, system.cta(r).pool_peak_depth());
-  }
-  const auto cpfs = regions * static_cast<std::uint32_t>(topo.cpfs_per_region);
-  for (std::uint32_t c = 0; c < cpfs; ++c) {
-    load.cpf_busy_sec += system.cpf(CpfId{c}).request_busy_time().sec();
-    load.peak_cpf_depth = std::max(load.peak_cpf_depth,
-                                   system.cpf(CpfId{c}).request_peak_depth());
-  }
-  return load;
-}
 
 std::vector<traffic::TraceRecord> make_offered(double rate_pps,
                                                SimTime window,
@@ -115,52 +92,26 @@ int main(int argc, char** argv) {
   }
 
   // --- Knee calibration --------------------------------------------------
-  // Probe far below saturation; busy seconds per completed procedure are
-  // load-independent (costs are per-message), so the probe rate only needs
-  // to be low enough that nothing queues pathologically.
-  PoolLoad probe_load;
-  double knee_pps = 0;
-  {
-    bench::ExperimentConfig cfg;
-    cfg.policy = core::neutrino_policy();
-    cfg.topo = topo;
-    cfg.preattached_ues =
-        (scen == nullptr || scen->preattach) ? population : 0;
-    const auto t = offered(/*rate_pps=*/500);
-    const auto result = bench::run_experiment(
-        cfg, t, [](core::ShardedSystem&) {}, [&](core::ShardedSystem& sys) {
-          probe_load = scan_pools(sys.system(0), topo);
-        });
-    const auto completed =
-        static_cast<double>(result.metrics.procedures_completed);
-    const double d_cta = probe_load.cta_busy_sec / completed;
-    const double d_cpf = probe_load.cpf_busy_sec / completed;
-    const double knee_cta = static_cast<double>(regions) / d_cta;
-    const double knee_cpf =
-        static_cast<double>(regions * topo.cpfs_per_region) / d_cpf;
-    knee_pps = std::min(knee_cta, knee_cpf);
-    report.config()["probe_completed"] =
-        result.metrics.procedures_completed.value();
-    report.config()["cta_busy_us_per_proc"] = d_cta * 1e6;
-    report.config()["cpf_busy_us_per_proc"] = d_cpf * 1e6;
-    report.config()["knee_pps"] = knee_pps;
-    std::printf("# knee: %.0f pps (cta %.2fus/proc, cpf %.2fus/proc)\n",
-                knee_pps, d_cta * 1e6, d_cpf * 1e6);
-  }
+  // Probe far below saturation (knee_probe.hpp).
+  const std::optional<bench::Knee> knee = bench::probe_knee(
+      topo, offered(/*rate_pps=*/500),
+      (scen == nullptr || scen->preattach) ? population : 0,
+      "fig_saturation:");
+  if (!knee) return 1;
+  const double knee_pps = knee->pps;
+  report.config()["probe_completed"] = knee->probe_completed;
+  report.config()["cta_busy_us_per_proc"] = knee->cta_sec_per_proc * 1e6;
+  report.config()["cpf_busy_us_per_proc"] = knee->cpf_sec_per_proc * 1e6;
+  report.config()["knee_pps"] = knee_pps;
+  std::printf("# knee: %.0f pps (cta %.2fus/proc, cpf %.2fus/proc)\n",
+              knee_pps, knee->cta_sec_per_proc * 1e6,
+              knee->cpf_sec_per_proc * 1e6);
 
-  constexpr std::size_t kQueueCapacity = 32;
   obs::RssMeter rss_meter;
-  report.config()["queue_capacity"] = kQueueCapacity;
+  report.config()["queue_capacity"] = bench::kOverloadQueueCapacity;
   report.config()["population"] = population;
   report.config()["window_ms"] = window.sec() * 1e3;
   report.config()["rss_baseline_bytes"] = rss_meter.baseline_bytes();
-
-  core::ProtocolConfig controlled;
-  controlled.cta_queue_capacity = kQueueCapacity;
-  controlled.cpf_queue_capacity = kQueueCapacity;
-  controlled.attach_admission_fraction = 0.5;
-  controlled.nas_retx_timeout = SimTime::milliseconds(20);
-  controlled.nas_retx_budget = 6;
 
   const auto run_point = [&](const char* system_name,
                              const core::ProtocolConfig& proto, double mult,
@@ -176,11 +127,11 @@ int main(int argc, char** argv) {
     cfg.record_trace_events = trace_this_run;
     const double rate = knee_pps * mult;
     const auto t = offered(rate);
-    PoolLoad load;
+    bench::PoolLoad load;
     rss_meter.begin_run();
     const auto result = bench::run_experiment(
         cfg, t, [](core::ShardedSystem&) {}, [&](core::ShardedSystem& sys) {
-          load = scan_pools(sys.system(0), topo);
+          load = bench::scan_pools(sys.system(0), topo);
         });
     const std::size_t rss_delta = rss_meter.run_delta_bytes();
     if (trace_this_run) {
@@ -235,7 +186,7 @@ int main(int argc, char** argv) {
   for (const double mult : {0.5, 1.0, 1.5, 2.0}) {
     // The 2x controlled point is the interesting timeline (sheds + retx
     // under full overload control): that's the one --trace-out exports.
-    run_point("overload-control", controlled, mult,
+    run_point("overload-control", bench::overload_controlled(), mult,
               want_trace && mult == 2.0);
   }
   // Pre-PR baseline: no bounds, no retx — the backlog at 2x grows with the

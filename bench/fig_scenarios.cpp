@@ -20,36 +20,14 @@
 //   --ues=N           population override (default 10k; --smoke 2k)
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.hpp"
+#include "knee_probe.hpp"
 
 using namespace neutrino;
 
 namespace {
-
-struct PoolLoad {
-  double cta_busy_sec = 0;
-  double cpf_busy_sec = 0;
-  std::size_t peak_cta_depth = 0;
-  std::size_t peak_cpf_depth = 0;
-};
-
-PoolLoad scan_pools(core::System& system, const core::TopologyConfig& topo) {
-  PoolLoad load;
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    load.cta_busy_sec += system.cta(r).pool_busy_time().sec();
-    load.peak_cta_depth =
-        std::max(load.peak_cta_depth, system.cta(r).pool_peak_depth());
-  }
-  const auto cpfs = regions * static_cast<std::uint32_t>(topo.cpfs_per_region);
-  for (std::uint32_t c = 0; c < cpfs; ++c) {
-    load.cpf_busy_sec += system.cpf(CpfId{c}).request_busy_time().sec();
-    load.peak_cpf_depth = std::max(load.peak_cpf_depth,
-                                   system.cpf(CpfId{c}).request_peak_depth());
-  }
-  return load;
-}
 
 /// All procedure types folded into one PCT distribution: the scenarios
 /// differ in mix, so a per-type table would not compare across them.
@@ -108,15 +86,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  constexpr std::size_t kQueueCapacity = 32;
-  core::ProtocolConfig controlled;
-  controlled.cta_queue_capacity = kQueueCapacity;
-  controlled.cpf_queue_capacity = kQueueCapacity;
-  controlled.attach_admission_fraction = 0.5;
-  controlled.nas_retx_timeout = SimTime::milliseconds(20);
-  controlled.nas_retx_budget = 6;
-
-  report.config()["queue_capacity"] = kQueueCapacity;
+  report.config()["queue_capacity"] = bench::kOverloadQueueCapacity;
   report.config()["population"] = population;
   report.config()["window_ms"] = window.sec() * 1e3;
   obs::Json& scenario_list = report.config()["scenarios"];
@@ -134,40 +104,21 @@ int main(int argc, char** argv) {
     req.regions = static_cast<int>(regions);
     req.seed = 23;
 
-    // --- Per-scenario knee calibration (fig_saturation's method): probe
-    // the *scenario's own mix* far below saturation; busy seconds per
-    // completed procedure are load-independent.
-    double knee_pps = 0;
-    {
-      req.target_pps = 500;
-      const auto probe = traffic::generate_scenario(name, req);
-      bench::ExperimentConfig cfg;
-      cfg.policy = core::neutrino_policy();
-      cfg.topo = topo;
-      cfg.preattached_ues = info->preattach ? population : 0;
-      PoolLoad load;
-      const auto result = bench::run_experiment(
-          cfg, probe->records, [](core::ShardedSystem&) {},
-          [&](core::ShardedSystem& sys) {
-            load = scan_pools(sys.system(0), topo);
-          });
-      const auto completed =
-          static_cast<double>(result.metrics.procedures_completed);
-      if (completed <= 0) {
-        std::fprintf(stderr, "fig_scenarios: %s probe completed nothing\n",
-                     name.c_str());
-        ok = false;
-        continue;
-      }
-      const double d_cta = load.cta_busy_sec / completed;
-      const double d_cpf = load.cpf_busy_sec / completed;
-      knee_pps = std::min(
-          static_cast<double>(regions) / d_cta,
-          static_cast<double>(regions * topo.cpfs_per_region) / d_cpf);
-      knees[name] = knee_pps;
-      std::printf("# %s knee: %.0f pps (cta %.2fus/proc, cpf %.2fus/proc)\n",
-                  name.c_str(), knee_pps, d_cta * 1e6, d_cpf * 1e6);
+    // --- Per-scenario knee calibration (knee_probe.hpp): probe the
+    // *scenario's own mix* far below saturation.
+    req.target_pps = 500;
+    const std::optional<bench::Knee> knee = bench::probe_knee(
+        topo, traffic::generate_scenario(name, req)->records,
+        info->preattach ? population : 0, "fig_scenarios: " + name);
+    if (!knee) {
+      ok = false;
+      continue;
     }
+    const double knee_pps = knee->pps;
+    knees[name] = knee_pps;
+    std::printf("# %s knee: %.0f pps (cta %.2fus/proc, cpf %.2fus/proc)\n",
+                name.c_str(), knee_pps, knee->cta_sec_per_proc * 1e6,
+                knee->cpf_sec_per_proc * 1e6);
 
     for (const double mult : {0.5, 1.0, 1.5}) {
       req.target_pps = knee_pps * mult;
@@ -175,14 +126,14 @@ int main(int argc, char** argv) {
       bench::ExperimentConfig cfg;
       cfg.policy = core::neutrino_policy();
       cfg.topo = topo;
-      cfg.proto = controlled;
+      cfg.proto = bench::overload_controlled();
       cfg.preattached_ues = info->preattach ? population : 0;
       cfg.telemetry_window = opts.telemetry_window();
-      PoolLoad load;
+      bench::PoolLoad load;
       auto result = bench::run_experiment(
           cfg, traffic_gen->records, [](core::ShardedSystem&) {},
           [&](core::ShardedSystem& sys) {
-            load = scan_pools(sys.system(0), topo);
+            load = bench::scan_pools(sys.system(0), topo);
           });
       auto& m = result.metrics;
       const double completion =

@@ -27,7 +27,7 @@ int main() {
   obs::TracerConfig tc;
   tc.record_events = true;  // keep full hop timelines
   tc.keep_all = true;
-  obs::ProcTracer tracer(tc, &metrics.registry);
+  obs::ProcTracer tracer(tc);
   system.attach_tracer(tracer);
 
   // A plain attach and an inter-CPF handover, for comparison timelines.

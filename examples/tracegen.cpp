@@ -83,7 +83,7 @@ int replay(const char* path, const char* which) {
               static_cast<unsigned long long>(metrics.procedures_completed),
               static_cast<unsigned long long>(metrics.procedures_started),
               static_cast<unsigned long long>(metrics.ryw_violations));
-  for (std::size_t i = 0; i < core::Metrics::kProcTypes; ++i) {
+  for (std::size_t i = 0; i < core::kProcTypes; ++i) {
     const auto& pct = metrics.pct[i];
     if (pct.empty()) continue;
     std::printf("  %-16s n=%zu p50=%.3fms p99=%.3fms\n",

@@ -406,6 +406,17 @@ out=build-release/bench/chaos_campaign.smoke-report.json
 build-release/bench/chaos_campaign --seeds=50 --shards=4 --threads=2 \
   --churn=2 --repro-dir=build-release/bench --report="$out"
 python3 scripts/validate_report.py "$out"
+# Teeth through the binary: each planted bug must be caught and shrunk to
+# <= 10 events (--inject exits non-zero otherwise), and the reproducer it
+# wrote must read back from disk and still fail (--replay exits 0 then).
+for inject in stale prune; do
+  line=$(build-release/bench/chaos_campaign --inject="$inject" \
+    --repro-dir=build-release/bench)
+  echo "$line"
+  repro=$(grep -o 'reproducer=[^[:space:]]*' <<<"$line" | cut -d= -f2-) ||
+    { echo "--inject=$inject printed no reproducer="; exit 1; }
+  build-release/bench/chaos_campaign --replay="$repro" >/dev/null
+done
 
 # Repo benchmark (perfbench/): its self-tests (which build it into
 # .bench_build/ as perfbench/run.py does), then the simulated fingerprints

@@ -7,9 +7,9 @@
 // drives a ShardedSystem at any shard count, which is what makes
 // cross-partition differential checks and shrinking possible.
 //
-// Serialization: schema "neutrino.chaos-repro" v1, dumped via obs::Json
-// and read back with the chaos JsonValue parser, so a failing seed's
-// shrunken reproducer is a self-contained artifact:
+// Serialization: schema "neutrino.chaos-repro" v1, written and read back
+// by obs::Json (`obs::Json::parse`), so a failing seed's shrunken
+// reproducer is a self-contained artifact:
 //
 //   { "schema": "neutrino.chaos-repro", "version": 1,
 //     "seed": 7, "regions": 4, "cpfs_per_region": 5, "ues": 24,
@@ -25,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "chaos/json_reader.hpp"
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "core/invariants.hpp"
@@ -181,29 +180,28 @@ inline obs::Json to_json(const ScheduleArtifact& art) {
   return j;
 }
 
-inline std::optional<Event> event_from_json(const JsonValue& j) {
-  const JsonValue* kind = j.find("kind");
-  const JsonValue* at = j.find("at_ns");
+/// Integer member `key` of `j`; `fallback` when absent or not a number.
+inline std::int64_t int_field(const obs::Json& j, std::string_view key,
+                              std::int64_t fallback = 0) {
+  const obs::Json* v = j.find(key);
+  return v ? v->int_or(fallback) : fallback;
+}
+
+inline std::optional<Event> event_from_json(const obs::Json& j) {
+  const obs::Json* kind = j.find("kind");
+  const obs::Json* at = j.find("at_ns");
   if (!kind || !at) return std::nullopt;
   const std::optional<EventKind> k = parse_event_kind(kind->string_or(""));
   if (!k) return std::nullopt;
   Event e;
   e.at = SimTime::nanoseconds(at->int_or(0));
   e.kind = *k;
-  if (const JsonValue* v = j.find("ue")) {
-    e.ue = static_cast<std::uint64_t>(v->int_or(0));
-  }
-  if (const JsonValue* v = j.find("target")) {
-    e.target_region = static_cast<std::uint32_t>(v->int_or(0));
-  }
-  if (const JsonValue* v = j.find("cpf")) {
-    e.cpf = static_cast<std::uint32_t>(v->int_or(0));
-  }
-  if (const JsonValue* v = j.find("region")) {
-    e.region = static_cast<std::uint32_t>(v->int_or(0));
-  }
+  e.ue = static_cast<std::uint64_t>(int_field(j, "ue"));
+  e.target_region = static_cast<std::uint32_t>(int_field(j, "target"));
+  e.cpf = static_cast<std::uint32_t>(int_field(j, "cpf"));
+  e.region = static_cast<std::uint32_t>(int_field(j, "region"));
   if (e.kind == EventKind::kProcedure) {
-    const JsonValue* proc = j.find("proc");
+    const obs::Json* proc = j.find("proc");
     if (!proc) return std::nullopt;
     const std::optional<core::ProcedureType> p =
         parse_procedure_type(proc->string_or(""));
@@ -213,42 +211,30 @@ inline std::optional<Event> event_from_json(const JsonValue& j) {
   return e;
 }
 
-inline std::optional<ScheduleArtifact> artifact_from_json(const JsonValue& j) {
-  const JsonValue* schema = j.find("schema");
+inline std::optional<ScheduleArtifact> artifact_from_json(const obs::Json& j) {
+  const obs::Json* schema = j.find("schema");
   if (!schema || schema->string_or("") != "neutrino.chaos-repro") {
     return std::nullopt;
   }
   ScheduleArtifact art;
   Schedule& s = art.schedule;
-  if (const JsonValue* v = j.find("seed")) {
-    s.seed = static_cast<std::uint64_t>(v->int_or(0));
+  s.seed = static_cast<std::uint64_t>(int_field(j, "seed"));
+  s.regions = static_cast<std::uint32_t>(int_field(j, "regions", s.regions));
+  s.cpfs_per_region = static_cast<std::uint32_t>(
+      int_field(j, "cpfs_per_region", s.cpfs_per_region));
+  s.ues = static_cast<std::uint32_t>(int_field(j, "ues", s.ues));
+  s.horizon = SimTime::nanoseconds(int_field(j, "horizon_ns", s.horizon.ns()));
+  if (const obs::Json* faults = j.find("faults")) {
+    art.faults.cpf_stale_serves =
+        static_cast<std::uint32_t>(int_field(*faults, "cpf_stale_serves"));
+    art.faults.cta_unaccounted_prunes = static_cast<std::uint32_t>(
+        int_field(*faults, "cta_unaccounted_prunes"));
   }
-  if (const JsonValue* v = j.find("regions")) {
-    s.regions = static_cast<std::uint32_t>(v->int_or(s.regions));
-  }
-  if (const JsonValue* v = j.find("cpfs_per_region")) {
-    s.cpfs_per_region = static_cast<std::uint32_t>(v->int_or(s.cpfs_per_region));
-  }
-  if (const JsonValue* v = j.find("ues")) {
-    s.ues = static_cast<std::uint32_t>(v->int_or(s.ues));
-  }
-  if (const JsonValue* v = j.find("horizon_ns")) {
-    s.horizon = SimTime::nanoseconds(v->int_or(s.horizon.ns()));
-  }
-  if (const JsonValue* faults = j.find("faults")) {
-    if (const JsonValue* v = faults->find("cpf_stale_serves")) {
-      art.faults.cpf_stale_serves = static_cast<std::uint32_t>(v->int_or(0));
-    }
-    if (const JsonValue* v = faults->find("cta_unaccounted_prunes")) {
-      art.faults.cta_unaccounted_prunes =
-          static_cast<std::uint32_t>(v->int_or(0));
-    }
-  }
-  const JsonValue* events = j.find("events");
-  if (!events || events->type != JsonValue::Type::kArray) return std::nullopt;
-  s.events.reserve(events->array.size());
-  for (const JsonValue& ej : events->array) {
-    std::optional<Event> e = event_from_json(ej);
+  const obs::Json* events = j.find("events");
+  if (!events || events->type() != obs::Json::Type::kArray) return std::nullopt;
+  s.events.reserve(events->size());
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    std::optional<Event> e = event_from_json(events->at(i));
     if (!e) return std::nullopt;
     s.events.push_back(*e);
   }
@@ -257,7 +243,7 @@ inline std::optional<ScheduleArtifact> artifact_from_json(const JsonValue& j) {
 
 inline std::optional<ScheduleArtifact> artifact_from_string(
     std::string_view text) {
-  const std::optional<JsonValue> doc = parse_json(text);
+  const std::optional<obs::Json> doc = obs::Json::parse(text);
   if (!doc) return std::nullopt;
   return artifact_from_json(*doc);
 }

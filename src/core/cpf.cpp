@@ -865,7 +865,7 @@ void Cpf::restore() {
   alive_ = true;
 }
 
-void Cpf::preinstall(StateRef state, bool /*role*/) {
+void Cpf::preinstall(StateRef state) {
   const UeId ue = state->ue;
   store_[ue] = Entry{std::move(state), true};
 }

@@ -376,10 +376,9 @@ StateRef Frontend::make_preattached_state(UeId ue, std::uint32_t region) {
 void Frontend::preattach(UeId ue, std::uint32_t region) {
   preattach_context(ue, region);
   const StateRef state = make_preattached_state(ue, region);
-  system_->cpf(system_->primary_cpf_for(ue, region))
-      .preinstall(state, /*as_primary=*/true);
+  system_->cpf(system_->primary_cpf_for(ue, region)).preinstall(state);
   for (const CpfId b : system_->backups_for(ue, region)) {
-    system_->cpf(b).preinstall(state, /*as_primary=*/false);
+    system_->cpf(b).preinstall(state);
   }
   system_->upf(region).preinstall(ue);
 }

@@ -5,9 +5,9 @@
 // reference members below keep every existing `++metrics.replays`-style
 // call site source-compatible. The registry also receives the labeled
 // extras the flat struct could never hold: per-procedure-type completion
-// counts, per-CPF crash/recovery counters, the PCT decomposition
-// histograms folded in by an attached obs::ProcTracer, and the windowed
-// telemetry series System::sample_telemetry() records (DESIGN.md §15).
+// counts, per-CPF crash/recovery counters, and the windowed telemetry
+// series System::sample_telemetry() records (DESIGN.md §15). The PCT
+// decomposition is the attached obs::ProcTracer's own table.
 // The Fig. 17 log peak is an exact watermark (cta_log_peak_bytes), not an
 // instrument.
 //
@@ -31,8 +31,6 @@
 namespace neutrino::core {
 
 struct Metrics {
-  static constexpr std::size_t kProcTypes = 7;
-
   // Movable, not copyable: a copy's reference members would alias the
   // source's registry nodes. A move transfers the map nodes, so the
   // references keep pointing at this object's own instruments.
@@ -88,7 +86,7 @@ struct Metrics {
   }
 
   /// Merge-on-join for sharded runs: fold one shard's metrics into this
-  /// (fresh) aggregate. Counters, histograms and windowed series go via
+  /// (fresh) aggregate. Counters and windowed series go via
   /// Registry::merge; the named reference members pick the sums up
   /// automatically because they alias this registry's map nodes.
   void merge_from(const Metrics& other) {

@@ -6,6 +6,7 @@
 // simulator's service times and log sizes are grounded in the real codecs.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string_view>
 
@@ -127,6 +128,10 @@ enum class ProcedureType : std::uint8_t {
   kDetach,        // UE-initiated session release
   kTau,           // tracking area update (idle-mode mobility)
 };
+/// Tables indexed by procedure type hold one entry per value above
+/// (kTau stays last).
+inline constexpr std::size_t kProcTypes =
+    static_cast<std::size_t>(ProcedureType::kTau) + 1;
 
 constexpr std::string_view to_string(ProcedureType p) {
   switch (p) {

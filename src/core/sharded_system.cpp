@@ -86,11 +86,9 @@ void ShardedSystem::preattach(UeId ue, std::uint32_t region) {
   const CpfId primary = home.primary_cpf_for(ue, region);
   system(shard_of_region(topo_.region_of_cpf(primary)))
       .cpf(primary)
-      .preinstall(state, /*as_primary=*/true);
+      .preinstall(state);
   for (const CpfId b : home.backups_for(ue, region)) {
-    system(shard_of_region(topo_.region_of_cpf(b)))
-        .cpf(b)
-        .preinstall(state, /*as_primary=*/false);
+    system(shard_of_region(topo_.region_of_cpf(b))).cpf(b).preinstall(state);
   }
   home.upf(region).preinstall(ue);
 }

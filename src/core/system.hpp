@@ -121,7 +121,7 @@ class Cpf {
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
   /// Test/bench hook: install state directly (pre-attached UE population).
-  void preinstall(StateRef state, bool as_primary);
+  void preinstall(StateRef state);
 
   /// Elastic churn (DESIGN.md §19): UEs whose up-to-date state this CPF
   /// holds for its own region — the candidate set a scale-out/drain hands
@@ -449,7 +449,7 @@ class Frontend {
   FlatHashMap<UeId, UeCtx> ues_;
   FlatHashMap<UeId, OutageLog> outage_logs_;  // watched UEs only
   /// Cached "frontend.completions{proc=..}" registry handles, by type.
-  std::array<obs::Counter*, Metrics::kProcTypes> completion_counters_{};
+  std::array<obs::Counter*, kProcTypes> completion_counters_{};
 };
 
 // ---------------------------------------------------------------------------

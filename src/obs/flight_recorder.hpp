@@ -115,10 +115,6 @@ class FlightRecorder {
     return out;
   }
 
-  [[nodiscard]] Json dump_json() const {
-    return events_json(recent(), /*with_shard=*/false);
-  }
-
   /// Merge several shards' rings into one chronological dump. Events sort
   /// by (sim-time, shard, per-recorder seq) — a total order independent of
   /// worker-thread scheduling. `recorders[i]` may be null (skipped).
@@ -148,33 +144,22 @@ class FlightRecorder {
     Json& events = doc["events"];
     events.make_array();
     for (const Tagged& t : all) {
-      events.push_back(event_json(t.e, static_cast<std::int64_t>(t.shard)));
+      events.push_back(event_json(t.e, t.shard));
     }
     return doc;
   }
 
  private:
-  static Json event_json(const Event& e, std::int64_t shard) {
+  static Json event_json(const Event& e, std::size_t shard) {
     Json j;
     j["t_ms"] = e.at.ms();
-    if (shard >= 0) j["shard"] = shard;
+    j["shard"] = shard;
     j["seq"] = static_cast<std::int64_t>(e.seq);
     j["kind"] = kind_name(e.kind);
     if (e.a >= 0) j["a"] = e.a;
     if (e.b >= 0) j["b"] = e.b;
     if (e.detail != nullptr && e.detail[0] != '\0') j["detail"] = e.detail;
     return j;
-  }
-
-  static Json events_json(const std::vector<Event>& events, bool with_shard) {
-    (void)with_shard;
-    Json doc;
-    doc["schema"] = "neutrino.flight-recorder";
-    doc["version"] = std::int64_t{1};
-    Json& arr = doc["events"];
-    arr.make_array();
-    for (const Event& e : events) arr.push_back(event_json(e, -1));
-    return doc;
   }
 
   const std::size_t capacity_;

@@ -1,14 +1,19 @@
-// A minimal JSON document builder + writer for trace dumps and bench
-// reports. Build-side only: no parser, no third-party dependency, output
-// is deterministic (object keys keep insertion order) so report diffs are
-// meaningful across runs.
+// The program's one JSON type: builder and writer for trace dumps, bench
+// reports and chaos reproducers, and the reader that replays reproducers
+// (`Json::parse`). No third-party dependency; output is deterministic
+// (object keys keep insertion order) so report diffs are meaningful across
+// runs, and `parse(d.dump(n))->dump(n) == d.dump(n)` (a negative zero
+// aside: its "-0" reads back as the integer 0).
 #pragma once
 
+#include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -69,6 +74,42 @@ class Json {
     return type_ == Type::kArray ? elems_.size() : members_.size();
   }
 
+  // ---- read side (parsed documents) ----
+
+  /// Member `key`; null when absent or when this is not an object.
+  [[nodiscard]] const Json* find(std::string_view key) const {
+    for (const auto& [k, v] : members_) {
+      if (k == key) return v.get();
+    }
+    return nullptr;
+  }
+  /// Array element `i < size()`.
+  [[nodiscard]] const Json& at(std::size_t i) const { return *elems_[i]; }
+  /// The number as an integer (a double in int64 range truncates);
+  /// `fallback` for anything else.
+  [[nodiscard]] std::int64_t int_or(std::int64_t fallback) const {
+    if (type_ != Type::kNumber) return fallback;
+    if (is_int_) return int_;
+    return num_ >= -0x1p63 && num_ < 0x1p63 ? static_cast<std::int64_t>(num_)
+                                            : fallback;
+  }
+  [[nodiscard]] std::string_view string_or(std::string_view fallback) const {
+    return type_ == Type::kString ? std::string_view{str_} : fallback;
+  }
+
+  /// Read one complete document; nullopt on any syntax error: trailing
+  /// junk or commas, unterminated strings or containers, unknown escapes,
+  /// `\u` above 0xff, a key repeated within one object (which of the two
+  /// a hand-edited artifact meant is a guess), and nesting deeper than
+  /// kMaxDepth. A number with no `.`, `e` or `E` is an exact 64-bit
+  /// integer (nanosecond times, seeds).
+  static std::optional<Json> parse(std::string_view text) {
+    std::optional<Json> v = read_value(text, 0);
+    skip_ws(text);
+    if (!v || !text.empty()) return std::nullopt;
+    return v;
+  }
+
   /// Serialize. `indent` = 2 pretty-prints; 0 emits one line.
   [[nodiscard]] std::string dump(int indent = 2) const {
     std::string out;
@@ -102,6 +143,131 @@ class Json {
  private:
   void become(Type t) {
     if (type_ == Type::kNull) type_ = t;
+  }
+
+  // The reader: each step consumes what it read from the front of `in`.
+  // The recursion is bounded far above anything the program writes, so
+  // hostile input is rejected instead of overflowing the stack.
+  static constexpr int kMaxDepth = 256;
+
+  static void skip_ws(std::string_view& in) {
+    while (!in.empty() && std::isspace(static_cast<unsigned char>(in[0]))) {
+      in.remove_prefix(1);
+    }
+  }
+
+  static bool consume(std::string_view& in, std::string_view token) {
+    skip_ws(in);
+    if (in.substr(0, token.size()) != token) return false;
+    in.remove_prefix(token.size());
+    return true;
+  }
+
+  static std::optional<Json> read_value(std::string_view& in, int depth) {
+    skip_ws(in);
+    if (in.empty() || depth > kMaxDepth) return std::nullopt;
+    if (consume(in, "true")) return Json(true);
+    if (consume(in, "false")) return Json(false);
+    if (consume(in, "null")) return Json();
+    switch (in[0]) {
+      case '{': return read_object(in, depth);
+      case '[': return read_array(in, depth);
+      case '"': {
+        std::optional<std::string> s = read_string(in);
+        if (!s) return std::nullopt;
+        return Json(std::move(*s));
+      }
+      default: return read_number(in);
+    }
+  }
+
+  static std::optional<Json> read_object(std::string_view& in, int depth) {
+    in.remove_prefix(1);  // '{'
+    Json obj;
+    obj.make_object();
+    if (consume(in, "}")) return obj;
+    do {
+      skip_ws(in);
+      std::optional<std::string> key = read_string(in);
+      if (!key || !consume(in, ":")) return std::nullopt;
+      std::optional<Json> v = read_value(in, depth + 1);
+      if (!v || obj.find(*key) != nullptr) return std::nullopt;
+      obj[*key] = std::move(*v);
+    } while (consume(in, ","));
+    if (!consume(in, "}")) return std::nullopt;
+    return obj;
+  }
+
+  static std::optional<Json> read_array(std::string_view& in, int depth) {
+    in.remove_prefix(1);  // '['
+    Json arr;
+    arr.make_array();
+    if (consume(in, "]")) return arr;
+    do {
+      std::optional<Json> v = read_value(in, depth + 1);
+      if (!v) return std::nullopt;
+      arr.push_back(std::move(*v));
+    } while (consume(in, ","));
+    if (!consume(in, "]")) return std::nullopt;
+    return arr;
+  }
+
+  /// Undoes escape(), plus JSON's other short escapes (`\/`, `\b`, `\f`).
+  static std::optional<std::string> read_string(std::string_view& in) {
+    if (in.empty() || in[0] != '"') return std::nullopt;
+    std::string out;
+    for (std::size_t i = 1; i < in.size(); ++i) {
+      const char c = in[i];
+      if (c == '"') {
+        in.remove_prefix(i + 1);
+        return out;
+      }
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (++i == in.size()) break;
+      switch (in[i]) {
+        case '"': case '\\': case '/': out += in[i]; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          // escape() writes only \u00XX; past Latin-1 is rejected.
+          unsigned code = 0;
+          const char* hex = in.data() + i + 1;
+          if (in.size() - i - 1 < 4 ||
+              std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+              code > 0xff) {
+            return std::nullopt;
+          }
+          out += static_cast<char>(code);
+          i += 4;
+          break;
+        }
+        default: return std::nullopt;
+      }
+    }
+    return std::nullopt;  // unterminated
+  }
+
+  static std::optional<Json> read_number(std::string_view& in) {
+    const std::string_view token =
+        in.substr(0, in.find_first_not_of("0123456789+-.eE"));
+    in.remove_prefix(token.size());
+    const char* const end = token.data() + token.size();
+    if (token.find_first_of(".eE") == std::string_view::npos) {
+      std::int64_t i = 0;
+      const auto [stop, err] = std::from_chars(token.data(), end, i);
+      if (err != std::errc{} || stop != end) return std::nullopt;
+      return Json(i);
+    }
+    double d = 0;
+    const auto [stop, err] = std::from_chars(token.data(), end, d);
+    if (err != std::errc{} || stop != end) return std::nullopt;
+    return Json(d);
   }
 
   void write(std::string& out, int indent, int depth) const {

@@ -1,12 +1,12 @@
 // Named, labeled metric instruments backing core::Metrics and the benches.
 //
-// The registry owns every instrument: counters, histograms and windowed
-// series (obs/timeseries.hpp, the only time-indexed instrument). Handles
-// returned from counter() / histogram() / windowed() are stable for the
-// registry's lifetime (std::map nodes never move), so hot paths look a
-// metric up once and keep the reference. Keys are `name` plus a sorted
-// label set — the same (name, labels) pair always yields the same
-// instrument.
+// The registry owns every instrument: counters and windowed series
+// (obs/timeseries.hpp, the only time-indexed instrument); the latency
+// decomposition belongs to the tracer (obs/trace.hpp). Handles returned
+// from counter() / windowed() are stable for the registry's lifetime
+// (std::map nodes never move), so hot paths look a metric up once and
+// keep the reference. Keys are `name` plus a sorted label set — the same
+// (name, labels) pair always yields the same instrument.
 //
 // Naming convention (see DESIGN.md §10): dotted lowercase path whose first
 // segment is the owning component — "core.procedures_completed",
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/stats.hpp"
 #include "obs/timeseries.hpp"
 
 namespace neutrino::obs {
@@ -69,16 +68,13 @@ class Counter {
 class Registry {
  public:
   Counter& counter(std::string_view name, const Labels& labels = {}) {
-    return counters_[key(name, labels)].instrument;
-  }
-  LatencyRecorder& histogram(std::string_view name, const Labels& labels = {}) {
-    return histograms_[key(name, labels)].instrument;
+    return counters_[key(name, labels)];
   }
   /// Fixed-interval windowed series (DESIGN.md §15). `window`/`agg` apply
   /// on first use; later lookups must pass the same parameters.
   WindowedSeries& windowed(std::string_view name, SimTime window,
                            WindowAgg agg, const Labels& labels = {}) {
-    WindowedSeries& w = windowed_[key(name, labels)].instrument;
+    WindowedSeries& w = windowed_[key(name, labels)];
     w.configure(window, agg);
     return w;
   }
@@ -87,10 +83,6 @@ class Registry {
   [[nodiscard]] const Counter* find_counter(std::string_view name,
                                             const Labels& labels = {}) const {
     return find(counters_, name, labels);
-  }
-  [[nodiscard]] const LatencyRecorder* find_histogram(
-      std::string_view name, const Labels& labels = {}) const {
-    return find(histograms_, name, labels);
   }
   [[nodiscard]] const WindowedSeries* find_windowed(
       std::string_view name, const Labels& labels = {}) const {
@@ -101,30 +93,19 @@ class Registry {
   /// export. `f(key, instrument)` where key is "name{k=v,...}" or "name".
   template <class F>
   void for_each_counter(F&& f) const {
-    for (const auto& [k, cell] : counters_) f(k, cell.instrument);
-  }
-  template <class F>
-  void for_each_histogram(F&& f) const {
-    for (const auto& [k, cell] : histograms_) f(k, cell.instrument);
+    for (const auto& [k, c] : counters_) f(k, c);
   }
   template <class F>
   void for_each_windowed(F&& f) const {
-    for (const auto& [k, cell] : windowed_) f(k, cell.instrument);
+    for (const auto& [k, w] : windowed_) f(k, w);
   }
 
   /// Fold another registry in (per-shard instruments joining at the end
-  /// of a sharded run): counters add, histograms merge distributions,
-  /// windowed series combine same-index buckets by their aggregation kind.
+  /// of a sharded run): counters add, windowed series combine same-index
+  /// buckets by their aggregation kind.
   void merge(const Registry& other) {
-    for (const auto& [k, cell] : other.counters_) {
-      counters_[k].instrument += cell.instrument.value();
-    }
-    for (const auto& [k, cell] : other.histograms_) {
-      histograms_[k].instrument.merge(cell.instrument);
-    }
-    for (const auto& [k, cell] : other.windowed_) {
-      windowed_[k].instrument.merge(cell.instrument);
-    }
+    for (const auto& [k, c] : other.counters_) counters_[k] += c.value();
+    for (const auto& [k, w] : other.windowed_) windowed_[k].merge(w);
   }
 
   /// Canonical flat key: name, then "{k=v,...}" with labels sorted by key.
@@ -147,20 +128,14 @@ class Registry {
 
  private:
   template <class T>
-  struct Cell {
-    T instrument;
-  };
-
-  template <class T>
-  static const T* find(const std::map<std::string, Cell<T>>& m,
+  static const T* find(const std::map<std::string, T>& m,
                        std::string_view name, const Labels& labels) {
     const auto it = m.find(key(name, labels));
-    return it == m.end() ? nullptr : &it->second.instrument;
+    return it == m.end() ? nullptr : &it->second;
   }
 
-  std::map<std::string, Cell<Counter>> counters_;
-  std::map<std::string, Cell<LatencyRecorder>> histograms_;
-  std::map<std::string, Cell<WindowedSeries>> windowed_;
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, WindowedSeries> windowed_;
 };
 
 }  // namespace neutrino::obs

@@ -17,8 +17,9 @@
 // Cost model: the core holds a `ProcTracer*` that is null by default;
 // every instrumentation site is a pointer test and nothing else when
 // tracing is off. With tracing on, event recording (the full hop list) is
-// separately switchable from decomposition folding, so large bench runs
-// can decompose millions of procedures without retaining timelines.
+// separately switchable from decomposition folding (the tracer's own
+// per-procedure table, `decomposition()`), so large bench runs can
+// decompose millions of procedures without retaining timelines.
 #pragma once
 
 #include <algorithm>
@@ -31,9 +32,9 @@
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
+#include "common/stats.hpp"
 #include "core/msg.hpp"
 #include "obs/json.hpp"
-#include "obs/registry.hpp"
 
 namespace neutrino::obs {
 
@@ -145,16 +146,25 @@ struct TracerConfig {
   bool keep_all = false;
   std::size_t keep_slowest = 16;
   std::size_t keep_failed = 64;
+  /// Fold every completed span into decomposition() (bench reports'
+  /// "decomposition_ms").
+  bool decompose = false;
+};
+
+/// Every folded span of one procedure type, in ms: one recorder per hop
+/// class plus the PCT. Each completion feeds all six (zeros included), so
+/// the component means sum to the total mean.
+struct Decomposition {
+  std::array<LatencyRecorder, kHopClasses> component;
+  LatencyRecorder total;
 };
 
 /// Records spans for in-flight procedures and retains the interesting
-/// completed ones. Optionally folds decompositions into a Registry as
-/// "core.pct_decomp_ms{component=...,proc=...}" histograms (components
-/// plus "total", so mean components sum to mean total per proc type).
+/// completed ones; with TracerConfig::decompose, folds each completed
+/// span's decomposition into a per-procedure-type table.
 class ProcTracer {
  public:
-  explicit ProcTracer(TracerConfig cfg = {}, Registry* registry = nullptr)
-      : cfg_(cfg), registry_(registry) {}
+  explicit ProcTracer(TracerConfig cfg = {}) : cfg_(cfg) {}
 
   // ---- span lifecycle (called by the frontend) ----
 
@@ -261,6 +271,13 @@ class ProcTracer {
     return out;
   }
 
+  /// The folded decomposition of one procedure type (empty recorders
+  /// unless TracerConfig::decompose and a span of that type completed).
+  [[nodiscard]] const Decomposition& decomposition(
+      core::ProcedureType type) const {
+    return decomposition_[static_cast<std::size_t>(type)];
+  }
+
   /// JSON document with the N slowest and all retained failed spans.
   [[nodiscard]] Json dump_json(std::size_t max_slowest = 8) const {
     Json j;
@@ -286,24 +303,13 @@ class ProcTracer {
     return it == active_.end() ? nullptr : &it->second;
   }
 
-  /// Push this span's decomposition into the registry histograms. All
-  /// components are pushed (zeros included) so per-component means sum to
-  /// the "total" mean exactly.
   void fold(const Span& s) {
-    if (!registry_) return;
-    const std::string proc{core::to_string(s.type)};
+    if (!cfg_.decompose) return;
+    Decomposition& d = decomposition_[static_cast<std::size_t>(s.type)];
     for (std::size_t c = 0; c < kHopClasses; ++c) {
-      registry_
-          ->histogram("core.pct_decomp_ms",
-                      {{"proc", proc},
-                       {"component",
-                        std::string{to_string(static_cast<HopClass>(c))}}})
-          .add(static_cast<double>(s.decomp_ns[c]) / 1e6);
+      d.component[c].add(static_cast<double>(s.decomp_ns[c]) / 1e6);
     }
-    registry_
-        ->histogram("core.pct_decomp_ms",
-                    {{"proc", proc}, {"component", "total"}})
-        .add(static_cast<double>(s.duration().ns()) / 1e6);
+    d.total.add(static_cast<double>(s.duration().ns()) / 1e6);
   }
 
   void retain(Span&& s) {
@@ -329,7 +335,7 @@ class ProcTracer {
   }
 
   TracerConfig cfg_;
-  Registry* registry_;
+  std::array<Decomposition, core::kProcTypes> decomposition_;
   std::unordered_map<std::uint64_t, Span> active_;
   std::vector<Span> slowest_;  // min-heap by duration
   std::vector<Span> failed_;

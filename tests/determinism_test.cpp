@@ -390,7 +390,7 @@ CoreRun run_core_workload(const sim::EventLoop::Config& cfg) {
   obs::TracerConfig tc;
   tc.record_events = true;
   tc.keep_all = true;
-  obs::ProcTracer tracer(tc, &metrics.registry);
+  obs::ProcTracer tracer(tc);
   system.attach_tracer(tracer);
 
   std::vector<core::System::Arrival> arrivals;
@@ -439,7 +439,7 @@ TEST(DeterminismCoreWorkload, WheelOnAndOffProduceIdenticalRuns) {
 
   // Latency distributions must match to the last bit: same samples in
   // the same order.
-  for (std::size_t i = 0; i < core::Metrics::kProcTypes; ++i) {
+  for (std::size_t i = 0; i < core::kProcTypes; ++i) {
     const auto a = wheel.metrics.pct[i].summary();
     const auto b = heap.metrics.pct[i].summary();
     EXPECT_EQ(a.count, b.count) << "proc " << i;

@@ -1,8 +1,11 @@
-// Observability subsystem: JSON writer, metrics registry, periodic
-// sampler, pool occupancy, and the procedure tracer driven end-to-end
-// through an attach + handover + CPF-crash scenario.
+// Observability subsystem: JSON writer and reader, metrics registry,
+// periodic sampler, pool occupancy, and the procedure tracer driven
+// end-to-end through an attach + handover + CPF-crash scenario.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +57,88 @@ TEST(Json, EmptyContainersAndNonFinite) {
   doc["obj"].make_object();
   doc["inf"] = 1.0 / 0.0;  // JSON has no inf: becomes null
   EXPECT_EQ(doc.dump(0), R"({"arr":[],"obj":{},"inf":null})");
+}
+
+TEST(Json, ParseReadsBackEveryDump) {
+  obs::Json doc;
+  // Every escape escape() writes: the five short ones and \u00XX.
+  doc["escapes"] = std::string{"q\"b\\n\nt\tr\r\x01\x08\x0c\x1f end"};
+  doc["ints"].push_back(std::numeric_limits<std::int64_t>::min());
+  doc["ints"].push_back(std::numeric_limits<std::int64_t>::max());
+  doc["ints"].push_back(0);
+  // Doubles; 2.0 dumps as "2" and reads back as an integer. -0.0 is left
+  // out: its "-0" reads back as 0.
+  for (const double d : {0.1, -2.5e-7, 1e300, 123456.789, 2.0}) {
+    doc["doubles"].push_back(d);
+  }
+  doc["non_finite"].push_back(std::numeric_limits<double>::infinity());
+  doc["non_finite"].push_back(std::numeric_limits<double>::quiet_NaN());
+  doc["nested"]["empty_array"].make_array();
+  doc["nested"]["empty_object"].make_object();
+  obs::Json& inner = doc["nested"]["list"].push_back(obs::Json{});
+  inner["on"] = true;
+  inner["off"] = false;
+  inner["none"] = nullptr;
+  inner["deeper"].push_back(obs::Json{}).make_array();
+  for (const int indent : {0, 2}) {
+    const std::string text = doc.dump(indent);
+    const std::optional<obs::Json> back = obs::Json::parse(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    EXPECT_EQ(back->dump(indent), text);
+  }
+
+  const std::optional<obs::Json> back = obs::Json::parse(doc.dump(0));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->find("escapes")->string_or(""),
+            "q\"b\\n\nt\tr\r\x01\x08\x0c\x1f end");
+  const obs::Json* ints = back->find("ints");
+  ASSERT_NE(ints, nullptr);
+  ASSERT_EQ(ints->size(), 3u);
+  EXPECT_EQ(ints->at(0).int_or(0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(ints->at(1).int_or(0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(back->find("doubles")->at(2).int_or(-1), -1);  // 1e300
+  EXPECT_EQ(back->find("doubles")->at(3).int_or(0), 123456);
+  EXPECT_EQ(back->find("missing"), nullptr);
+  EXPECT_EQ(ints->find("escapes"), nullptr);  // not an object
+  EXPECT_EQ(ints->string_or("fallback"), "fallback");
+}
+
+TEST(Json, ParseRejectsMalformedDocuments) {
+  for (const char* bad : {
+           "",                             // empty document
+           "{} trailing", "[1] [2]",       // trailing junk
+           "{\"a\":1,}", "[1,2,]",         // trailing commas
+           "\"open", "\"escape at end\\",  // unterminated strings
+           "[1,2", "{\"a\":{\"b\":1}",     // unterminated containers
+           "\"\\x41\"",                    // unknown escape
+           "\"\\u0100\"",                  // \u above 0xff
+           "\"\\u00g1\"", "\"\\u00\"",     // not four hex digits
+           "99999999999999999999",         // out of int64 range
+           "1-2", "+1",                    // not one JSON number
+           "tru",                          // broken literal
+       }) {
+    EXPECT_FALSE(obs::Json::parse(bad).has_value()) << bad;
+  }
+  // Nesting is bounded: 256 levels read back, 100k are rejected, not a
+  // stack overflow.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(obs::Json::parse(nested(256))->dump(0), nested(256));
+  EXPECT_FALSE(obs::Json::parse(nested(100'000)).has_value());
+  EXPECT_EQ(obs::Json::parse("\"\\u00ff\"")->string_or(""), "\xff");
+  EXPECT_EQ(obs::Json::parse(" [ 1 , {\"a\" : \"b\"} ] \n")->dump(0),
+            R"([1,{"a":"b"}])");
+}
+
+TEST(Json, ParseRejectsARepeatedKey) {
+  // Which of two values a hand-edited artifact meant is a guess, so a
+  // key repeated within one object rejects the document; the same key in
+  // two different objects is fine.
+  EXPECT_FALSE(obs::Json::parse(R"({"seed":1,"seed":2})").has_value());
+  EXPECT_FALSE(
+      obs::Json::parse(R"({"a":{"x":1,"y":2,"x":3}})").has_value());
+  EXPECT_TRUE(obs::Json::parse(R"({"a":{"x":1},"b":{"x":2}})").has_value());
 }
 
 // ------------------------------------------------------------ Registry --
@@ -204,7 +289,8 @@ struct TracedScenario : ::testing::Test {
     obs::TracerConfig tc;
     tc.record_events = true;
     tc.keep_all = true;
-    tracer = std::make_unique<obs::ProcTracer>(tc, &metrics.registry);
+    tc.decompose = true;
+    tracer = std::make_unique<obs::ProcTracer>(tc);
     system->attach_tracer(*tracer);
 
     system->frontend().start_procedure(attacher,
@@ -264,26 +350,20 @@ TEST_F(TracedScenario, DecompositionTilesThePct) {
     EXPECT_EQ(s.attributed_ns(), s.duration().ns())
         << "ue " << s.ue.value();
   }
-  // And the folded registry histograms agree: per proc type, the mean
+  // And the tracer's folded table agrees: per proc type, the mean
   // components sum to the mean total.
   for (const auto type :
        {core::ProcedureType::kAttach, core::ProcedureType::kHandover,
         core::ProcedureType::kServiceRequest}) {
     const std::string proc{core::to_string(type)};
-    const LatencyRecorder* total = metrics.registry.find_histogram(
-        "core.pct_decomp_ms", {{"proc", proc}, {"component", "total"}});
-    ASSERT_NE(total, nullptr) << proc;
+    const obs::Decomposition& d = tracer->decomposition(type);
+    ASSERT_FALSE(d.total.empty()) << proc;
     double component_sum = 0;
-    for (std::size_t c = 0; c < obs::kHopClasses; ++c) {
-      const LatencyRecorder* h = metrics.registry.find_histogram(
-          "core.pct_decomp_ms",
-          {{"proc", proc},
-           {"component",
-            std::string{to_string(static_cast<obs::HopClass>(c))}}});
-      ASSERT_NE(h, nullptr) << proc;
-      component_sum += h->mean();
+    for (const LatencyRecorder& h : d.component) {
+      ASSERT_FALSE(h.empty()) << proc;
+      component_sum += h.mean();
     }
-    EXPECT_NEAR(component_sum, total->mean(), total->mean() * 0.01) << proc;
+    EXPECT_NEAR(component_sum, d.total.mean(), d.total.mean() * 0.01) << proc;
   }
 }
 

@@ -142,8 +142,7 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   std::vector<obs::FlightRecorder> flights;
   flights.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    tracers.push_back(std::make_unique<obs::ProcTracer>(
-        tc, &sys.metrics(s).registry));
+    tracers.push_back(std::make_unique<obs::ProcTracer>(tc));
     sys.attach_tracer(s, *tracers.back());
     flights.emplace_back(/*capacity=*/128);
     sys.attach_flight_recorder(s, flights.back());
@@ -207,7 +206,7 @@ void expect_identical(const ShardRun& a, const ShardRun& b, const char* label) {
         ASSERT_NE(other, nullptr) << label << ": missing " << key;
         EXPECT_EQ(counter.value(), other->value()) << label << ": " << key;
       });
-  for (std::size_t i = 0; i < core::Metrics::kProcTypes; ++i) {
+  for (std::size_t i = 0; i < core::kProcTypes; ++i) {
     const auto sa = a.metrics.pct[i].summary();
     const auto sb = b.metrics.pct[i].summary();
     EXPECT_EQ(sa.count, sb.count) << label << " proc " << i;
@@ -242,7 +241,7 @@ TEST(ParallelDeterminism, OneShardMatchesLegacySystem) {
   obs::TracerConfig tc;
   tc.record_events = true;
   tc.keep_all = true;
-  obs::ProcTracer legacy_tracer(tc, &legacy_metrics.registry);
+  obs::ProcTracer legacy_tracer(tc);
   legacy.attach_tracer(legacy_tracer);
   obs::FlightRecorder legacy_flight(/*capacity=*/128);
   legacy.attach_flight_recorder(legacy_flight);
@@ -279,7 +278,7 @@ TEST(ParallelDeterminism, OneShardMatchesLegacySystem) {
         ASSERT_NE(other, nullptr) << key;
         EXPECT_EQ(counter.value(), other->value()) << key;
       });
-  for (std::size_t i = 0; i < core::Metrics::kProcTypes; ++i) {
+  for (std::size_t i = 0; i < core::kProcTypes; ++i) {
     const auto sl = legacy_metrics.pct[i].summary();
     const auto ss = sharded.metrics.pct[i].summary();
     EXPECT_EQ(sl.count, ss.count) << "proc " << i;
