@@ -420,8 +420,10 @@ done
 
 # Repo benchmark (perfbench/): its self-tests (which build it into
 # .bench_build/ as perfbench/run.py does), then the simulated fingerprints
-# every change must keep, each read from one run.py repetition.
-echo "== perfbench self-test + fingerprints (.bench_build)"
+# every change must keep, each read from one run.py repetition, and the
+# codec workload's golden checks (every encoding against tests/golden, and
+# decode(encode(m)) == m) from one short repetition.
+echo "== perfbench self-test + fingerprints + codec goldens (.bench_build)"
 python3 perfbench/selftest.py
 python3 - <<'PY'
 import sys
@@ -436,6 +438,13 @@ for workload, seed, want in PINS:
     if got != want:
         print(f"{workload} seed {seed}: fingerprint {got}, want {want}")
         wrong += 1
+codec = run.repetition("codec", 1, False, seconds=0.5)
+print(f"-- codec: failed={codec['failed']} "
+      f"mismatches={len(codec['mismatches'])}")
+for m in codec["mismatches"]:
+    print(f"codec: {m}")
+if codec["failed"] != 0 or codec["mismatches"]:
+    wrong += 1
 sys.exit(1 if wrong else 0)
 PY
 

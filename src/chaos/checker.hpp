@@ -13,13 +13,17 @@
 //  * CTA log well-formedness (audited periodically and at the end, via
 //    Cta::audit_log_invariants): no un-pruned entries below the pruning
 //    watermark, no fully-ACKed retained procedures, byte/message
-//    accounting matches the live log.
+//    accounting matches the live log. A finding counts once per fault:
+//    only when the previous audit did not report the same one, so a
+//    drift that persists over many audit ticks counts 1, and one that
+//    clears and comes back counts again.
 //
 // One checker per System instance: under the sharded runtime each shard
 // gets its own (UEs partition by home shard, and observer callbacks must
 // stay on the owning shard's thread).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -90,6 +94,18 @@ class InvariantChecker final : public core::InvariantObserver {
     quiesced_ = system_->loop().empty();
   }
 
+  /// One audit's findings: each counts as a violation unless the
+  /// previous audit reported the same one.
+  void record_audit(std::vector<std::string> found) {
+    for (const std::string& v : found) {
+      if (std::find(last_audit_.begin(), last_audit_.end(), v) ==
+          last_audit_.end()) {
+        record(v, "cta_log");
+      }
+    }
+    last_audit_ = std::move(found);
+  }
+
   [[nodiscard]] std::uint64_t violation_count() const { return count_; }
   [[nodiscard]] const std::vector<std::string>& violations() const {
     return descriptions_;
@@ -115,7 +131,7 @@ class InvariantChecker final : public core::InvariantObserver {
       if (!system_->owns_region(r) || !system_->cta_alive(r)) continue;
       system_->cta(r).audit_log_invariants(found);
     }
-    for (std::string& v : found) record(std::move(v), "cta_log");
+    record_audit(std::move(found));
   }
 
   /// `tag` must be a string literal: it rides into the flight recorder,
@@ -139,6 +155,7 @@ class InvariantChecker final : public core::InvariantObserver {
   std::unordered_map<std::uint64_t, std::uint64_t> watermark_;
   std::unordered_map<std::uint64_t, std::uint64_t> completed_;
   std::vector<std::string> descriptions_;
+  std::vector<std::string> last_audit_;  // the previous audit's findings
   std::uint64_t count_ = 0;
   bool quiesced_ = false;
 };

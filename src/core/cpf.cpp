@@ -239,7 +239,7 @@ void Cpf::handle_tau(Msg& msg) {
     state.serving_region = region_;
     state.tracking_area = static_cast<std::uint16_t>(region_);
     reply_to_ue(msg, MsgKind::kTauAccept);
-    state.last_completed_proc = msg.proc_seq;
+    state.last_completed_proc = static_cast<std::uint32_t>(msg.proc_seq);
     state.last_lclock = msg.lclock;
     complete_procedure(msg);
     return;
@@ -278,7 +278,6 @@ void Cpf::handle_attach_flow(Msg& msg) {
   switch (msg.kind) {
     case MsgKind::kAttachRequest: {
       UeState fresh;
-      fresh.ue = msg.ue;
       fresh.serving_region = region_;
       store_[msg.ue] = Entry{StateRef(fresh), true};
       if (system_->policy().dpcm_device_state) {
@@ -299,7 +298,7 @@ void Cpf::handle_attach_flow(Msg& msg) {
     case MsgKind::kAttachComplete: {
       UeState& state = mutable_state(msg.ue);
       state.attached = true;
-      state.last_completed_proc = msg.proc_seq;
+      state.last_completed_proc = static_cast<std::uint32_t>(msg.proc_seq);
       state.last_lclock = msg.lclock;
       complete_procedure(msg);
       break;
@@ -326,7 +325,7 @@ void Cpf::handle_service_flow(Msg& msg) {
       break;
     case MsgKind::kIcsResponse: {
       UeState& state = mutable_state(msg.ue);
-      state.last_completed_proc = msg.proc_seq;
+      state.last_completed_proc = static_cast<std::uint32_t>(msg.proc_seq);
       state.last_lclock = msg.lclock;
       complete_procedure(msg);
       break;
@@ -481,7 +480,7 @@ void Cpf::handle_upf_response(Msg& msg) {
       reply_to_ue(msg, MsgKind::kDetachAccept);
       state.attached = false;
       state.session_active = false;
-      state.last_completed_proc = msg.proc_seq;
+      state.last_completed_proc = static_cast<std::uint32_t>(msg.proc_seq);
       state.last_lclock = ctx.last_lclock;
       complete_procedure(msg);
       break;
@@ -509,7 +508,7 @@ void Cpf::handle_upf_response(Msg& msg) {
       reply_to_ue(msg, MsgKind::kHandoverComplete);
       state.serving_region = region_;
       state.session_active = true;
-      state.last_completed_proc = msg.proc_seq;
+      state.last_completed_proc = static_cast<std::uint32_t>(msg.proc_seq);
       state.last_lclock = ctx.last_lclock;
       complete_procedure(msg);
       break;
@@ -792,9 +791,7 @@ UeState& Cpf::mutable_state(UeId ue) {
   if (entry.state.use_count() != 1) {
     entry.state = StateRef(entry.state ? *entry.state : UeState{});
   }
-  UeState& owned = entry.state.mutate();
-  owned.ue = ue;
-  return owned;
+  return entry.state.mutate();
 }
 
 void Cpf::reply_to_ue(const Msg& request, MsgKind kind) {
@@ -865,8 +862,7 @@ void Cpf::restore() {
   alive_ = true;
 }
 
-void Cpf::preinstall(StateRef state) {
-  const UeId ue = state->ue;
+void Cpf::preinstall(UeId ue, StateRef state) {
   store_[ue] = Entry{std::move(state), true};
 }
 

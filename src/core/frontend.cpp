@@ -4,10 +4,41 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/system.hpp"
 
 namespace neutrino::core {
+namespace {
+
+/// Takes the UE's next procedure number from its 32-bit counter, aborting
+/// instead of wrapping it.
+std::uint32_t take_proc_seq(std::uint32_t& next, UeId ue) {
+  if (next == std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+    std::fprintf(stderr,
+                 "Frontend: UE %" PRIu64
+                 " ran out of 32-bit procedure numbers\n",
+                 ue.value());
+    std::abort();
+  }
+  return next++;
+}
+
+/// A region id as a UE context holds it (16 bits). System refuses
+/// topologies of more than 65,535 regions, so only an id that lies
+/// outside every topology fails here.
+std::uint16_t ctx_region(std::uint32_t region) {
+  if (region > std::numeric_limits<std::uint16_t>::max()) [[unlikely]] {
+    std::fprintf(stderr,
+                 "Frontend: region %" PRIu32
+                 " does not fit the UE context's 16-bit region\n",
+                 region);
+    std::abort();
+  }
+  return static_cast<std::uint16_t>(region);
+}
+
+}  // namespace
 
 Frontend::Frontend(System& system) : system_(&system) {}
 
@@ -17,7 +48,7 @@ void Frontend::start_procedure(UeId ue, ProcedureType type,
   UeCtx& ctx = it->second;
   if (inserted) {
     // Fresh UE: home it deterministically across regions.
-    ctx.region = static_cast<std::uint32_t>(
+    ctx.region = static_cast<std::uint16_t>(
         ue.value() % static_cast<std::uint64_t>(
                          system_->topo().total_regions()));
     ctx.prev_region = ctx.region;
@@ -26,10 +57,10 @@ void Frontend::start_procedure(UeId ue, ProcedureType type,
   ctx.in_flight = true;
   ctx.proc_type = type;
   ctx.reported_type = type;
-  ctx.proc_seq = ctx.next_proc_seq++;
+  ctx.proc_seq = take_proc_seq(ctx.next_proc_seq, ue);
   ctx.start_time = system_->loop().now();
   ctx.under_failure = false;
-  ctx.ho_target = target_region;
+  ctx.ho_target = ctx_region(target_region);
   ctx.retx_attempt = 0;  // fresh procedure, fresh NAS timers
   ++system_->metrics().procedures_started;
   if (obs::ProcTracer* tr = system_->tracer()) {
@@ -55,7 +86,7 @@ void Frontend::start_procedure(UeId ue, ProcedureType type,
       // The UE is leaving the source cell's coverage: if the control plane
       // has not commanded the handover within the grace window, the radio
       // link breaks and the outage starts early.
-      const std::uint64_t seq = ctx.proc_seq;
+      const std::uint32_t seq = ctx.proc_seq;
       system_->loop().schedule_after(
           system_->proto().ho_coverage_grace, [this, ue, seq] {
             const auto it = ues_.find(ue);
@@ -85,7 +116,7 @@ void Frontend::idle_move(UeId ue, std::uint32_t new_region) {
   const auto it = ues_.find(ue);
   if (it == ues_.end()) return;
   it->second.prev_region = it->second.region;
-  it->second.region = new_region;
+  it->second.region = ctx_region(new_region);
 }
 
 void Frontend::send_uplink(UeCtx& ctx, UeId ue, MsgKind kind) {
@@ -96,7 +127,7 @@ void Frontend::send_uplink(UeCtx& ctx, UeId ue, MsgKind kind) {
     // (the sibling region's) and rebuild state there (§4.2.5).
     const auto regions =
         static_cast<std::uint32_t>(system_->topo().total_regions());
-    ctx.region = (via_region + 1) % regions;
+    ctx.region = static_cast<std::uint16_t>((via_region + 1) % regions);
     ctx.under_failure = true;
     begin_reattach(ctx, ue);
     return;
@@ -126,7 +157,7 @@ void Frontend::arm_retx(UeCtx& ctx, UeId ue, MsgKind kind) {
   if (kind == MsgKind::kAttachComplete || kind == MsgKind::kIcsResponse) {
     return;
   }
-  const std::uint64_t seq = ctx.proc_seq;
+  const std::uint32_t seq = ctx.proc_seq;
   const std::uint32_t attempt = ctx.retx_attempt;
   // Exponential backoff, clamped well below the shift width.
   const SimTime delay = base * (std::int64_t{1} << std::min(attempt, 20u));
@@ -298,7 +329,7 @@ void Frontend::begin_reattach(UeCtx& ctx, UeId ue) {
   // PCT-under-failure accounting) rebuilds consistent state.
   ctx.attached = false;
   ctx.proc_type = ProcedureType::kReattach;
-  ctx.proc_seq = ctx.next_proc_seq++;
+  ctx.proc_seq = take_proc_seq(ctx.next_proc_seq, ue);
   ctx.retx_attempt = 0;  // fresh procedure, fresh NAS timers
   if (obs::FlightRecorder* fl = system_->flight()) {
     fl->record(system_->loop().now(), obs::FlightRecorder::Kind::kReattach,
@@ -354,17 +385,16 @@ void Frontend::check_ryw(UeCtx& ctx, const Msg& msg) {
 
 void Frontend::preattach_context(UeId ue, std::uint32_t region) {
   UeCtx& ctx = ues_[ue];
-  ctx.region = region;
-  ctx.prev_region = region;
+  ctx.region = ctx_region(region);
+  ctx.prev_region = ctx.region;
   ctx.attached = true;
   ctx.completed_procs = 1;
   ctx.last_completed_seq = 1;
   ctx.next_proc_seq = 2;
 }
 
-StateRef Frontend::make_preattached_state(UeId ue, std::uint32_t region) {
+StateRef Frontend::make_preattached_state(std::uint32_t region) {
   UeState state;
-  state.ue = ue;
   state.attached = true;
   state.session_active = true;
   state.serving_region = region;
@@ -375,10 +405,10 @@ StateRef Frontend::make_preattached_state(UeId ue, std::uint32_t region) {
 
 void Frontend::preattach(UeId ue, std::uint32_t region) {
   preattach_context(ue, region);
-  const StateRef state = make_preattached_state(ue, region);
-  system_->cpf(system_->primary_cpf_for(ue, region)).preinstall(state);
+  const StateRef state = make_preattached_state(region);
+  system_->cpf(system_->primary_cpf_for(ue, region)).preinstall(ue, state);
   for (const CpfId b : system_->backups_for(ue, region)) {
-    system_->cpf(b).preinstall(state);
+    system_->cpf(b).preinstall(ue, state);
   }
   system_->upf(region).preinstall(ue);
 }
@@ -388,7 +418,7 @@ void Frontend::on_cta_failure(std::uint32_t region) {
       static_cast<std::uint32_t>(system_->topo().total_regions());
   for (auto& [ue, ctx] : ues_) {
     if (ctx.region != region || !ctx.in_flight) continue;
-    ctx.region = (region + 1) % regions;
+    ctx.region = static_cast<std::uint16_t>((region + 1) % regions);
     ctx.under_failure = true;
     ++system_->metrics().reattaches;
     begin_reattach(ctx, ue);

@@ -82,13 +82,15 @@ ShardedSystem::ShardedSystem(const Config& config, const CostModel& costs)
 void ShardedSystem::preattach(UeId ue, std::uint32_t region) {
   System& home = *shards_[shard_of_region(region)].system;
   home.frontend().preattach_context(ue, region);
-  const auto state = Frontend::make_preattached_state(ue, region);
+  const auto state = Frontend::make_preattached_state(region);
   const CpfId primary = home.primary_cpf_for(ue, region);
   system(shard_of_region(topo_.region_of_cpf(primary)))
       .cpf(primary)
-      .preinstall(state);
+      .preinstall(ue, state);
   for (const CpfId b : home.backups_for(ue, region)) {
-    system(shard_of_region(topo_.region_of_cpf(b))).cpf(b).preinstall(state);
+    system(shard_of_region(topo_.region_of_cpf(b)))
+        .cpf(b)
+        .preinstall(ue, state);
   }
   home.upf(region).preinstall(ue);
 }

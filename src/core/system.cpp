@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "obs/sampler.hpp"
@@ -108,6 +110,19 @@ System::System(sim::EventLoop& loop, CorePolicy policy, TopologyConfig topo,
       metrics_(&metrics),
       shard_(shard) {
   const int regions = topo_.total_regions();
+  // A UE context holds regions in 16 bits and retransmission attempts in
+  // 8 (Frontend::UeCtx): refuse what would wrap before building anything.
+  if (regions > std::numeric_limits<std::uint16_t>::max()) {
+    std::fprintf(stderr, "System: %d regions; at most 65535 are supported\n",
+                 regions);
+    std::abort();
+  }
+  if (proto_.nas_retx_budget < 0 ||
+      proto_.nas_retx_budget > std::numeric_limits<std::uint8_t>::max()) {
+    std::fprintf(stderr, "System: nas_retx_budget %d is outside 0..255\n",
+                 proto_.nas_retx_budget);
+    std::abort();
+  }
   assert(shard_.n_shards >= 1 &&
          static_cast<int>(shard_.n_shards) <= regions);
   // Ceiling division: the last shard may own fewer regions.
@@ -492,8 +507,6 @@ void System::arm_telemetry(SimTime window, SimTime until) {
 
 namespace {
 
-static_assert(sizeof(System::Arrival) == 24);
-
 /// A replayed trace as an event stream: arrival k starts its procedure
 /// under offset k. Only the next arrival waits in the queue and every
 /// other event's sequence number lies outside the stream's block, so the
@@ -507,11 +520,21 @@ struct ArrivalStream {
   [[nodiscard]] std::uint64_t offset(std::uint64_t k) const { return k; }
   void fire(std::uint64_t k) {
     const System::Arrival& a = arrivals[k];
-    system->frontend().start_procedure(a.ue, a.type, a.target_region);
+    system->frontend().start_procedure(UeId(a.ue), a.type, a.target_region);
   }
 };
 
 }  // namespace
+
+void System::Arrival::unfit(SimTime at, std::uint64_t ue,
+                            std::uint64_t target_region) {
+  std::fprintf(stderr,
+               "System::Arrival: record at %" PRId64 " ns of UE %" PRIu64
+               " to region %" PRIu64
+               " does not fit (UE ids are 32-bit, regions 16-bit)\n",
+               at.ns(), ue, target_region);
+  std::abort();
+}
 
 void System::replay(std::vector<Arrival> arrivals) {
   const auto earlier = [](const Arrival& a, const Arrival& b) {

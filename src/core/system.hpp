@@ -3,6 +3,7 @@
 // (core/policy.hpp) so Neutrino and every baseline share this code.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -120,8 +121,9 @@ class Cpf {
   /// Crash incarnation (see Msg::sender_epoch).
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
-  /// Test/bench hook: install state directly (pre-attached UE population).
-  void preinstall(StateRef state);
+  /// Test/bench hook: install a UE's state directly (pre-attached UE
+  /// population).
+  void preinstall(UeId ue, StateRef state);
 
   /// Elastic churn (DESIGN.md §19): UEs whose up-to-date state this CPF
   /// holds for its own region — the candidate set a scale-out/drain hands
@@ -362,8 +364,7 @@ class Frontend {
   /// UE context, while each replica's *owning* shard runs the
   /// Cpf::preinstall calls (ShardedSystem::preattach drives both).
   void preattach_context(UeId ue, std::uint32_t region);
-  [[nodiscard]] static StateRef make_preattached_state(UeId ue,
-                                                      std::uint32_t region);
+  [[nodiscard]] static StateRef make_preattached_state(std::uint32_t region);
 
   /// Idle-mode mobility: the UE silently moves to another region; its next
   /// procedure (typically a kTau) runs through the new region's CTA.
@@ -398,24 +399,28 @@ class Frontend {
   }
 
  private:
-  /// Fields run from widest to narrowest: 64 bytes, one per UE the
-  /// Frontend has seen.
+  /// Fields run from widest to narrowest: 40 bytes, one per UE the
+  /// Frontend has seen. Each narrow field has a guard that aborts in
+  /// every build instead of wrapping: numbering a procedure past
+  /// UINT32_MAX, a region id past UINT16_MAX (System refuses
+  /// topologies of more than 65,535 regions) and a retransmission attempt
+  /// past 255 (System refuses a larger nas_retx_budget).
   struct UeCtx {
-    std::uint64_t completed_procs = 0;
+    SimTime start_time;
+    std::uint32_t completed_procs = 0;
     /// proc_seq of the last procedure this UE saw complete: the RYW ground
     /// truth the core's served_proc is checked against.
-    std::uint64_t last_completed_seq = 0;
-    std::uint64_t next_proc_seq = 1;
+    std::uint32_t last_completed_seq = 0;
+    std::uint32_t next_proc_seq = 1;
     // In-flight procedure, if any.
-    std::uint64_t proc_seq = 0;
-    SimTime start_time;
-    std::uint32_t region = 0;
-    std::uint32_t prev_region = 0;  // before the last move (replica lookup)
-    std::uint32_t ho_target = 0;
+    std::uint32_t proc_seq = 0;
+    std::uint16_t region = 0;
+    std::uint16_t prev_region = 0;  // before the last move (replica lookup)
+    std::uint16_t ho_target = 0;
     // NAS retransmission (DESIGN.md §13): the last uplink sent and how
     // often it has been re-sent. A pending retx timer is stale unless
     // (proc_seq, last_uplink, retx_attempt) all still match.
-    std::uint32_t retx_attempt = 0;
+    std::uint8_t retx_attempt = 0;
     MsgKind last_uplink = MsgKind::kAttachRequest;
     MsgKind awaiting = MsgKind::kAttachAccept;
     ProcedureType proc_type = ProcedureType::kAttach;
@@ -425,7 +430,7 @@ class Frontend {
     bool paging_response = false;  // current procedure answers a page
     bool attached = false;
   };
-  static_assert(sizeof(UeCtx) <= 64);
+  static_assert(sizeof(UeCtx) == 40);
 
   /// A watched UE's outage history: the open interval, if any, and the
   /// closed ones in order.
@@ -500,19 +505,34 @@ class System {
   /// Table census of the nodes this System owns (shadows excluded).
   [[nodiscard]] TableBytes table_bytes() const;
 
-  /// One trace arrival as replay() keeps it until it fires (24 bytes).
+  /// One trace arrival as replay() keeps it until it fires (16 bytes):
+  /// the generators number UEs from 0, and a region fits 16 bits (see
+  /// the System constructor).
   struct Arrival {
     SimTime at;
-    UeId ue;
-    std::uint32_t target_region = 0;
+    std::uint32_t ue = 0;
+    std::uint16_t target_region = 0;
     ProcedureType type = ProcedureType::kAttach;
 
     /// From a traffic::TraceRecord-shaped record (core sits below traffic).
+    /// A UE id or target region that does not fit aborts, naming the
+    /// record, in every build.
     template <class Record>
     static Arrival of(const Record& rec) {
-      return {rec.at, rec.ue, rec.target_region, rec.type};
+      if (rec.ue.value() > std::numeric_limits<std::uint32_t>::max() ||
+          rec.target_region > std::numeric_limits<std::uint16_t>::max())
+          [[unlikely]] {
+        unfit(rec.at, rec.ue.value(), rec.target_region);
+      }
+      return {rec.at, static_cast<std::uint32_t>(rec.ue.value()),
+              static_cast<std::uint16_t>(rec.target_region), rec.type};
     }
+
+   private:
+    [[gnu::cold, gnu::noinline]] [[noreturn]] static void unfit(
+        SimTime at, std::uint64_t ue, std::uint64_t target_region);
   };
+  static_assert(sizeof(Arrival) == 16);
 
   /// Replay arrivals, given in trace order, as one event stream on this
   /// System's loop (DESIGN.md §11): each starts its procedure on the

@@ -15,17 +15,19 @@
 
 namespace neutrino::core {
 
-// Fields run from widest to narrowest, so only the tail pads: 44 bytes of
-// fields in 48. The IMSI and M-TMSI a real core keeps with the context
-// are functions of the UE id here, so they are not stored.
+// Fields run from widest to narrowest, so nothing pads: 32 bytes. The UE
+// id is the key every holder files the state under, and the IMSI and
+// M-TMSI a real core keeps with the context are functions of it, so none
+// of the three is stored.
 struct UeState {
-  UeId ue;
-  /// Number of the last control procedure that completed for this UE.
-  /// RYW (§4.2.1) reduces to: a CPF serving the UE must hold state with
-  /// last_completed_proc equal to the UE's own completed-procedure count.
-  std::uint64_t last_completed_proc = 0;
-  /// Logical clock of the final message of that procedure (§4.2.3 step 2).
+  /// Logical clock of the final message of the last completed procedure
+  /// (§4.2.3 step 2).
   LogicalClock::Value last_lclock = 0;
+  /// Number of the last control procedure that completed for this UE, a
+  /// Frontend procedure number (32-bit). RYW (§4.2.1) reduces to: a CPF
+  /// serving the UE must hold state with last_completed_proc equal to the
+  /// UE's own completed-procedure count.
+  std::uint32_t last_completed_proc = 0;
 
   std::uint32_t serving_region = 0;
   BsId serving_bs;
@@ -35,11 +37,11 @@ struct UeState {
   bool attached = false;
   bool session_active = false;  // data bearer established at the UPF
 };
-static_assert(sizeof(UeState) <= 48);
+static_assert(sizeof(UeState) == 32);
 
 /// An 8-byte counted handle to one immutable UeState snapshot: a heap box
-/// holding the state and a 32-bit count of the handles to it, 56 bytes in
-/// a 64-byte malloc chunk. Every replica of a UE (1 + N `Cpf::Entry`s)
+/// holding the state and a 32-bit count of the handles to it, 40 bytes in
+/// a 48-byte malloc chunk. Every replica of a UE (1 + N `Cpf::Entry`s)
 /// and every checkpoint in flight shares one box. A copy increments the
 /// count (relaxed: the copier already holds a reference), a release
 /// decrements it (acq_rel, so the last releaser sees every earlier
@@ -105,7 +107,7 @@ class StateRef {
     UeState state;
     std::atomic<std::uint32_t> refs;
   };
-  static_assert(sizeof(Box) <= 56);  // a 64-byte malloc chunk
+  static_assert(sizeof(Box) <= 40);  // a 48-byte malloc chunk
 
   Box* box_ = nullptr;
 };

@@ -19,7 +19,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,7 +62,10 @@ class BackwardBuffer {
 
   [[nodiscard]] std::size_t written() const { return buf_.size() - head_; }
 
-  void push_bytes(const void* data, std::size_t n) {
+  /// Out of line on purpose: inlined into end_table, GCC expands this
+  /// variable-length memcpy into `rep movsq`, whose start-up cost is many
+  /// times that of a libc call for the few dozen bytes of a vtable.
+  [[gnu::noinline]] void push_bytes(const void* data, std::size_t n) {
     if (n == 0) return;  // empty payloads may carry a null pointer (UB to memcpy)
     make_room(n);
     head_ -= n;
@@ -72,10 +78,13 @@ class BackwardBuffer {
     std::memset(buf_.data() + head_, 0, n);
   }
 
+  /// One fixed-width store (host order; we only target little-endian).
   template <typename T>
   void push_scalar(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    push_bytes(&v, sizeof(T));  // host order; we only target little-endian
+    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
+    make_room(sizeof(T));
+    head_ -= sizeof(T);
+    std::memcpy(buf_.data() + head_, &v, sizeof(T));
   }
 
   /// Pad so that after pushing `len` more bytes the write head sits at an
@@ -83,7 +92,7 @@ class BackwardBuffer {
   void pre_align(std::size_t len, std::size_t alignment) {
     minalign_ = std::max(minalign_, alignment);
     const std::size_t pad = pad_to(written() + len, alignment);
-    if (pad != 0) push_zeros(pad);
+    if (pad != 0) push_pad(pad);
   }
 
   [[nodiscard]] std::size_t minalign() const { return minalign_; }
@@ -101,7 +110,7 @@ class BackwardBuffer {
     // Pad the total size to minalign so pos = N - eoff keeps every
     // eoff-aligned item position-aligned as well.
     const std::size_t pad = pad_to(written(), minalign_);
-    if (pad != 0) push_zeros(pad);
+    if (pad != 0) push_pad(pad);
     return Bytes(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
                  buf_.end());
   }
@@ -109,8 +118,22 @@ class BackwardBuffer {
  private:
   static constexpr std::size_t kInitialCapacity = 512;
 
+  /// Alignment padding (under 8 bytes, since alignments are scalar sizes)
+  /// as one 8-byte store of zeros ending at the head: the bytes it writes
+  /// below the new head are overwritten before anything reads them.
+  void push_pad(std::size_t n) {
+    assert(n < 8);
+    make_room(8);
+    std::memset(buf_.data() + head_ - 8, 0, 8);
+    head_ -= n;
+  }
+
   void make_room(std::size_t n) {
-    if (head_ >= n) return;
+    if (head_ >= n) [[likely]] return;
+    grow(n);
+  }
+
+  [[gnu::noinline]] void grow(std::size_t n) {
     const std::size_t old_size = buf_.size();
     const std::size_t grow = std::max(old_size, n);
     Bytes bigger(old_size + grow);
@@ -123,6 +146,39 @@ class BackwardBuffer {
   Bytes buf_;
   std::size_t head_;
   std::size_t minalign_ = 1;
+};
+
+/// A stack of trivially copyable values that keeps its capacity across
+/// clear(), for the builder's scratch: push() is an inlined capacity check
+/// and a store, and growth stays out of line.
+template <typename T>
+class ScratchStack {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  [[gnu::always_inline]] void push(const T& v) {
+    if (size_ == capacity_) [[unlikely]] grow();
+    data_[size_++] = v;
+  }
+  [[nodiscard]] T* data() { return data_.get(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  /// Pop everything above the first `n` entries.
+  void truncate(std::size_t n) { size_ = n; }
+  void clear() { size_ = 0; }
+
+ private:
+  [[gnu::noinline]] void grow() {
+    const std::size_t capacity = capacity_ == 0 ? 64 : 2 * capacity_;
+    auto bigger = std::make_unique_for_overwrite<T[]>(capacity);
+    if (size_ != 0) std::memcpy(bigger.get(), data_.get(), size_ * sizeof(T));
+    data_ = std::move(bigger);
+    capacity_ = capacity;
+  }
+
+  std::unique_ptr<T[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 /// A field pending placement in the current table.
@@ -223,7 +279,7 @@ class FlatBufEncoder {
       std::memcpy(&bits, &value, sizeof(T));
     }
     f.scalar_bits = bits;
-    fields_.push_back(f);
+    fields_.push(f);
   }
 
   void add_ref(std::uint16_t slot, std::uint32_t target_eoff) {
@@ -233,7 +289,7 @@ class FlatBufEncoder {
     f.align = 4;
     f.is_ref = true;
     f.ref_eoff = target_eoff;
-    fields_.push_back(f);
+    fields_.push(f);
   }
 
   template <typename S>
@@ -262,7 +318,7 @@ class FlatBufEncoder {
       const std::size_t base = child_eoffs_.size();
       for (T& child : vec) {
         const std::uint32_t eoff = encode_table(child);
-        child_eoffs_.push_back(eoff);
+        child_eoffs_.push(eoff);
       }
       buf_.pre_align(vec.size() * 4, 4);
       for (std::size_t i = vec.size(); i-- > 0;) {
@@ -270,7 +326,7 @@ class FlatBufEncoder {
             static_cast<std::uint32_t>(buf_.written() + 4);
         buf_.push_scalar<std::uint32_t>(slot_eoff - child_eoffs_[base + i]);
       }
-      child_eoffs_.resize(base);
+      child_eoffs_.truncate(base);
     }
     buf_.push_scalar<std::uint32_t>(static_cast<std::uint32_t>(vec.size()));
     return static_cast<std::uint32_t>(buf_.written());
@@ -313,14 +369,14 @@ class FlatBufEncoder {
     } else {
       add_scalar(0, alt);
     }
-    return end_table(frame);
+    return end_table(frame, "union wrapper");
   }
 
   template <FieldStruct M>
   std::uint32_t encode_table(M& msg) {
     const Frame frame = push_frame();
     msg.visit_fields([this](auto&&... args) { this->field(args...); });
-    return end_table(frame);
+    return end_table(frame, M::kTypeName);
   }
 
   /// Nested tables share one pending-field stack with frame bases instead
@@ -337,7 +393,7 @@ class FlatBufEncoder {
     return frame;
   }
 
-  std::uint32_t end_table(Frame frame) {
+  std::uint32_t end_table(Frame frame, std::string_view type_name) {
     const std::span<fb_detail::PendingField> fields(
         fields_.data() + frame.base, fields_.size() - frame.base);
 
@@ -347,36 +403,38 @@ class FlatBufEncoder {
                           [](const auto& a, const auto& b) {
                             return a.slot < b.slot;
                           }));
-    const std::uint16_t slot_count =
-        fields.empty() ? 0 : static_cast<std::uint16_t>(fields.back().slot + 1);
-    assert(slot_count <= kMaxSlots);
-    const std::uint16_t vtable_bytes =
-        static_cast<std::uint16_t>(4 + 2 * slot_count);
+    const std::size_t slot_count =
+        fields.empty() ? 0 : std::size_t{fields.back().slot} + 1;
+    if (slot_count > kMaxSlots) [[unlikely]] too_wide(type_name, slot_count);
+    const auto vtable_bytes = static_cast<std::uint16_t>(4 + 2 * slot_count);
     Byte vt[4 + 2 * kMaxSlots];  // only the first vtable_bytes are used
-    std::memset(vt + 4, 0, vtable_bytes - 4u);
 
     // Layout the inline area: 4-byte soffset, then fields in declaration
-    // order, each aligned. The vtable records the resulting byte offsets.
+    // order, each aligned. The vtable records the resulting byte offsets
+    // and 0 for each slot without a field.
     std::uint32_t cursor = 4;
     std::uint32_t max_align = 4;
+    std::uint16_t slot = 0;
     for (auto& f : fields) {
+      for (; slot < f.slot; ++slot) store_u16(vt + 4 + 2u * slot, 0);
       cursor = align_up(cursor, f.align);
       f.inline_off = static_cast<std::uint16_t>(cursor);
-      write_u16(vt, 4 + 2u * f.slot, f.inline_off);
+      store_u16(vt + 4 + 2u * f.slot, f.inline_off);
+      slot = static_cast<std::uint16_t>(f.slot + 1);
       cursor += f.size;
       max_align = std::max<std::uint32_t>(max_align, f.align);
     }
     const std::uint32_t table_size = align_up(cursor, 4);
-    write_u16(vt, 0, vtable_bytes);
-    write_u16(vt, 2, static_cast<std::uint16_t>(table_size));
+    // The 4-byte header (vtable size, table size), built and stored as one
+    // word: four byte stores read back as a word would stall the load.
+    const std::uint32_t header = vtable_bytes | table_size << 16;
+    std::memcpy(vt, &header, 4);
 
     // Deduplicate the vtable the way the real FlatBufferBuilder does:
     // memcmp against the vtables already written into the buffer (few
-    // unique shapes per message). The 4-byte header (vtable size, table
-    // size) rules out most candidates first; a candidate whose header
-    // matches has this vtable's size, so the compare stays in bounds.
-    std::uint32_t header = 0;
-    std::memcpy(&header, vt, 4);
+    // unique shapes per message). The header rules out most candidates
+    // first; a candidate whose header matches has this vtable's size, so
+    // the compare stays in bounds.
     std::uint32_t vt_eoff = 0;
     for (const std::uint32_t candidate : written_vtables_) {
       const Byte* written = buf_.data_at(candidate);
@@ -409,28 +467,61 @@ class FlatBufEncoder {
         const std::uint32_t uoffset = field_eoff - f.ref_eoff;
         std::memcpy(area + f.inline_off, &uoffset, 4);
       } else {
-        std::memcpy(area + f.inline_off, &f.scalar_bits, f.size);
+        store_scalar(area + f.inline_off, f.scalar_bits, f.size);
       }
     }
 
-    fields_.resize(frame.base);
+    fields_.truncate(frame.base);
     next_slot_ = frame.saved_slot;
     return table_eoff;
   }
 
   static constexpr std::size_t kMaxSlots = 72;  // >= widest message (2/union)
 
+  /// A table wider than the vtable scratch: abort in every build, naming
+  /// the type, before anything is written.
+  [[gnu::cold, gnu::noinline]] [[noreturn]] static void too_wide(
+      std::string_view type_name, std::size_t slots) {
+    std::fprintf(stderr,
+                 "FlatBufEncoder: table %.*s has %zu slots; the builder "
+                 "holds at most %zu\n",
+                 static_cast<int>(type_name.size()), type_name.data(), slots,
+                 kMaxSlots);
+    std::abort();
+  }
+
+  /// The low `size` bytes of a pending scalar, as one fixed-width store.
+  static void store_scalar(Byte* dst, std::uint64_t bits, std::size_t size) {
+    switch (size) {
+      case 1:
+        *dst = static_cast<Byte>(bits);
+        break;
+      case 2: {
+        const auto v = static_cast<std::uint16_t>(bits);
+        std::memcpy(dst, &v, 2);
+        break;
+      }
+      case 4: {
+        const auto v = static_cast<std::uint32_t>(bits);
+        std::memcpy(dst, &v, 4);
+        break;
+      }
+      default:
+        assert(size == 8);
+        std::memcpy(dst, &bits, 8);
+        break;
+    }
+  }
+
   static constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t a) {
     return v + static_cast<std::uint32_t>(fb_detail::pad_to(v, a));
   }
-  static void write_u16(Byte* s, std::size_t off, std::uint16_t v) {
-    s[off] = static_cast<Byte>(v & 0xff);
-    s[off + 1] = static_cast<Byte>(v >> 8);
-  }
+  /// One 2-byte store (host order; we only target little-endian).
+  static void store_u16(Byte* dst, std::uint16_t v) { std::memcpy(dst, &v, 2); }
 
   fb_detail::BackwardBuffer buf_;
-  std::vector<fb_detail::PendingField> fields_;
-  std::vector<std::uint32_t> child_eoffs_;
+  fb_detail::ScratchStack<fb_detail::PendingField> fields_;
+  fb_detail::ScratchStack<std::uint32_t> child_eoffs_;
   std::uint16_t next_slot_ = 0;
   FlatBufMode mode_ = FlatBufMode::kStandard;
   std::vector<std::uint32_t> written_vtables_;

@@ -381,6 +381,46 @@ TEST(ChaosShrink, MinimizesToCulpritEvent) {
   EXPECT_GT(st.removed, 0u);
 }
 
+// --- Audit findings count once per fault ------------------------------------
+TEST(ChaosChecker, PersistentAuditFindingCountsOnce) {
+  InvariantChecker checker(oracle(), SimTime::milliseconds(100),
+                           SimTime::seconds(1));
+  const std::string drift = "cta[3] log accounting drift";
+  for (int tick = 0; tick < 6; ++tick) checker.record_audit({drift});
+  EXPECT_EQ(checker.violation_count(), 1u);
+  checker.record_audit({});  // the drift clears ...
+  checker.record_audit({drift});  // ... and comes back: a second fault
+  checker.record_audit({drift});
+  EXPECT_EQ(checker.violation_count(), 2u);
+}
+
+TEST(ChaosChecker, PersistentFindingDoesNotHideASecondOne) {
+  InvariantChecker checker(oracle(), SimTime::milliseconds(100),
+                           SimTime::seconds(1));
+  const std::string drift = "cta[3] log accounting drift";
+  for (int tick = 0; tick < 40; ++tick) checker.record_audit({drift});
+  checker.record_audit({drift, "cta[1] ue 4: proc 2 retained with no entries"});
+  EXPECT_EQ(checker.violation_count(), 2u);
+  ASSERT_EQ(checker.violations().size(), 2u);
+  EXPECT_EQ(checker.violations()[1],
+            "cta[1] ue 4: proc 2 retained with no entries");
+}
+
+TEST(ChaosChecker, PlantedPruneDriftCountsOnceOverManyAudits) {
+  // One unaccounted prune leaves a drift every later audit tick (every
+  // 50 ms of a 4-s horizon) sees; the checker counts it once.
+  Schedule s = base_schedule();
+  for (std::uint64_t ue = 0; ue < 4; ++ue) {
+    s.events.push_back(
+        proc_event(SimTime::milliseconds(10), ue, core::ProcedureType::kAttach));
+  }
+  RunConfig rc;
+  rc.faults.cta_unaccounted_prunes = 1;
+  const RunOutcome out = run_schedule(s, rc, costs());
+  EXPECT_EQ(out.violation_count, 1u)
+      << (out.violations.empty() ? "" : out.violations.front());
+}
+
 // --- Teeth: planted bugs are caught and shrink small ------------------------
 TEST(ChaosTeeth, StaleServeCaughtAndShrunk) {
   GeneratorConfig gen;

@@ -224,6 +224,55 @@ TEST(Frontend, OutagesOfUnwatchedUeAbortInEveryBuild) {
                "outages\\(\\) of UE 11, which nobody watched");
 }
 
+// The narrowed per-UE fields (Frontend::UeCtx, System::Arrival) refuse
+// what they cannot hold instead of wrapping it. The procedure-number guard
+// has no test: reaching it takes 2^32 procedures of one UE.
+struct RecordShape {
+  SimTime at;
+  UeId ue;
+  ProcedureType type = ProcedureType::kAttach;
+  std::uint32_t target_region = 0;
+};
+
+TEST(NarrowFields, ArrivalRefusesUeIdOrRegionItCannotHold) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const RecordShape fits{SimTime::seconds(1), UeId{(1ULL << 32) - 1},
+                         ProcedureType::kHandover, 65535};
+  const System::Arrival a = System::Arrival::of(fits);
+  EXPECT_EQ(a.ue, 0xffffffffu);
+  EXPECT_EQ(a.target_region, 65535u);
+  const RecordShape big_ue{SimTime::seconds(1), UeId{1ULL << 32},
+                           ProcedureType::kAttach, 0};
+  EXPECT_DEATH((void)System::Arrival::of(big_ue),
+               "System::Arrival: record at 1000000000 ns of UE 4294967296 "
+               "to region 0 does not fit");
+  const RecordShape far{SimTime::seconds(2), UeId{5},
+                        ProcedureType::kHandover, 65536};
+  EXPECT_DEATH((void)System::Arrival::of(far),
+               "record at 2000000000 ns of UE 5 to region 65536 does not fit");
+}
+
+TEST(NarrowFields, SystemRefusesTopologyOrBudgetUeContextsCannotHold) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::EventLoop loop;
+  FixedCostModel costs{SimTime::microseconds(10)};
+  Metrics metrics;
+  TopologyConfig wide;
+  wide.l2_regions = 256;
+  wide.l1_per_l2 = 256;  // 65,536 regions
+  EXPECT_DEATH(System(loop, neutrino_policy(), wide, ProtocolConfig{}, costs,
+                      metrics),
+               "System: 65536 regions; at most 65535 are supported");
+  ProtocolConfig proto;
+  proto.nas_retx_budget = 256;
+  EXPECT_DEATH(System(loop, neutrino_policy(), TopologyConfig{}, proto, costs,
+                      metrics),
+               "System: nas_retx_budget 256 is outside 0..255");
+  proto.nas_retx_budget = 255;
+  System ok(loop, neutrino_policy(), TopologyConfig{}, proto, costs, metrics);
+  EXPECT_EQ(ok.proto().nas_retx_budget, 255);
+}
+
 TEST(Frontend, WatchedUeRecordsEveryOutageKind) {
   sim::EventLoop loop;
   FixedCostModel costs{SimTime::microseconds(10)};

@@ -86,7 +86,7 @@ Msg probe_msg(MsgKind kind) {
   m.proc_seq = 1;
   m.region = kFar;
   m.src_cpf = kNearCpf;
-  m.state = Frontend::make_preattached_state(kUe, kFar);
+  m.state = Frontend::make_preattached_state(kFar);
   return m;
 }
 

@@ -3,6 +3,7 @@
 // and the top-level PDU envelope.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
 #include "s1ap/samples.hpp"
@@ -167,6 +168,27 @@ TEST(S1apPdu, NamesAndDispatch) {
 TEST(S1apPdu, EmptyEnvelopeNamed) {
   s1ap::S1apPdu pdu;
   EXPECT_EQ(s1ap::message_name(pdu), "empty");
+}
+
+/// A table one slot wider than the builder's vtable scratch holds.
+struct Wide73 {
+  static constexpr std::string_view kTypeName = "Wide73";
+  std::array<std::uint8_t, 73> f{};
+
+  template <class V>
+  void visit_fields(V&& v) {
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      v(static_cast<int>(i), "f", f[i]);
+    }
+  }
+};
+
+TEST(FlatBufFormat, TableWiderThanScratchAbortsNamingItsType) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      (void)ser::FlatBufEncoder::encode(Wide73{}, ser::FlatBufMode::kStandard),
+      "FlatBufEncoder: table Wide73 has 73 slots; the builder holds at most "
+      "72");
 }
 
 }  // namespace

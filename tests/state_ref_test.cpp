@@ -56,9 +56,8 @@ void operator delete(void* p, std::size_t) noexcept {
 namespace neutrino::core {
 namespace {
 
-UeState sample_state(std::uint64_t proc) {
+UeState sample_state(std::uint32_t proc) {
   UeState s;
-  s.ue = UeId{7};
   s.last_completed_proc = proc;
   s.last_lclock = 100 + proc;
   s.serving_region = 3;
